@@ -103,6 +103,43 @@ def _parse_facet(elements, n: int, context: str) -> FacetSet:
     return fs
 
 
+def _check_subdivision(spg: Spg, vertex_map: list[int],
+                       paths: list[tuple[int, ...]]) -> None:
+    """The annotations must describe a subdivision of the graph: distinct
+    template images, paths that walk graph edges between images and use
+    every edge exactly once, and one vertex per image or interior path
+    vertex.  Costs O(|V| + |E|)."""
+    if len(set(vertex_map)) != len(vertex_map):
+        raise DocumentError("annotations.vertex_map: entries must be distinct")
+    images = set(vertex_map)
+    edge_set = spg.edge_set()
+    walked: set[tuple[int, int]] = set()
+    for pi, path in enumerate(paths):
+        context = f"annotations.edge_paths[{pi}]"
+        if path[0] not in images or path[-1] not in images:
+            raise DocumentError(
+                f"{context}: endpoints {path[0]} and {path[-1]} must both be "
+                f"in vertex_map")
+        for u, w in zip(path, path[1:]):
+            key = (min(u, w), max(u, w))
+            if key not in edge_set:
+                raise DocumentError(f"{context}: {u}-{w} is not a graph edge")
+            if key in walked:
+                raise DocumentError(
+                    f"{context}: edge {u}-{w} lies on more than one path step")
+            walked.add(key)
+    if len(walked) != len(edge_set):
+        raise DocumentError(
+            f"annotations.edge_paths: cover {len(walked)} of "
+            f"{len(edge_set)} graph edges")
+    interior = sum(len(path) - 2 for path in paths)
+    if len(vertex_map) + interior != len(spg.vertices):
+        raise DocumentError(
+            f"annotations.vertex_map: {len(vertex_map)} entries plus "
+            f"{interior} interior path vertices, but the graph has "
+            f"{len(spg.vertices)} vertices")
+
+
 def parse(text: str) -> Payload:
     """Parse and fully validate a document.
 
@@ -225,6 +262,7 @@ def parse(text: str) -> Payload:
     if not isinstance(rounds_used, int) or rounds_used < 0:
         raise DocumentError(
             "annotations.rounds_used: expected a non-negative integer")
+    _check_subdivision(spg, vertex_map, parsed_paths)
 
     return TransformResult(
         spg=spg,

@@ -39,13 +39,11 @@ from .core import (
     PropertyReport,
     Spg,
     SpgProperty,
+    _near_mask_pairs,
     _sorted_witnesses,
-    check_adjacency,
-    check_endpoint_count,
     check_singleton,
-    check_strong_adjacency,
     require_valid,
-    validate,
+    verify_all,
 )
 
 
@@ -352,14 +350,7 @@ def find_bad_events(result: TransformResult, original: Spg) -> tuple[BadEvent, .
 
 
 def _verify_construction(result: TransformResult, resample_log) -> None:
-    reports = [
-        validate(result.spg),
-        check_singleton(result.spg),
-        check_adjacency(result.spg),
-        check_strong_adjacency(result.spg),
-        check_endpoint_count(result.spg),
-    ]
-    failed = [rep for rep in reports if not rep.holds]
+    failed = [rep for rep in verify_all(result.spg) if not rep.holds]
     if failed:
         raise ConstructionVerificationError(failed, resample_log)
 
@@ -466,7 +457,8 @@ def check_localization(result: TransformResult, original: Spg) -> PropertyReport
     """Exhaustive check that near-coincidences stay local: every pair of
     constructed sets agreeing in exactly rd - 1 lifted symbols must lie
     on a single subdivided edge or on two edges sharing a template
-    endpoint.  Refuses below r = 4, where the guarantee does not apply.
+    endpoint.  Refuses below r = 4, where the guarantee does not apply,
+    and (ValueError) when a vertex's first set does not hold rd symbols.
     """
     if original.dimension == 0 or result.spg.dimension % original.dimension:
         raise ValueError("result dimension is not a multiple of the template's")
@@ -486,21 +478,17 @@ def check_localization(result: TransformResult, original: Spg) -> PropertyReport
         u2, w2 = original.edges[e2]
         return u1 in (u2, w2) or w1 in (u2, w2)
 
-    rd = result.spg.dimension
     facet_of = [vertex[0] for vertex in result.spg.vertices]
     witnesses: list[tuple] = []
-    for i in range(len(facet_of)):
-        mi = facet_of[i].mask
-        for j in range(i + 1, len(facet_of)):
-            if (mi & facet_of[j].mask).bit_count() != rd - 1:
-                continue
-            if not any(
-                share_endpoint(e1, e2)
-                for e1 in on_edges[i]
-                for e2 in on_edges[j]
-            ):
-                witnesses.append(
-                    ("delocalized-pair", facet_of[i], facet_of[j], i, j))
+    near = _near_mask_pairs([fs.mask for fs in facet_of], result.spg.dimension)
+    for i, j in near.tolist():
+        if not any(
+            share_endpoint(e1, e2)
+            for e1 in on_edges[i]
+            for e2 in on_edges[j]
+        ):
+            witnesses.append(
+                ("delocalized-pair", facet_of[i], facet_of[j], i, j))
     return PropertyReport(SpgProperty.LOCALIZATION, _sorted_witnesses(witnesses))
 
 

@@ -1,4 +1,5 @@
-"""Shared strategies and random-instance generators for the test suite."""
+"""Shared strategies, random-instance generators and brute-force oracles
+for the test suite."""
 
 from __future__ import annotations
 
@@ -7,7 +8,15 @@ from itertools import combinations
 
 from hypothesis import strategies as st
 
-from spgraphs import FacetSet, Spg, SymbolTable
+from spgraphs import (
+    FacetSet,
+    PropertyReport,
+    Spg,
+    SpgProperty,
+    SymbolTable,
+    TransformResult,
+)
+from spgraphs.core import require_valid
 
 
 @st.composite
@@ -16,7 +25,24 @@ def spg_instances(draw, singleton=False, max_symbols=7, max_dim=3, max_sets=8):
     connected by a random spanning tree plus a few extra edges."""
     n = draw(st.integers(2, max_symbols))
     d = draw(st.integers(1, min(max_dim, n)))
-    pool = [FacetSet(c) for c in combinations(range(n), d)]
+    return draw(_spg_on(n, d, range(n), singleton, max_sets))
+
+
+@st.composite
+def wide_spg_instances(draw, max_dim=4, max_sets=10):
+    """Random valid SPGs on 63 to 200 symbols whose sets draw on a few
+    symbols, many of them at a 64-bit word boundary or at the top."""
+    n = draw(st.sampled_from([63, 64, 65, 128, 129, 200]))
+    hot = st.sampled_from([0, 62, 63, 64, 65, 127, 128, n - 2, n - 1])
+    used = draw(st.lists(st.one_of(hot, st.integers(0, n - 1)).filter(
+        lambda x: x < n), min_size=2, max_size=7, unique=True))
+    d = draw(st.integers(1, min(max_dim, len(used))))
+    return draw(_spg_on(n, d, used, False, max_sets))
+
+
+@st.composite
+def _spg_on(draw, n, d, symbols, singleton, max_sets):
+    pool = [FacetSet(c) for c in combinations(sorted(symbols), d)]
     m = draw(st.integers(1, min(len(pool), max_sets)))
     sets = draw(st.lists(st.sampled_from(pool), min_size=m, max_size=m,
                          unique=True))
@@ -86,3 +112,94 @@ def brute_force_endpoint_violations(spg: Spg) -> set[frozenset[int]]:
             if len(holders) > 2:
                 violating.add(fface)
     return violating
+
+
+# Brute-force oracles for the near-pair kernel and the verifiers built on
+# it: plain loops over all pairs of sets (and, for the end-point count, a
+# hash map over every set's (d-1)-subsets).
+
+def _sorted_witnesses(witnesses: list[tuple]) -> tuple[tuple, ...]:
+    return tuple(sorted(witnesses, key=lambda w: (w[0], str(w[1:]))))
+
+
+def brute_force_near_pairs(spg: Spg) -> list[list[int]]:
+    """Every i < j in facets_with_vertex order sharing exactly d-1 symbols."""
+    family = spg.family()
+    d = spg.dimension
+    return [[i, j] for i in range(len(family)) for j in range(i + 1, len(family))
+            if (family[i].mask & family[j].mask).bit_count() == d - 1]
+
+
+def brute_force_adjacency(spg: Spg) -> PropertyReport:
+    require_valid(spg)
+    d = spg.dimension
+    pairs = spg.facets_with_vertex()
+    edge_set = spg.edge_set()
+    witnesses: list[tuple] = []
+    for i in range(len(pairs)):
+        vi, a = pairs[i]
+        for j in range(i + 1, len(pairs)):
+            vj, b = pairs[j]
+            if (a.mask & b.mask).bit_count() != d - 1:
+                continue
+            if vi == vj:
+                continue
+            if (min(vi, vj), max(vi, vj)) not in edge_set:
+                witnesses.append(("non-adjacent-pair", a, b, vi, vj))
+    return PropertyReport(SpgProperty.ADJACENCY, _sorted_witnesses(witnesses))
+
+
+def brute_force_strong_adjacency(spg: Spg) -> PropertyReport:
+    require_valid(spg)
+    d = spg.dimension
+    witnesses = list(brute_force_adjacency(spg).witnesses)
+    for u, w in spg.edges:
+        if not any(
+            a.intersection_size(b) == d - 1
+            for a in spg.vertices[u]
+            for b in spg.vertices[w]
+        ):
+            witnesses.append(("unwitnessed-edge", u, w))
+    return PropertyReport(SpgProperty.STRONG_ADJACENCY, _sorted_witnesses(witnesses))
+
+
+def brute_force_endpoint_count(spg: Spg) -> PropertyReport:
+    """Counts over each set's own d subsets of size d-1 (hash map)."""
+    require_valid(spg)
+    containing: dict[int, list[FacetSet]] = {}
+    for fs in spg.family():
+        for e in fs.elements:
+            containing.setdefault(fs.mask ^ (1 << e), []).append(fs)
+    witnesses = [
+        ("over-counted-face", FacetSet.from_mask(sub), tuple(sorted(sets)))
+        for sub, sets in containing.items() if len(sets) > 2
+    ]
+    return PropertyReport(SpgProperty.ENDPOINT_COUNT, _sorted_witnesses(witnesses))
+
+
+def brute_force_localization(result: TransformResult, original: Spg) -> PropertyReport:
+    on_edges: list[set[int]] = [set() for _ in result.spg.vertices]
+    for ei, path in enumerate(result.edge_paths):
+        for idx in path:
+            on_edges[idx].add(ei)
+
+    def share_endpoint(e1: int, e2: int) -> bool:
+        if e1 == e2:
+            return True
+        u1, w1 = original.edges[e1]
+        u2, w2 = original.edges[e2]
+        return u1 in (u2, w2) or w1 in (u2, w2)
+
+    rd = result.spg.dimension
+    facet_of = [vertex[0] for vertex in result.spg.vertices]
+    witnesses: list[tuple] = []
+    for i in range(len(facet_of)):
+        mi = facet_of[i].mask
+        for j in range(i + 1, len(facet_of)):
+            if (mi & facet_of[j].mask).bit_count() != rd - 1:
+                continue
+            if not any(share_endpoint(e1, e2)
+                       for e1 in on_edges[i] for e2 in on_edges[j]):
+                witnesses.append(
+                    ("delocalized-pair", facet_of[i], facet_of[j], i, j))
+    return PropertyReport(SpgProperty.LOCALIZATION, _sorted_witnesses(witnesses))

@@ -77,6 +77,23 @@ class TestVerify:
         assert "endpoint-count: VIOLATED" in out
         assert "over-counted-face" in out
 
+    def test_dimension_reduction_refuses_lifted_spindle(self, capsys, monkeypatch,
+                                                       tmp_path):
+        # rd = 174: a single member has 2^174 faces, so the budget refuses
+        # before any restriction is checked (the timeout guards a hang)
+        code, doc, _ = run_cli(capsys, monkeypatch, [
+            "build-spindle", "--dim", "2", "--transform", "--r", "87", "--seed", "7"])
+        assert code == 0
+        path = tmp_path / "spindle.json"
+        path.write_text(doc, encoding="utf-8")
+        done = subprocess.run(
+            [sys.executable, "-m", "spgraphs", "verify", "--input", str(path),
+             "--property", "dimension-reduction"],
+            capture_output=True, text=True, timeout=60)
+        assert done.returncode == 2
+        assert "refusing rather than reporting a partial result" in done.stderr
+        assert done.stdout == ""
+
     def test_all_properties_default(self, capsys, monkeypatch):
         doc = build_template_doc(capsys, monkeypatch, dim=2)
         code, out, _ = run_cli(capsys, monkeypatch, ["verify"], stdin=doc)

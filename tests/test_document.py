@@ -198,3 +198,30 @@ def test_transform_result_path_indices_checked():
     doc["annotations"]["edge_paths"] = [[0, 99, 1]]
     with pytest.raises(DocumentError, match="edge_paths"):
         parse(json.dumps(doc))
+
+
+def _two_edge_result_doc():
+    # {a,b} - {b,c} - {c,d} at r = 2: paths [0, 3, 1] and [1, 4, 2]
+    template = Spg.build(SymbolTable.alphabetic(4), 2,
+                         [[fs(0, 1)], [fs(1, 2)], [fs(2, 3)]], [(0, 1), (1, 2)])
+    result = build_subdivision(template, 2, PermutationAssignment(((1, 2), (2, 1))))
+    doc = json.loads(serialize(result))
+    assert doc["annotations"]["vertex_map"] == [0, 1, 2]
+    assert doc["annotations"]["edge_paths"] == [[0, 3, 1], [1, 4, 2]]
+    return doc
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("edge_paths", [[0, 4, 1], [1, 3, 2]], "not a graph edge"),
+    ("edge_paths", [[3, 1], [1, 4, 2]], "must both be in vertex_map"),
+    ("vertex_map", [0, 0, 2], "distinct"),
+    ("edge_paths", [[0, 3, 1], [0, 3, 1]], "more than one path step"),
+    ("edge_paths", [[0, 3, 1]], "cover 2 of 4"),
+    ("vertex_map", [0, 1, 2, 3], "interior path vertices"),
+])
+def test_transform_result_must_describe_a_subdivision(field, value, message):
+    doc = _two_edge_result_doc()
+    parse(json.dumps(doc))
+    doc["annotations"][field] = value
+    with pytest.raises(DocumentError, match=message):
+        parse(json.dumps(doc))

@@ -1,0 +1,164 @@
+"""The near-pair kernel and the verifiers built on it, against the
+brute-force oracles in conftest."""
+
+import random
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import (
+    brute_force_adjacency,
+    brute_force_endpoint_count,
+    brute_force_localization,
+    brute_force_near_pairs,
+    brute_force_strong_adjacency,
+    random_singleton_spg,
+    spg_instances,
+    wide_spg_instances,
+)
+from spgraphs import (
+    FacetSet,
+    InvalidSpgError,
+    PermutationAssignment,
+    Spg,
+    SymbolTable,
+    build_subdivision,
+    check_adjacency,
+    check_endpoint_count,
+    check_localization,
+    check_singleton,
+    check_strong_adjacency,
+    near_pairs,
+    restrict,
+    validate,
+    verify_all,
+)
+
+
+@st.composite
+def subdivisions(draw, min_r=2, max_r=5):
+    """Small lifted constructions: a random singleton template, a row
+    multiplier and one random row permutation per edge (bad events and
+    all, so the results need not satisfy any property)."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    template = random_singleton_spg(random.Random(seed), max_vertices=5)
+    r = draw(st.integers(min_r, max_r))
+    perms = PermutationAssignment.draw(
+        np.random.default_rng(seed), len(template.edges), r)
+    return template, build_subdivision(template, r, perms)
+
+
+@st.composite
+def restrictions(draw):
+    """Restrictions of random graphs by a face of one member, down to the
+    full member (dimension 0)."""
+    spg = draw(spg_instances(max_dim=3))
+    member = draw(st.sampled_from(spg.family()))
+    k = draw(st.integers(0, len(member)))
+    face = FacetSet(draw(st.permutations(member.elements))[:k])
+    return restrict(spg, face)
+
+
+def individual_checks(spg):
+    return (validate(spg), check_singleton(spg), check_adjacency(spg),
+            check_strong_adjacency(spg), check_endpoint_count(spg))
+
+
+def assert_matches_oracles(spg):
+    assert near_pairs(spg).tolist() == brute_force_near_pairs(spg)
+    assert check_adjacency(spg) == brute_force_adjacency(spg)
+    assert check_strong_adjacency(spg) == brute_force_strong_adjacency(spg)
+    assert check_endpoint_count(spg) == brute_force_endpoint_count(spg)
+    assert verify_all(spg) == individual_checks(spg)
+
+
+@given(spg_instances(max_symbols=8, max_dim=4, max_sets=14))
+@settings(max_examples=150, deadline=None)
+def test_general_graphs_match_oracles(spg):
+    assert_matches_oracles(spg)
+
+
+@given(wide_spg_instances())
+@settings(max_examples=100, deadline=None)
+def test_word_boundary_and_wide_graphs_match_oracles(spg):
+    assert_matches_oracles(spg)
+
+
+@given(subdivisions())
+@settings(max_examples=40, deadline=None)
+def test_lifted_constructions_match_oracles(case):
+    _, result = case
+    if validate(result.spg).holds:
+        assert_matches_oracles(result.spg)
+    else:
+        # a bad event that repeats a set: every verifier refuses it
+        assert near_pairs(result.spg).tolist() == brute_force_near_pairs(result.spg)
+        with pytest.raises(InvalidSpgError):
+            verify_all(result.spg)
+
+
+@given(subdivisions(min_r=4, max_r=6))
+@settings(max_examples=40, deadline=None)
+def test_localization_matches_oracle(case):
+    template, result = case
+    assert (check_localization(result, template)
+            == brute_force_localization(result, template))
+
+
+@given(restrictions())
+@settings(max_examples=60, deadline=None)
+def test_restrictions_match_oracles(spg):
+    if spg is not None:
+        assert_matches_oracles(spg)
+
+
+def test_dimension_one_every_pair_is_near():
+    n = 9
+    spg = Spg.build(SymbolTable.alphabetic(n), 1,
+                    [[FacetSet([i])] for i in range(n)],
+                    [(i, i + 1) for i in range(n - 1)])
+    assert near_pairs(spg).tolist() == [[i, j] for i in range(n) for j in range(i + 1, n)]
+    assert_matches_oracles(spg)
+
+
+def test_single_set_graph_has_no_near_pairs():
+    spg = Spg.build(SymbolTable.alphabetic(5), 3, [[FacetSet([0, 2, 4])]])
+    assert near_pairs(spg).shape == (0, 2)
+    assert_matches_oracles(spg)
+
+
+def test_dimension_zero_restriction_has_no_near_pairs():
+    spg = Spg.build(SymbolTable.alphabetic(3), 2,
+                    [[FacetSet([0, 1])], [FacetSet([1, 2])]], [(0, 1)])
+    full = restrict(spg, FacetSet([0, 1]))
+    assert full.dimension == 0
+    assert near_pairs(full).shape == (0, 2)
+    assert_matches_oracles(full)
+
+
+def test_pairs_span_more_than_one_band_block():
+    # 400 singletons at d = 1: 79,800 near pairs, more than one block of
+    # candidates, all of them on the first pivot's band.
+    n = 400
+    spg = Spg.build(SymbolTable.alphabetic(n), 1,
+                    [[FacetSet([i])] for i in range(n)],
+                    [(i, i + 1) for i in range(n - 1)])
+    pairs = near_pairs(spg).tolist()
+    assert len(pairs) == n * (n - 1) // 2
+    assert pairs == sorted(pairs)
+
+
+def test_wrong_size_sets_refused():
+    spg = Spg.build(SymbolTable.alphabetic(4), 2,
+                    [[FacetSet([0, 1])], [FacetSet([1, 2, 3])]], [(0, 1)])
+    with pytest.raises(ValueError):
+        near_pairs(spg)
+
+
+def test_verify_all_refuses_invalid_graph():
+    broken = Spg.build(SymbolTable.alphabetic(4), 2,
+                       [[FacetSet([0, 1])], [FacetSet([2, 3])]])
+    with pytest.raises(InvalidSpgError):
+        verify_all(broken)
