@@ -71,7 +71,6 @@ def _transform_config(args) -> TransformConfig:
 
 
 def cmd_build_spindle(args) -> int:
-    template = spindle.build_spindle_template(args.dim)
     if args.transform:
         if args.r is None or args.seed is None:
             raise ValueError("--transform requires --r and --seed")
@@ -79,6 +78,7 @@ def cmd_build_spindle(args) -> int:
         print(f"rounds used: {result.rounds_used}", file=sys.stderr)
         sys.stdout.write(document.serialize(result))
     else:
+        template = spindle.build_spindle_template(args.dim)
         sys.stdout.write(document.serialize(template.spindle))
     return EXIT_OK
 
@@ -112,21 +112,20 @@ _PROPERTY_CHECKS = {
 def cmd_verify(args) -> int:
     obj = document.parse(_read_input(args.input))
     spg = _spg_of(obj)
-    table = spg.symbols
 
-    reports = [core.validate(spg)]
-    if reports[0].holds:
+    # print as computed: a check that refuses (exit 2) keeps earlier verdicts
+    validity = core.validate(spg)
+    _print_report(validity, spg.symbols, args.all_witnesses)
+    violated = not validity.holds
+    if validity.holds:
         if args.property == "all":
             selected = list(_PROPERTY_CHECKS)
         else:
             selected = [args.property]
         for name in selected:
-            reports.append(_PROPERTY_CHECKS[name](spg))
-
-    violated = False
-    for report in reports:
-        _print_report(report, table, args.all_witnesses)
-        violated = violated or not report.holds
+            report = _PROPERTY_CHECKS[name](spg)
+            _print_report(report, spg.symbols, args.all_witnesses)
+            violated = violated or not report.holds
     return EXIT_VIOLATION if violated else EXIT_OK
 
 
@@ -249,8 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="emit the all-subsets spindle template, or its "
                             "full randomized construction with --transform")
     p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--raw", action="store_true",
-                   help="emit the raw template (the default)")
     p.add_argument("--transform", action="store_true",
                    help="run the randomized construction on the template")
     _add_transform_options(p, required=False)

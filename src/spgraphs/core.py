@@ -17,8 +17,7 @@ failures.  Only malformed *calls* (precondition breaches) raise.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import combinations
 from typing import Iterable, Iterator
@@ -344,6 +343,12 @@ def require_valid(spg: Spg) -> None:
         raise InvalidSpgError(report)
 
 
+def require_singleton(spg: Spg) -> None:
+    report = check_singleton(spg)
+    if not report.holds:
+        raise InvalidSpgError(report)
+
+
 def validate(spg: Spg) -> PropertyReport:
     """Gatekeeper check: partition property, uniform set size, simple
     connected graph.  Violations are data, never exceptions."""
@@ -387,11 +392,8 @@ def validate(spg: Spg) -> PropertyReport:
             witnesses.append(("parallel-edge", key[0], key[1]))
         seen_edges.add(key)
 
-    if not spg.is_restriction and spg.vertices and edges_ok:
-        comp = _components(len(spg.vertices), spg.edges)
-        if len(comp) > 1:
-            witnesses.append(
-                ("disconnected", len(comp), tuple(min(c) for c in comp)))
+    if not spg.is_restriction and edges_ok:
+        witnesses += _disconnected(spg.neighbors())
 
     return PropertyReport(SpgProperty.VALIDITY, _sorted_witnesses(witnesses))
 
@@ -407,40 +409,40 @@ def check_partition(spg: Spg) -> PropertyReport:
 def check_connectivity(spg: Spg) -> PropertyReport:
     """Actual connectivity, reported even for restriction-flagged graphs
     (which validate() exempts from the connectivity invariant)."""
-    witnesses: list[tuple] = []
-    if spg.vertices:
-        nv = len(spg.vertices)
-        usable = [(u, w) for u, w in spg.edges if 0 <= u < nv and 0 <= w < nv]
-        comp = _components(nv, usable)
-        if len(comp) > 1:
-            witnesses.append(
-                ("disconnected", len(comp), tuple(min(c) for c in comp)))
-    return PropertyReport(SpgProperty.CONNECTIVITY, tuple(witnesses))
+    nv = len(spg.vertices)
+    usable = tuple((u, w) for u, w in spg.edges if 0 <= u < nv and 0 <= w < nv)
+    return PropertyReport(SpgProperty.CONNECTIVITY,
+                          tuple(_disconnected(replace(spg, edges=usable).neighbors())))
 
 
-def _components(num_vertices: int, edges: Iterable[tuple[int, int]]) -> list[list[int]]:
-    adj: list[list[int]] = [[] for _ in range(num_vertices)]
-    for u, w in edges:
-        if u != w:
-            adj[u].append(w)
-            adj[w].append(u)
-    seen = [False] * num_vertices
-    comps = []
-    for start in range(num_vertices):
-        if seen[start]:
-            continue
-        queue = deque([start])
-        seen[start] = True
-        comp = []
-        while queue:
-            v = queue.popleft()
-            comp.append(v)
-            for w in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    queue.append(w)
-        comps.append(comp)
-    return comps
+def _bfs(adj: list[list[int]], source: int, dist: list[int]) -> list[int]:
+    """Breadth-first search from ``source`` over adjacency lists.
+
+    Writes hop counts into ``dist``, whose entries for vertices not yet
+    reached must be negative, and returns the vertices it reached in
+    visit order, so the last one is the farthest.
+    """
+    dist[source] = 0
+    order = [source]
+    for v in order:  # the list grows behind the loop: it is the queue
+        step = dist[v] + 1
+        for w in adj[v]:
+            if dist[w] < 0:
+                dist[w] = step
+                order.append(w)
+    return order
+
+
+def _disconnected(adj: list[list[int]]) -> list[tuple]:
+    """No witness for a connected graph; otherwise one naming the number
+    of components and each component's least vertex."""
+    dist = [-1] * len(adj)
+    least = []
+    for s in range(len(adj)):
+        if dist[s] < 0:  # s opens a new component
+            least.append(s)
+            _bfs(adj, s, dist)
+    return [("disconnected", len(least), tuple(least))] if len(least) > 1 else []
 
 
 # Near-pair kernel.  Two members of a validated family share exactly d-1
@@ -714,7 +716,7 @@ def check_dimension_reduction(spg: Spg, budget: int = 10_000_000) -> PropertyRep
                 sub = _restrict_validated(spg, FacetSet(combo))
                 if sub is None:
                     continue
-                if len(_components(len(sub.vertices), sub.edges)) > 1:
+                if _disconnected(sub.neighbors()):
                     witnesses.append(("disconnecting-face", FacetSet(combo)))
     return PropertyReport(
         SpgProperty.DIMENSION_REDUCTION, _sorted_witnesses(witnesses))
@@ -724,20 +726,11 @@ def graph_distance(spg: Spg, v1: int, v2: int) -> int:
     """Shortest-path distance in the underlying graph (breadth-first)."""
     if not (0 <= v1 < len(spg.vertices) and 0 <= v2 < len(spg.vertices)):
         raise ValueError(f"vertex index out of range: {v1}, {v2}")
-    if v1 == v2:
-        return 0
-    adj = spg.neighbors()
-    dist = {v1: 0}
-    queue = deque([v1])
-    while queue:
-        v = queue.popleft()
-        for w in adj[v]:
-            if w not in dist:
-                dist[w] = dist[v] + 1
-                if w == v2:
-                    return dist[w]
-                queue.append(w)
-    raise ValueError(f"vertex {v2} unreachable from {v1}")
+    dist = [-1] * len(spg.vertices)
+    _bfs(spg.neighbors(), v1, dist)
+    if dist[v2] < 0:
+        raise ValueError(f"vertex {v2} unreachable from {v1}")
+    return dist[v2]
 
 
 def max_degree(spg: Spg) -> int:
@@ -753,16 +746,10 @@ def diameter(spg: Spg) -> int:
     """Largest pairwise graph distance; raises on disconnected input."""
     best = 0
     adj = spg.neighbors()
-    for v in range(len(spg.vertices)):
-        dist = {v: 0}
-        queue = deque([v])
-        while queue:
-            x = queue.popleft()
-            for w in adj[x]:
-                if w not in dist:
-                    dist[w] = dist[x] + 1
-                    queue.append(w)
-        if len(dist) != len(spg.vertices):
+    for v in range(len(adj)):
+        dist = [-1] * len(adj)
+        order = _bfs(adj, v, dist)
+        if len(order) != len(adj):
             raise ValueError("graph is disconnected")
-        best = max(best, max(dist.values()))
+        best = max(best, dist[order[-1]])
     return best

@@ -233,14 +233,13 @@ def parse(text: str) -> Payload:
                 raise DocumentError(
                     f"annotations.apices[{i}]: {apex.render(table)} is not a "
                     f"member of the family")
+        try:
+            spindle = Spindle(spg, apices[0], apices[1])
+        except ValueError as err:
+            raise DocumentError(f"annotations.apices: {err}") from None
 
     if kind == "spg":
-        if apices is not None:
-            try:
-                return Spindle(spg, apices[0], apices[1])
-            except ValueError as err:
-                raise DocumentError(f"annotations.apices: {err}") from None
-        return spg
+        return spg if apices is None else spindle
 
     vertex_map = annotations.get("vertex_map")
     edge_paths = annotations.get("edge_paths")

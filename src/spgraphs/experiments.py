@@ -16,11 +16,10 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
-    InvalidSpgError,
     Spg,
     check_dimension_reduction,
-    check_singleton,
     max_degree,
+    require_singleton,
 )
 from .spindle import sliding_window_path
 from .transform import (
@@ -93,9 +92,7 @@ def sweep_r(
         raise ValueError("all row multipliers must be at least 2")
     if trials < 1:
         raise ValueError("trials must be positive")
-    singleton = check_singleton(template)
-    if not singleton.holds:
-        raise InvalidSpgError(singleton)
+    require_singleton(template)
 
     rows = []
     for r in r_values:

@@ -84,7 +84,6 @@ def build_spindle_template(d: int, max_dimension: int = 8) -> SpindleTemplate:
         FacetSet(c)
         for c in sorted(combinations(range(2 * d), d), key=lambda c: c[::-1])
     ]
-    assert order[0] == apex1 and order[-1] == apex2
 
     spg = Spg.build(
         table,
@@ -107,16 +106,15 @@ def build_exponential_spindle(d: int, config: TransformConfig) -> TransformResul
     template = build_spindle_template(d)
     result = construct_with_resampling(template.spindle.spg, config)
 
-    apex1 = lift_facet(template.spindle.apex1, config.r)
-    apex2 = lift_facet(template.spindle.apex2, config.r)
-    v1 = result.vertex_map[0]
-    v2 = result.vertex_map[len(template.order) - 1]
-    assert result.spg.vertices[v1] == (apex1,)
-    assert result.spg.vertices[v2] == (apex2,)
-    assert result.spg.dimension == config.r * d
-    assert result.spg.symbols.n == 2 * config.r * d
-    assert graph_distance(result.spg, v1, v2) >= config.r * template.length
-    return replace(result, apices=(apex1, apex2))
+    length = graph_distance(
+        result.spg, result.vertex_map[0], result.vertex_map[template.length])
+    if length < config.r * template.length:
+        raise RuntimeError(
+            f"constructed spindle has length {length}, below "
+            f"r * {template.length}")
+    return replace(result, apices=(
+        lift_facet(template.spindle.apex1, config.r),
+        lift_facet(template.spindle.apex2, config.r)))
 
 
 def build_path_template(symbols: SymbolTable, sets: list[FacetSet]) -> Spg:

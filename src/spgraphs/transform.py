@@ -29,20 +29,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from itertools import combinations
 from typing import Sequence
 
 import numpy as np
 
 from .core import (
     FacetSet,
-    InvalidSpgError,
     PropertyReport,
     Spg,
     SpgProperty,
     _near_mask_pairs,
     _sorted_witnesses,
-    check_singleton,
-    require_valid,
+    require_singleton,
     verify_all,
 )
 
@@ -184,13 +183,13 @@ def _fisher_yates(rng: np.random.Generator, r: int) -> tuple[int, ...]:
     return tuple(rows)
 
 
+def _lift_mask(fs: FacetSet, r: int) -> int:
+    return sum(((1 << r) - 1) << (e * r) for e in fs.elements)
+
+
 def lift_facet(fs: FacetSet, r: int) -> FacetSet:
     """A x [r]: the copy of base symbol x in row j sits at index x*r + (j-1)."""
-    mask = 0
-    block = (1 << r) - 1
-    for e in fs.elements:
-        mask |= block << (e * r)
-    return FacetSet.from_mask(mask)
+    return FacetSet.from_mask(_lift_mask(fs, r))
 
 
 def lift_product(spg: Spg, r: int) -> Spg:
@@ -201,9 +200,7 @@ def lift_product(spg: Spg, r: int) -> Spg:
     """
     if r < 2:
         raise ValueError("row multiplier must be at least 2")
-    singleton = check_singleton(spg)
-    if not singleton.holds:
-        raise InvalidSpgError(singleton)
+    require_singleton(spg)
     return Spg.build(
         spg.symbols.lifted(r),
         r * spg.dimension,
@@ -223,7 +220,7 @@ def _subdivision_masks(
     """
     out = [e for e in a.elements if e not in a2]
     inn = [e for e in a2.elements if e not in a]
-    mask = lift_facet(a, r).mask
+    mask = _lift_mask(a, r)
     seq = [mask]
     for row in perm:
         offset = row - 1
@@ -260,127 +257,142 @@ def build_subdivision(
     path sets become fresh singleton vertices.  Original vertices keep
     their indices, so the vertex map is the identity embedding.
     """
-    require_valid(spg)
-    singleton = check_singleton(spg)
-    if not singleton.holds:
-        raise InvalidSpgError(singleton)
+    require_singleton(spg)
     if r < 2:
         raise ValueError("row multiplier must be at least 2")
     perms.require_covers(len(spg.edges), r)
 
-    lifted_vertices: list[tuple[FacetSet, ...]] = [
+    new_vertices: list[tuple[FacetSet, ...]] = [
         (lift_facet(vertex[0], r),) for vertex in spg.vertices
     ]
-    new_vertices = list(lifted_vertices)
     new_edges: list[tuple[int, int]] = []
     edge_paths: list[tuple[int, ...]] = []
 
     for ei, (u, w) in enumerate(spg.edges):
-        a = spg.vertices[u][0]
-        a2 = spg.vertices[w][0]
-        path_sets = subdivision_path(a, a2, r, perms.perms[ei])
-        assert path_sets[0] == lifted_vertices[u][0]
-        assert path_sets[-1] == lifted_vertices[w][0]
+        path_sets = subdivision_path(
+            spg.vertices[u][0], spg.vertices[w][0], r, perms.perms[ei])
         path_idx = [u]
         for fs in path_sets[1:-1]:
             path_idx.append(len(new_vertices))
             new_vertices.append((fs,))
         path_idx.append(w)
-        new_edges.extend(
-            (path_idx[i], path_idx[i + 1]) for i in range(len(path_idx) - 1))
+        new_edges.extend(zip(path_idx, path_idx[1:]))
         edge_paths.append(tuple(path_idx))
 
-    result_spg = Spg.build(
-        spg.symbols.lifted(r), r * spg.dimension, new_vertices, new_edges)
-    assert result_spg.dimension == r * spg.dimension
-    assert result_spg.symbols.n == r * spg.symbols.n
-    assert all(len(v) == 1 for v in result_spg.vertices)
     return TransformResult(
-        spg=result_spg,
+        spg=Spg.build(
+            spg.symbols.lifted(r), r * spg.dimension, new_vertices, new_edges),
         vertex_map=tuple(range(len(spg.vertices))),
         edge_paths=tuple(edge_paths),
     )
+
+
+def _band_hits(out1: list[int], out2: list[int]) -> list[tuple[int, int]]:
+    """Every (k, l), k and l >= 1 and |k - l| <= 1, at which the sets k
+    and l steps out along two paths lie within Hamming distance 2."""
+    hits = []
+    for shift in (-1, 0, 1):  # l = k + shift
+        k0 = max(1, 1 - shift)
+        for k, (m1, m2) in enumerate(zip(out1[k0:], out2[k0 + shift:]), k0):
+            if (m1 ^ m2).bit_count() <= 2:
+                hits.append((k, k + shift))
+    return hits
+
+
+def _scan_bad_events(
+    edges: Sequence[tuple[int, int]],
+    num_vertices: int,
+    paths: Sequence[list[int]],
+) -> tuple[BadEvent, ...]:
+    """The bad events of the subdivision paths ``paths[ei]`` (masks from
+    the lift of u to that of w, for ``edges[ei]`` = (u, w)).
+
+    Each step out of a template vertex V retires one of V's lifted
+    symbols and introduces one from outside, so the set k steps out lies
+    at Hamming distance exactly 2k from V's lift; by the triangle
+    inequality two sets within distance 2 (sharing rd - 1 of their rd
+    symbols) then lie in the band |k - l| <= 1.  The law is checked, one
+    popcount per set, and a path breaking it raises ValueError.
+    """
+    outward = [[] for _ in range(num_vertices)]
+    for ei, (u, w) in enumerate(edges):
+        outward[u].append((ei, paths[ei], False))
+        outward[w].append((ei, paths[ei][::-1], True))
+
+    events: list[BadEvent] = []
+    for v, incident in enumerate(outward):
+        if len(incident) < 2:
+            continue
+        centre = incident[0][1][0]
+        for ei, out, _ in incident:
+            if [(m ^ centre).bit_count() for m in out] != list(
+                    range(0, 2 * len(out), 2)):
+                raise ValueError(
+                    f"the path of edge {ei} is not a subdivision path out of "
+                    f"template vertex {v}")
+        for (e1, out1, back1), (e2, out2, back2) in combinations(incident, 2):
+            hits = _band_hits(out1, out2)
+            if hits:
+                # first in path order: a path ending at V is walked inward
+                k, l = min(hits, key=lambda kl: (
+                    -kl[0] if back1 else kl[0], -kl[1] if back2 else kl[1]))
+                events.append(BadEvent(v, (e1, e2), (
+                    FacetSet.from_mask(out1[k]), FacetSet.from_mask(out2[l]))))
+    return tuple(events)
 
 
 def find_bad_events(result: TransformResult, original: Spg) -> tuple[BadEvent, ...]:
     """Exhaustive bad-event scan of a built subdivision.
 
     For every template vertex V and unordered pair of distinct edges
-    incident to V, examine every pair of subdivision sets (one per path,
+    incident to V, examine the pairs of subdivision sets (one per path,
     excluding V's own image but including the opposite endpoints) and
     report the pair of edges as bad if some two sets agree in rd - 1 or
     more lifted symbols.  Using >= rather than exact equality also
     catches outright duplicates, which would break the partition
     property.  At most one witness pair, the first in path order, is
-    recorded per edge pair.
+    recorded per edge pair.  Raises ValueError on paths that are not
+    subdivision paths from the image of an edge's lower endpoint.
     """
+    mask_of = [vertex[0].mask for vertex in result.spg.vertices]
+    paths = []
+    for ei, ((u, w), path) in enumerate(
+            zip(original.edges, result.edge_paths, strict=True)):
+        if (path[0], path[-1]) != (result.vertex_map[u], result.vertex_map[w]):
+            raise ValueError(
+                f"edge path {ei} does not run from the image of vertex {u} "
+                f"to the image of vertex {w}")
+        paths.append([mask_of[idx] for idx in path])
     rd = result.spg.dimension
-    threshold = rd - 1
-    facet_of = [vertex[0] for vertex in result.spg.vertices]
-
-    incident: list[list[int]] = [[] for _ in original.vertices]
-    for ei, (u, w) in enumerate(original.edges):
-        incident[u].append(ei)
-        incident[w].append(ei)
-
-    events: list[BadEvent] = []
-    for v, edge_ids in enumerate(incident):
-        if len(edge_ids) < 2:
-            continue
-        own = result.vertex_map[v]
-        candidates = {
-            ei: [idx for idx in result.edge_paths[ei] if idx != own]
-            for ei in edge_ids
-        }
-        for i in range(len(edge_ids)):
-            for j in range(i + 1, len(edge_ids)):
-                e1, e2 = edge_ids[i], edge_ids[j]
-                witness = None
-                for b1 in candidates[e1]:
-                    m1 = facet_of[b1].mask
-                    for b2 in candidates[e2]:
-                        if (m1 & facet_of[b2].mask).bit_count() >= threshold:
-                            witness = (facet_of[b1], facet_of[b2])
-                            break
-                    if witness:
-                        break
-                if witness:
-                    events.append(BadEvent(v, (e1, e2), witness))
-    return tuple(events)
-
-
-def _verify_construction(result: TransformResult, resample_log) -> None:
-    failed = [rep for rep in verify_all(result.spg) if not rep.holds]
-    if failed:
-        raise ConstructionVerificationError(failed, resample_log)
+    if any(m.bit_count() != rd for path in paths for m in path):
+        raise ValueError(f"subdivision sets must hold {rd} symbols")
+    return _scan_bad_events(original.edges, len(original.vertices), paths)
 
 
 def construct_with_resampling(spg: Spg, config: TransformConfig) -> TransformResult:
-    """Full construction: draw row permutations, build, and resample away
-    bad events until none remain.
+    """Full construction: draw row permutations, resample away bad
+    events until none remain, then build.
 
     All randomness flows from one generator seeded with ``config.seed``;
     permutations are drawn per edge in canonical index order, and redraws
     consume the same stream, so identical inputs give bit-identical
     output.  With strategy RESAMPLE only edges participating in a bad
-    event are redrawn each round; REJECT redraws all of them.  On success
-    the result is re-verified (validity, singleton, adjacency, strong
-    adjacency, end-point count) before being returned; exhausting
-    ``max_rounds`` raises with the surviving bad events attached.
+    event are redrawn each round (and only their paths recomputed);
+    REJECT redraws all of them.  The graph is built once and re-verified
+    (validity, singleton, adjacency, strong adjacency, end-point count)
+    before being returned; exhausting ``max_rounds`` raises with the
+    surviving bad events attached.
     """
+    require_singleton(spg)
+    r = config.r
+    ends = [(spg.vertices[u][0], spg.vertices[w][0]) for u, w in spg.edges]
     rng = np.random.default_rng(config.seed)
-    perms = [_fisher_yates(rng, config.r) for _ in spg.edges]
+    perms = [_fisher_yates(rng, r) for _ in spg.edges]
+    paths = [_subdivision_masks(a, a2, r, p) for (a, a2), p in zip(ends, perms)]
     log: list[tuple[int, tuple[BadEvent, ...]]] = []
 
-    for attempt in range(config.max_rounds + 1):
-        result = build_subdivision(
-            spg, config.r, PermutationAssignment(tuple(perms)))
-        events = find_bad_events(result, spg)
-        if not events:
-            result = replace(
-                result, rounds_used=attempt, resample_log=tuple(log))
-            _verify_construction(result, tuple(log))
-            return result
+    attempt = 0
+    while events := _scan_bad_events(spg.edges, len(spg.vertices), paths):
         log.append((attempt, events))
         if attempt == config.max_rounds:
             raise ResamplingExhaustedError(events, log, config.max_rounds)
@@ -389,8 +401,17 @@ def construct_with_resampling(spg: Spg, config: TransformConfig) -> TransformRes
         else:
             targets = range(len(spg.edges))
         for ei in targets:
-            perms[ei] = _fisher_yates(rng, config.r)
-    raise AssertionError("unreachable")
+            perms[ei] = _fisher_yates(rng, r)
+            paths[ei] = _subdivision_masks(*ends[ei], r, perms[ei])
+        attempt += 1
+
+    result = replace(
+        build_subdivision(spg, r, PermutationAssignment(tuple(perms))),
+        rounds_used=attempt, resample_log=tuple(log))
+    failed = [rep for rep in verify_all(result.spg) if not rep.holds]
+    if failed:
+        raise ConstructionVerificationError(failed, result.resample_log)
+    return result
 
 
 @dataclass(frozen=True)
@@ -411,12 +432,12 @@ def bad_event_occurs(
 ) -> bool:
     """Whether the two subdivision paths out of ``center`` (rows adjusted
     per ``perm1``/``perm2``) contain sets agreeing in rd - 1 or more
-    lifted symbols, the center's own lift excluded."""
-    rd = r * len(center)
-    masks1 = _subdivision_masks(center, leaf1, r, perm1)[1:]
-    masks2 = _subdivision_masks(center, leaf2, r, perm2)[1:]
-    return any(
-        (m1 & m2).bit_count() >= rd - 1 for m1 in masks1 for m2 in masks2)
+    lifted symbols, the center's own lift excluded.  Raises ValueError
+    when a ``perm`` that is not a permutation of 1..r breaks the paths
+    (a step keeping the scan's law swaps one symbol, so sizes hold)."""
+    paths = [_subdivision_masks(center, leaf1, r, perm1),
+             _subdivision_masks(center, leaf2, r, perm2)]
+    return bool(_scan_bad_events(((0, 1), (0, 2)), 3, paths))
 
 
 def estimate_bad_event_probability(

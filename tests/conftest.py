@@ -4,17 +4,29 @@ for the test suite."""
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from itertools import combinations
 
 from hypothesis import strategies as st
 
+import numpy as np
+
 from spgraphs import (
+    BadEvent,
+    ConstructionVerificationError,
     FacetSet,
+    PermutationAssignment,
     PropertyReport,
+    ResamplingExhaustedError,
     Spg,
     SpgProperty,
+    Strategy,
     SymbolTable,
+    TransformConfig,
     TransformResult,
+    build_subdivision,
+    subdivision_path,
+    verify_all,
 )
 from spgraphs.core import require_valid
 
@@ -203,3 +215,91 @@ def brute_force_localization(result: TransformResult, original: Spg) -> Property
                 witnesses.append(
                     ("delocalized-pair", facet_of[i], facet_of[j], i, j))
     return PropertyReport(SpgProperty.LOCALIZATION, _sorted_witnesses(witnesses))
+
+
+# Brute-force oracles for the bad-event scan: every pair of sets on two
+# subdivision paths out of a common vertex, with no band.
+
+def brute_force_bad_events(result: TransformResult, original: Spg
+                           ) -> tuple[BadEvent, ...]:
+    """First witness pair in path order per incident edge pair, over all
+    pairs of sets (the vertex's own image excluded)."""
+    rd = result.spg.dimension
+    facet_of = [vertex[0] for vertex in result.spg.vertices]
+    incident: list[list[int]] = [[] for _ in original.vertices]
+    for ei, (u, w) in enumerate(original.edges):
+        incident[u].append(ei)
+        incident[w].append(ei)
+    events = []
+    for v, edge_ids in enumerate(incident):
+        own = result.vertex_map[v]
+        candidates = {ei: [idx for idx in result.edge_paths[ei] if idx != own]
+                      for ei in edge_ids}
+        for e1, e2 in combinations(edge_ids, 2):
+            witness = next(
+                ((facet_of[b1], facet_of[b2])
+                 for b1 in candidates[e1] for b2 in candidates[e2]
+                 if facet_of[b1].intersection_size(facet_of[b2]) >= rd - 1),
+                None)
+            if witness:
+                events.append(BadEvent(v, (e1, e2), witness))
+    return tuple(events)
+
+
+def brute_force_bad_event_occurs(center, leaf1, leaf2, r, perm1, perm2) -> bool:
+    rd = r * len(center)
+    path1 = subdivision_path(center, leaf1, r, perm1)[1:]
+    path2 = subdivision_path(center, leaf2, r, perm2)[1:]
+    return any(a.intersection_size(b) >= rd - 1 for a in path1 for b in path2)
+
+
+def replay_construction(spg: Spg, config: TransformConfig):
+    """construct_with_resampling round by round: build every round, scan
+    with the oracle, redraw from the same stream.  Returns the result, or
+    the exception the construction should raise."""
+    rng = np.random.default_rng(config.seed)
+    perms = list(PermutationAssignment.draw(rng, len(spg.edges), config.r).perms)
+    log = []
+    for attempt in range(config.max_rounds + 1):
+        result = build_subdivision(
+            spg, config.r, PermutationAssignment(tuple(perms)))
+        events = brute_force_bad_events(result, spg)
+        if not events:
+            failed = [rep for rep in verify_all(result.spg) if not rep.holds]
+            if failed:
+                return ConstructionVerificationError(failed, tuple(log))
+            return replace(result, rounds_used=attempt, resample_log=tuple(log))
+        log.append((attempt, events))
+        if attempt == config.max_rounds:
+            return ResamplingExhaustedError(events, log, config.max_rounds)
+        if config.strategy is Strategy.RESAMPLE:
+            targets = sorted({ei for ev in events for ei in ev.edges})
+        else:
+            targets = range(len(spg.edges))
+        for ei in targets:
+            perms[ei] = PermutationAssignment.draw(rng, 1, config.r).perms[0]
+
+
+# Dict-based breadth-first search: the oracle for the BFS core.
+
+def brute_force_distances(spg: Spg, source: int) -> dict[int, int]:
+    adj = spg.neighbors()
+    dist = {source: 0}
+    frontier = [source]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for w in adj[v]:
+                if w not in dist:
+                    dist[w] = dist[v] + 1
+                    nxt.append(w)
+        frontier = nxt
+    return dist
+
+
+def brute_force_components(spg: Spg) -> list[set[int]]:
+    comps: list[set[int]] = []
+    for v in range(len(spg.vertices)):
+        if not any(v in comp for comp in comps):
+            comps.append(set(brute_force_distances(spg, v)))
+    return comps

@@ -36,12 +36,13 @@ class TestBuildSpindle:
         assert spindle.spg.dimension == 2
         assert len(spindle.spg.vertices) == 6
 
-    def test_raw_flag_is_alias(self, capsys, monkeypatch):
-        plain = build_template_doc(capsys, monkeypatch)
-        code, raw, _ = run_cli(
+    def test_raw_flag_is_rejected(self, capsys, monkeypatch):
+        # the template is the default output; the no-op --raw flag is gone
+        code, out, err = run_cli(
             capsys, monkeypatch, ["build-spindle", "--dim", "2", "--raw"])
-        assert code == 0
-        assert raw == plain
+        assert code == 2
+        assert out == ""
+        assert "--raw" in err
 
     def test_transform_requires_r_and_seed(self, capsys, monkeypatch):
         code, _, err = run_cli(
@@ -92,7 +93,20 @@ class TestVerify:
             capture_output=True, text=True, timeout=60)
         assert done.returncode == 2
         assert "refusing rather than reporting a partial result" in done.stderr
-        assert done.stdout == ""
+        assert done.stdout == "validity: holds\n"
+
+    def test_all_properties_print_before_refusal(self, capsys, monkeypatch):
+        # on a lifted graph dimension reduction refuses (exit 2), but the
+        # verdicts computed before it are still printed
+        code, doc, _ = run_cli(capsys, monkeypatch, [
+            "build-spindle", "--dim", "2", "--transform", "--r", "87", "--seed", "7"])
+        assert code == 0
+        code, out, err = run_cli(capsys, monkeypatch, ["verify"], stdin=doc)
+        assert code == 2
+        assert "refusing rather than reporting a partial result" in err
+        assert out == ("validity: holds\nadjacency: holds\n"
+                       "strong-adjacency: holds\nendpoint-count: holds\n"
+                       "singleton: holds\n")
 
     def test_all_properties_default(self, capsys, monkeypatch):
         doc = build_template_doc(capsys, monkeypatch, dim=2)

@@ -182,6 +182,25 @@ def test_apices_on_wrong_symbol_count():
         parse(json.dumps(doc))
 
 
+@pytest.mark.parametrize("case", ["uncovered", "not-2d"])
+def test_transform_result_apices_must_make_a_spindle(case):
+    if case == "uncovered":
+        # the first apex and its neighbour on the path: both members, but
+        # together they miss symbols
+        result = build_exponential_spindle(1, TransformConfig(r=4, seed=2))
+        apices = [result.apices[0], result.spg.vertices[result.edge_paths[0][1]][0]]
+    else:
+        # 10 symbols at lifted dimension 4
+        template = Spg.build(SymbolTable.alphabetic(5), 2,
+                             [[fs(0, 1)], [fs(2, 3)]], [(0, 1)])
+        result = build_subdivision(template, 2, PermutationAssignment(((1, 2),)))
+        apices = [v[0] for v in result.spg.vertices[:2]]
+    doc = json.loads(serialize(result))
+    doc["annotations"]["apices"] = [list(a.elements) for a in apices]
+    with pytest.raises(DocumentError, match="apices"):
+        parse(json.dumps(doc))
+
+
 def test_transform_result_requires_maps():
     doc = _document_dict()
     doc["kind"] = "transform-result"
