@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from itertools import combinations
+from itertools import combinations, compress, count
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -50,14 +50,14 @@ class BudgetExceededError(RuntimeError):
         )
 
 
+_BIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+
+
 def _mask_elements(mask: int) -> tuple[int, ...]:
     """Indices of the set bits of ``mask``, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
+    # The binary digits, least significant first, as 0/1 bytes: one
+    # C-level pass each for bin, the reversal, translate and compress.
+    return tuple(compress(count(), bin(mask)[:1:-1].encode().translate(_BIT_FLAGS)))
 
 
 @dataclass(frozen=True)
@@ -743,13 +743,42 @@ def max_degree(spg: Spg) -> int:
 
 
 def diameter(spg: Spg) -> int:
-    """Largest pairwise graph distance; raises on disconnected input."""
-    best = 0
+    """Largest pairwise graph distance; raises on disconnected input.
+
+    Exact, by iFUB (Crescenzi, Grossi, Habib, Lanzi & Marino, TCS 2013):
+    sweeps pick a central vertex u, and the vertices farthest from u get
+    their own breadth-first search, level by level, until no pair left
+    can beat the longest distance found.  On a long path that is a
+    handful of searches instead of one per vertex.
+    """
     adj = spg.neighbors()
-    for v in range(len(adj)):
+    if not adj:
+        return 0
+
+    def sweep(source: int) -> tuple[list[int], list[int]]:
         dist = [-1] * len(adj)
-        order = _bfs(adj, v, dist)
-        if len(order) != len(adj):
-            raise ValueError("graph is disconnected")
-        best = max(best, dist[order[-1]])
-    return best
+        return dist, _bfs(adj, source, dist)
+
+    dist, order = sweep(0)
+    if len(order) != len(adj):
+        raise ValueError("graph is disconnected")
+    dist, order = sweep(order[-1])
+    dist, order = sweep(order[-1])
+    lower = dist[order[-1]]
+    # u: the midpoint of a shortest path between the two ends of the last
+    # sweep, walked back from its far end.
+    u = order[-1]
+    for k in range(lower - 1, lower // 2 - 1, -1):
+        u = next(w for w in adj[u] if dist[w] == k)
+
+    dist_u, order_u = sweep(u)
+    lower = max(lower, dist_u[order_u[-1]])
+    # Fringes from the deepest level of u's search down: once the vertices
+    # at levels i and above have had their own search, every pair left
+    # lies within levels <= i of u, so no more than 2i apart.
+    for v in reversed(order_u):
+        if lower >= 2 * dist_u[v]:
+            break
+        dist, order = sweep(v)
+        lower = max(lower, dist[order[-1]])
+    return lower

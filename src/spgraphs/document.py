@@ -90,8 +90,9 @@ def _expect(doc: dict, key: str, types, context: str = "document"):
 
 
 def _parse_facet(elements, n: int, context: str) -> FacetSet:
-    if not isinstance(elements, list) or not all(
-            isinstance(e, int) and not isinstance(e, bool) for e in elements):
+    # JSON yields exact ints, so one pass over the element types (where
+    # bool is not int) replaces an isinstance test per element.
+    if not isinstance(elements, list) or not set(map(type, elements)) <= {int}:
         raise DocumentError(f"{context}: facet set must be a list of integers")
     try:
         fs = FacetSet(elements)

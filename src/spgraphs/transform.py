@@ -176,9 +176,12 @@ def lll_sufficient(delta: int, r: int) -> bool:
 
 
 def _fisher_yates(rng: np.random.Generator, r: int) -> tuple[int, ...]:
+    # One vectorized draw of the swap partners for rows r-1 .. 1: numpy
+    # draws them in order, one bounded integer each, so the permutation
+    # and the generator state equal those of a loop of scalar draws.
     rows = list(range(1, r + 1))
-    for i in range(r - 1, 0, -1):
-        j = int(rng.integers(0, i + 1))
+    partners = rng.integers(0, np.arange(r, 1, -1)).tolist()
+    for i, j in zip(range(r - 1, 0, -1), partners):
         rows[i], rows[j] = rows[j], rows[i]
     return tuple(rows)
 

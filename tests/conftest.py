@@ -303,3 +303,36 @@ def brute_force_components(spg: Spg) -> list[set[int]]:
         if not any(v in comp for comp in comps):
             comps.append(set(brute_force_distances(spg, v)))
     return comps
+
+
+def brute_force_diameter(spg: Spg) -> int:
+    """Largest distance over a BFS from every vertex; raises on a
+    disconnected graph, 0 for graphs of 0 or 1 vertices."""
+    best = 0
+    for v in range(len(spg.vertices)):
+        dist = brute_force_distances(spg, v)
+        if len(dist) != len(spg.vertices):
+            raise ValueError("graph is disconnected")
+        best = max(best, max(dist.values()))
+    return best
+
+
+# Loop forms of the vectorized or string-based primitives.
+
+def loop_fisher_yates(rng: np.random.Generator, r: int) -> tuple[int, ...]:
+    """Fisher-Yates over rows 1..r with one scalar draw per row."""
+    rows = list(range(1, r + 1))
+    for i in range(r - 1, 0, -1):
+        j = int(rng.integers(0, i + 1))
+        rows[i], rows[j] = rows[j], rows[i]
+    return tuple(rows)
+
+
+def loop_mask_elements(mask: int) -> tuple[int, ...]:
+    """Set bits of ``mask`` ascending, split off lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)

@@ -4,7 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_endpoint_violations, spg_instances
+from conftest import (
+    brute_force_endpoint_violations,
+    loop_mask_elements,
+    spg_instances,
+)
 from spgraphs import (
     BudgetExceededError,
     FacetSet,
@@ -94,6 +98,18 @@ class TestFacetSet:
     def test_mask_intersection_matches_set_intersection(self, xs, ys):
         a, b = FacetSet(xs), FacetSet(ys)
         assert a.intersection_size(b) == len(xs & ys)
+
+    @given(st.one_of(
+        st.just(0),
+        st.sampled_from([0, 1, 62, 63, 64, 65, 127, 128, 521]).map(lambda b: 1 << b),
+        st.sets(st.sampled_from([0, 63, 64, 127, 128])).map(
+            lambda bits: sum(1 << b for b in bits)),
+        st.integers(0, (1 << 600) - 1),
+        st.integers(1, 600).map(lambda k: (1 << k) - 1)))
+    def test_from_mask_matches_loop_split(self, mask):
+        fs_ = FacetSet.from_mask(mask)
+        assert fs_.elements == loop_mask_elements(mask)
+        assert fs_ == FacetSet(fs_.elements)
 
 
 class TestValidate:

@@ -158,6 +158,30 @@ def test_symbol_index_out_of_range():
         parse(json.dumps(doc))
 
 
+@pytest.mark.parametrize("facet, message", [
+    ([0, True], "facet set must be a list of integers"),
+    ([0, 1.0], "facet set must be a list of integers"),
+    (["a", 1], "facet set must be a list of integers"),
+    ([[0], 1], "facet set must be a list of integers"),
+    ({"0": 1}, "facet set must be a list of integers"),
+    ([-1, 1], "negative symbol index -1"),
+    ([1, 1], r"duplicate symbol indices in \(1, 1\)"),
+    ([0, 17], r"symbol index 17 out of range \(n=\d+\)"),
+])
+def test_bad_facet_elements_rejected(facet, message):
+    doc = _document_dict()
+    doc["vertices"][0] = [facet]
+    with pytest.raises(DocumentError, match=r"^vertices\[0\]\[0\]: " + message):
+        parse(json.dumps(doc))
+
+
+def test_bad_apex_elements_rejected():
+    doc = _document_dict(build_spindle_template(2).spindle)
+    doc["annotations"]["apices"][1] = [2, False]
+    with pytest.raises(DocumentError, match=r"^annotations\.apices\[1\]: facet set"):
+        parse(json.dumps(doc))
+
+
 def test_bad_edge_shape():
     doc = _document_dict()
     doc["edges"] = [[0]]

@@ -3,11 +3,12 @@
 import math
 from itertools import permutations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import spg_instances
+from conftest import loop_fisher_yates, spg_instances
 from spgraphs import (
     ConstructionVerificationError,
     FacetSet,
@@ -58,6 +59,16 @@ SHARED_STAR = build_star_template(
 
 EXHAUSTING_SEED = 0   # round 0 of SHARED_STAR at r=2 has a bad event
 CLEAN_SEED = 1        # round 0 of SHARED_STAR at r=2 is clean
+
+
+class TestPermutationDraw:
+    @pytest.mark.parametrize("r", [1, 2, 3, 5, 8, 87, 261])
+    def test_matches_loop_draws_and_generator_state(self, r):
+        for seed in range(12):
+            rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = PermutationAssignment.draw(rng, 3, r).perms
+            assert got == tuple(loop_fisher_yates(loop_rng, r) for _ in range(3))
+            assert rng.bit_generator.state == loop_rng.bit_generator.state
 
 
 class TestMinMultiplier:
