@@ -14,10 +14,18 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 
 from . import core, document, experiments, spindle, transform
-from .core import BudgetExceededError, FacetSet, PropertyReport, Spg, Spindle
+from .core import (
+    BudgetExceededError,
+    FacetSet,
+    PropertyReport,
+    Spg,
+    SpgProperty,
+    Spindle,
+)
 from .transform import (
     ResamplingExhaustedError,
     Strategy,
@@ -100,32 +108,38 @@ def cmd_transform(args) -> int:
     return EXIT_OK
 
 
+# Each check on a graph that document.parse has already validated.
+# ``pairs`` returns the near pairs, found once for all checks that ask.
 _PROPERTY_CHECKS = {
-    "adjacency": core.check_adjacency,
-    "strong-adjacency": core.check_strong_adjacency,
-    "endpoint-count": core.check_endpoint_count,
-    "singleton": core.check_singleton,
-    "dimension-reduction": core.check_dimension_reduction,
+    "adjacency": lambda spg, pairs: core._adjacency_report(spg, pairs()),
+    "strong-adjacency":
+        lambda spg, pairs: core._strong_adjacency_report(spg, pairs()),
+    "endpoint-count":
+        lambda spg, pairs: core._endpoint_count_report(spg, pairs()),
+    "singleton": lambda spg, pairs: core._singleton_report(spg),
+    "dimension-reduction":
+        lambda spg, pairs: core._dimension_reduction_report(spg),
 }
 
 
 def cmd_verify(args) -> int:
     obj = document.parse(_read_input(args.input))
     spg = _spg_of(obj)
+    pairs = functools.cache(lambda: core.near_pairs(spg))
 
+    # parse raised on a graph that fails validation, so validity holds;
     # print as computed: a check that refuses (exit 2) keeps earlier verdicts
-    validity = core.validate(spg)
-    _print_report(validity, spg.symbols, args.all_witnesses)
-    violated = not validity.holds
-    if validity.holds:
-        if args.property == "all":
-            selected = list(_PROPERTY_CHECKS)
-        else:
-            selected = [args.property]
-        for name in selected:
-            report = _PROPERTY_CHECKS[name](spg)
-            _print_report(report, spg.symbols, args.all_witnesses)
-            violated = violated or not report.holds
+    _print_report(PropertyReport(SpgProperty.VALIDITY), spg.symbols,
+                  args.all_witnesses)
+    if args.property == "all":
+        selected = list(_PROPERTY_CHECKS)
+    else:
+        selected = [args.property]
+    violated = False
+    for name in selected:
+        report = _PROPERTY_CHECKS[name](spg, pairs)
+        _print_report(report, spg.symbols, args.all_witnesses)
+        violated = violated or not report.holds
     return EXIT_VIOLATION if violated else EXIT_OK
 
 
@@ -177,7 +191,6 @@ def cmd_sweep(args) -> int:
         max_rounds=args.max_rounds, strategy=Strategy(args.strategy))
 
     if args.json:
-        import json as _json
         payload = {
             "template": report.template,
             "rows": [
@@ -191,7 +204,7 @@ def cmd_sweep(args) -> int:
                 for row in report.rows
             ],
         }
-        sys.stdout.write(_json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        sys.stdout.write(document.canonical_json(payload))
         return EXIT_OK
 
     print(f"template: {report.template}")

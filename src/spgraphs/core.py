@@ -20,9 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import combinations, compress, count
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
-import numpy as np
+if TYPE_CHECKING:
+    # numpy is imported inside the functions that use it, so importing
+    # the package and the commands that never reach them skip loading it
+    import numpy as np
 
 
 class InvalidSpgError(ValueError):
@@ -123,10 +126,15 @@ class FacetSet:
     def __init__(self, elements: Iterable[int]):
         elems = tuple(sorted(elements))
         mask = 0
-        for e in elems:
-            if e < 0:
-                raise ValueError(f"negative symbol index {e}")
-            mask |= 1 << e
+        if elems:
+            if elems[0] < 0:
+                raise ValueError(f"negative symbol index {elems[0]}")
+            # The binary digits, most significant last, read as one int:
+            # a byte store per element instead of a bigint OR per element.
+            digits = bytearray(b"0") * (elems[-1] + 1)
+            for e in elems:
+                digits[e] = 49  # ord("1")
+            mask = int(digits[::-1], 2)
         if mask.bit_count() != len(elems):
             raise ValueError(f"duplicate symbol indices in {elems}")
         self.elements = elems
@@ -461,6 +469,8 @@ _BLOCK = 1 << 13  # candidate pairs examined per vectorized step
 
 def _pack(masks: list[int]) -> np.ndarray:
     """The masks as rows of little-endian uint64 words."""
+    import numpy as np
+
     nbytes = 8 * max(1, -(-max(m.bit_length() for m in masks) // 64))
     buf = b"".join(m.to_bytes(nbytes, "little") for m in masks)
     return np.frombuffer(buf, dtype="<u8").reshape(len(masks), nbytes // 8)
@@ -471,6 +481,8 @@ def _near_mask_pairs(masks: list[int], d: int) -> np.ndarray:
     masks share exactly d-1 bits: the rows of an (M, 2) array, ascending."""
     if any(m.bit_count() != d for m in masks):
         raise ValueError(f"near pairs need every set to hold {d} symbols")
+    import numpy as np
+
     n = len(masks)
     if n < 2 or d == 0:
         return np.empty((0, 2), dtype=np.int64)
@@ -581,21 +593,29 @@ def _singleton_report(spg: Spg) -> PropertyReport:
     return PropertyReport(SpgProperty.SINGLETON, _sorted_witnesses(witnesses))
 
 
+def _adjacency_report(spg: Spg, pairs: np.ndarray) -> PropertyReport:
+    non_adjacent, _ = _adjacency_witnesses(spg, pairs)
+    return PropertyReport(SpgProperty.ADJACENCY, _sorted_witnesses(non_adjacent))
+
+
+def _strong_adjacency_report(spg: Spg, pairs: np.ndarray) -> PropertyReport:
+    non_adjacent, unwitnessed = _adjacency_witnesses(spg, pairs)
+    return PropertyReport(SpgProperty.STRONG_ADJACENCY,
+                          _sorted_witnesses(non_adjacent + unwitnessed))
+
+
 def check_adjacency(spg: Spg) -> PropertyReport:
     """Every pair of facet sets sharing d-1 symbols must sit in the same
     vertex or in adjacent vertices."""
     require_valid(spg)
-    non_adjacent, _ = _adjacency_witnesses(spg, near_pairs(spg))
-    return PropertyReport(SpgProperty.ADJACENCY, _sorted_witnesses(non_adjacent))
+    return _adjacency_report(spg, near_pairs(spg))
 
 
 def check_strong_adjacency(spg: Spg) -> PropertyReport:
     """Adjacency, plus: every graph edge is witnessed by some pair of
     facet sets sharing d-1 symbols across it."""
     require_valid(spg)
-    non_adjacent, unwitnessed = _adjacency_witnesses(spg, near_pairs(spg))
-    return PropertyReport(SpgProperty.STRONG_ADJACENCY,
-                          _sorted_witnesses(non_adjacent + unwitnessed))
+    return _strong_adjacency_report(spg, near_pairs(spg))
 
 
 def check_endpoint_count(spg: Spg) -> PropertyReport:
@@ -693,6 +713,11 @@ def check_dimension_reduction(spg: Spg, budget: int = 10_000_000) -> PropertyRep
     a partial pass.
     """
     require_valid(spg)
+    return _dimension_reduction_report(spg, budget)
+
+
+def _dimension_reduction_report(spg: Spg, budget: int = 10_000_000
+                                ) -> PropertyReport:
     d = spg.dimension
     if spg.vertices and (1 << d) > budget:
         # Every subset of a single member is already a candidate face.

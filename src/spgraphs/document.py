@@ -5,7 +5,10 @@ One versioned, self-describing JSON schema covers plain graphs,
 spindles (via an apices annotation), and transform results (via
 vertex-map and edge-path annotations).  Serialization is canonical --
 sets sorted, keys sorted, two-space indent, trailing newline -- so equal
-objects produce byte-equal documents and parse(serialize(x)) == x.
+objects produce byte-equal documents and parse(serialize(x)) == x.  The
+text is byte-equal to ``json.dumps(doc, indent=2, sort_keys=True)`` plus
+a newline, written by :func:`canonical_json` without the pure-Python
+encoder that ``indent`` would otherwise force.
 Parsing validates everything: structural errors and invariant violations
 are reported as :class:`DocumentError` with field context, never as a
 silently repaired object.
@@ -37,6 +40,53 @@ class DocumentError(ValueError):
 
 class DocumentVersionError(DocumentError):
     """Document declares a format version this code does not speak."""
+
+
+def _write(value, out: list[str], indent: str) -> None:
+    """Append the canonical text of ``value`` to ``out``; ``indent`` is
+    the newline and spaces that open its line."""
+    if isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        if set(map(type, value)) == {int}:
+            # the bulk of a document: facet sets, edges and paths
+            out.append("[" + inner + ("," + inner).join(map(str, value))
+                       + indent + "]")
+            return
+        opener = "[" + inner
+        for item in value:
+            out.append(opener)
+            _write(item, out, inner)
+            opener = "," + inner
+        out.append(indent + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        opener = "{" + inner
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(
+                    f"keys must be str, not {type(key).__name__}")
+            out.append(opener + json.dumps(key) + ": ")
+            _write(value[key], out, inner)
+            opener = "," + inner
+        out.append(indent + "}")
+    else:
+        # strings, numbers, bools and None; anything else raises TypeError
+        out.append(json.dumps(value))
+
+
+def canonical_json(value) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` plus a newline,
+    byte for byte, for values whose dict keys are strings."""
+    out: list[str] = []
+    _write(value, out, "\n")
+    out.append("\n")
+    return "".join(out)
 
 
 def _spg_fields(spg: Spg) -> dict[str, Any]:
@@ -75,14 +125,15 @@ def serialize(obj: Payload) -> str:
         doc["kind"] = "spg"
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return canonical_json(doc)
 
 
 def _expect(doc: dict, key: str, types, context: str = "document"):
     if key not in doc:
         raise DocumentError(f"{context}: missing field {key!r}")
     value = doc[key]
-    if not isinstance(value, types):
+    # bool is a subclass of int, but JSON true and false are not numbers
+    if not isinstance(value, types) or isinstance(value, bool):
         raise DocumentError(
             f"{context}.{key}: expected {getattr(types, '__name__', types)}, "
             f"got {type(value).__name__}")
@@ -246,7 +297,7 @@ def parse(text: str) -> Payload:
     edge_paths = annotations.get("edge_paths")
     rounds_used = annotations.get("rounds_used", 0)
     if not isinstance(vertex_map, list) or not all(
-            isinstance(v, int) and 0 <= v < len(vertices) for v in vertex_map):
+            type(v) is int and 0 <= v < len(vertices) for v in vertex_map):
         raise DocumentError(
             "annotations.vertex_map: expected a list of vertex indices")
     if not isinstance(edge_paths, list):
@@ -254,12 +305,12 @@ def parse(text: str) -> Payload:
     parsed_paths = []
     for pi, path in enumerate(edge_paths):
         if (not isinstance(path, list) or len(path) < 2 or not all(
-                isinstance(v, int) and 0 <= v < len(vertices) for v in path)):
+                type(v) is int and 0 <= v < len(vertices) for v in path)):
             raise DocumentError(
                 f"annotations.edge_paths[{pi}]: expected a list of at least "
                 f"two vertex indices")
         parsed_paths.append(tuple(path))
-    if not isinstance(rounds_used, int) or rounds_used < 0:
+    if type(rounds_used) is not int or rounds_used < 0:
         raise DocumentError(
             "annotations.rounds_used: expected a non-negative integer")
     _check_subdivision(spg, vertex_map, parsed_paths)

@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .core import (
     Spg,
     check_dimension_reduction,
@@ -52,6 +50,8 @@ class SweepReport:
 
 def trial_seed(base_seed: int, trial: int) -> int:
     """Per-trial 64-bit seed, split deterministically off the base seed."""
+    import numpy as np
+
     ss = np.random.SeedSequence(entropy=base_seed, spawn_key=(trial,))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 

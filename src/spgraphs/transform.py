@@ -30,9 +30,10 @@ import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from itertools import combinations
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np  # imported where used, as in core
 
 from .core import (
     FacetSet,
@@ -179,6 +180,8 @@ def _fisher_yates(rng: np.random.Generator, r: int) -> tuple[int, ...]:
     # One vectorized draw of the swap partners for rows r-1 .. 1: numpy
     # draws them in order, one bounded integer each, so the permutation
     # and the generator state equal those of a loop of scalar draws.
+    import numpy as np
+
     rows = list(range(1, r + 1))
     partners = rng.integers(0, np.arange(r, 1, -1)).tolist()
     for i, j in zip(range(r - 1, 0, -1), partners):
@@ -389,6 +392,7 @@ def construct_with_resampling(spg: Spg, config: TransformConfig) -> TransformRes
     require_singleton(spg)
     r = config.r
     ends = [(spg.vertices[u][0], spg.vertices[w][0]) for u, w in spg.edges]
+    import numpy as np
     rng = np.random.default_rng(config.seed)
     perms = [_fisher_yates(rng, r) for _ in spg.edges]
     paths = [_subdivision_masks(a, a2, r, p) for (a, a2), p in zip(ends, perms)]
@@ -462,6 +466,7 @@ def estimate_bad_event_probability(
     if not (len(center) == len(leaf1) == len(leaf2)):
         raise ValueError("star sets must have uniform size")
 
+    import numpy as np
     rng = np.random.default_rng(seed)
     hits = 0
     for _ in range(trials):

@@ -3,6 +3,7 @@ for the test suite."""
 
 from __future__ import annotations
 
+import json
 import random
 from dataclasses import replace
 from itertools import combinations
@@ -336,3 +337,22 @@ def loop_mask_elements(mask: int) -> tuple[int, ...]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return tuple(out)
+
+
+def loop_facet_mask(elements) -> tuple[tuple[int, ...], int]:
+    """Sorted elements and bit mask of a facet set, one shift per element;
+    raises ValueError as FacetSet does."""
+    elems = tuple(sorted(elements))
+    mask = 0
+    for e in elems:
+        if e < 0:
+            raise ValueError(f"negative symbol index {e}")
+        mask |= 1 << e
+    if mask.bit_count() != len(elems):
+        raise ValueError(f"duplicate symbol indices in {elems}")
+    return elems, mask
+
+
+def json_dumps_canonical(value) -> str:
+    """The canonical document text by the standard library's encoder."""
+    return json.dumps(value, indent=2, sort_keys=True) + "\n"

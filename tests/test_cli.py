@@ -1,10 +1,14 @@
 """CLI surface tests: subcommands, exit statuses, pipes, determinism."""
 
+import hashlib
 import io
 import subprocess
 import sys
 
+import pytest
+
 from spgraphs import FacetSet, build_star_template, parse, serialize, SymbolTable
+from spgraphs import core, document
 from spgraphs.cli import main
 
 
@@ -116,6 +120,25 @@ class TestVerify:
                      "endpoint-count", "singleton", "dimension-reduction"):
             assert name in out
         assert "endpoint-count: VIOLATED" in out
+
+    @pytest.mark.parametrize("prop", ["adjacency", "all"])
+    def test_validates_once(self, capsys, monkeypatch, prop):
+        doc = build_template_doc(capsys, monkeypatch, dim=2)
+        calls = []
+        validate = core.validate
+
+        def counting_validate(spg):
+            calls.append(spg)
+            return validate(spg)
+
+        monkeypatch.setattr(core, "validate", counting_validate)
+        monkeypatch.setattr(document, "validate", counting_validate)
+        code, out, _ = run_cli(capsys, monkeypatch,
+                               ["verify", "--property", prop], stdin=doc)
+        # the d=2 template violates adjacency and end-point count
+        assert code == 1
+        assert out.startswith("validity: holds\n")
+        assert len(calls) == 1
 
     def test_all_properties_hold_for_edge_template(self, capsys, monkeypatch):
         doc = build_template_doc(capsys, monkeypatch, dim=1)
@@ -284,6 +307,68 @@ class TestUsageErrors:
         code, out, _ = run_cli(capsys, monkeypatch, ["--help"])
         assert code == 0
         assert "build-spindle" in out
+
+
+README_SPINDLE = ["build-spindle", "--dim", "2", "--transform", "--r", "87",
+                  "--seed", "7"]
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestGoldenStdout:
+    """Digests of stdout as the standard library's json.dumps(indent=2,
+    sort_keys=True) wrote it: a drifting byte fails here."""
+
+    def test_template(self, capsys, monkeypatch):
+        assert sha256(build_template_doc(capsys, monkeypatch)) == (
+            "1e83271ca07c201128f77277632f0f7efb91494f818fcce26366dfd7b934ebc2")
+
+    def test_readme_spindle_and_restriction(self, capsys, monkeypatch):
+        code, doc, _ = run_cli(capsys, monkeypatch, README_SPINDLE)
+        assert code == 0
+        assert sha256(doc) == (
+            "7655deba8df0c7eb0e0e279662533eec2777bad0789a81c43d2aa9e35e38b37e")
+        code, out, _ = run_cli(capsys, monkeypatch,
+                               ["restrict", "--facet", "1.1@1,1.1@2"], stdin=doc)
+        assert code == 0
+        assert sha256(out) == (
+            "9170659a2f2ec99bad60c2f6873fcc4e9147ac0e3c81d2fdbfa14b761b178fb9")
+
+    def test_sweep_json(self, capsys, monkeypatch):
+        # floats, a null mean (r = 2 never succeeds) and nested objects
+        code, out, _ = run_cli(capsys, monkeypatch, [
+            "sweep", "--r-list", "2,4,8", "--trials", "3", "--seed", "1",
+            "--max-rounds", "2", "--json"],
+            stdin=build_template_doc(capsys, monkeypatch))
+        assert code == 0
+        assert '"mean_rounds": null' in out
+        assert sha256(out) == (
+            "743b896168274ef7ad1b8b5d5c64d494d2bebff98b41689665a985d2eac5f06a")
+
+
+class TestNumpyLoadedWhereUsed:
+    def test_import_leaves_numpy_unloaded(self):
+        done = subprocess.run(
+            [sys.executable, "-c",
+             "import spgraphs, sys; sys.exit('numpy' in sys.modules)"],
+            timeout=60)
+        assert done.returncode == 0
+
+    @pytest.mark.parametrize("argv, code, loads_numpy", [
+        (["stats"], 0, False),
+        (["verify", "--property", "singleton"], 0, False),
+        (["verify", "--property", "adjacency"], 1, True),
+    ])
+    def test_commands(self, capsys, monkeypatch, argv, code, loads_numpy):
+        done = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "spgraphs", *argv],
+            input=build_template_doc(capsys, monkeypatch),
+            capture_output=True, text=True, timeout=60)
+        assert done.returncode == code
+        assert "spgraphs.cli" in done.stderr  # the import log is there
+        assert ("numpy" in done.stderr) == loads_numpy
 
 
 class TestDeterminism:

@@ -1,11 +1,12 @@
 """Unit and property tests for the SPG domain types and verifiers."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
     brute_force_endpoint_violations,
+    loop_facet_mask,
     loop_mask_elements,
     spg_instances,
 )
@@ -110,6 +111,28 @@ class TestFacetSet:
         fs_ = FacetSet.from_mask(mask)
         assert fs_.elements == loop_mask_elements(mask)
         assert fs_ == FacetSet(fs_.elements)
+
+    @given(st.lists(st.one_of(
+        st.sampled_from([0, 1, 62, 63, 64, 65, 127, 128, 521]),
+        st.integers(-3, 600),
+        st.booleans())))
+    @example([])
+    @example([-1, 5])
+    @example([64, -2, -1])
+    @example([63, 64, 63])
+    @example([True, 1])
+    @example([False, True, 127, 128])
+    @example(list(range(695, -1, -2)))  # a lifted d = 4, r = 87 set
+    def test_init_matches_loop_mask(self, elements):
+        try:
+            expected = loop_facet_mask(elements)
+        except ValueError as err:
+            with pytest.raises(ValueError) as raised:
+                FacetSet(elements)
+            assert str(raised.value) == str(err)
+            return
+        fs_ = FacetSet(elements)
+        assert (fs_.elements, fs_.mask) == expected
 
 
 class TestValidate:

@@ -3,6 +3,10 @@
 import json
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from conftest import json_dumps_canonical
 
 from spgraphs import (
     DocumentError,
@@ -22,6 +26,7 @@ from spgraphs import (
     serialize,
     sliding_window_path,
 )
+from spgraphs.document import canonical_json
 
 
 def fs(*elements):
@@ -92,6 +97,38 @@ def test_serialize_is_canonical_and_newline_terminated():
 def test_serialize_rejects_unknown_type():
     with pytest.raises(TypeError):
         serialize(42)
+
+
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-2**200, 2**200),
+    st.floats(), st.text())
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(st.integers(), max_size=6),
+        st.lists(st.integers(), max_size=6).map(tuple),
+        st.dictionaries(st.text(), inner, max_size=4)),
+    max_leaves=30)
+
+
+@given(_VALUES)
+@example([])
+@example({})
+@example({"": [[], {}], "z": [[0], [-1, 2**80]]})
+@example({"symbols": ["\u00e9@1", "\U0001f600", "\"q\"\n"], "flag": False})
+@example([True, 1, 0, False])
+def test_canonical_json_matches_json_dumps(value):
+    assert canonical_json(value) == json_dumps_canonical(value)
+
+
+@pytest.mark.parametrize("value", [
+    {1, 2}, b"bytes", object(), [0, {"a": [1, {2}]}], {"a": (1, b"x")}])
+def test_canonical_json_rejects_what_json_dumps_rejects(value):
+    with pytest.raises(TypeError):
+        json_dumps_canonical(value)
+    with pytest.raises(TypeError):
+        canonical_json(value)
 
 
 def _document_dict(spg=GOOD_PATH):
@@ -267,4 +304,28 @@ def test_transform_result_must_describe_a_subdivision(field, value, message):
     parse(json.dumps(doc))
     doc["annotations"][field] = value
     with pytest.raises(DocumentError, match=message):
+        parse(json.dumps(doc))
+
+
+@pytest.mark.parametrize("path, value", [
+    (("format_version",), True),
+    (("dimension",), True),
+    (("annotations", "rounds_used"), False),
+    (("annotations", "vertex_map", 1), True),
+    (("annotations", "edge_paths", 0, 2), True),
+])
+def test_booleans_rejected_where_integers_are_required(path, value):
+    # each bool replaces an int equal to it, so only its type is wrong
+    if path == ("dimension",):
+        doc = _document_dict(sliding_window_path(1))
+    else:
+        doc = _two_edge_result_doc()
+    parse(json.dumps(doc))
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    assert target[path[-1]] == value
+    target[path[-1]] = value
+    field = [key for key in path if isinstance(key, str)][-1]
+    with pytest.raises(DocumentError, match=field):
         parse(json.dumps(doc))
