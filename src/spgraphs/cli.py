@@ -148,7 +148,8 @@ def cmd_restrict(args) -> int:
     spg = _spg_of(obj)
     labels = [part for part in args.facet.split(",") if part]
     face = FacetSet.from_labels(spg.symbols, labels)
-    restricted = core.restrict(spg, face)
+    # parse raised on a graph that fails validation
+    restricted = core._restrict_validated(spg, face)
     if restricted is None:
         print("restriction: empty")
         return EXIT_OK

@@ -20,12 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import combinations, compress, count
-from typing import TYPE_CHECKING, Iterable, Iterator
-
-if TYPE_CHECKING:
-    # numpy is imported inside the functions that use it, so importing
-    # the package and the commands that never reach them skip loading it
-    import numpy as np
+from typing import Iterable, Iterator
 
 
 class InvalidSpgError(ValueError):
@@ -453,93 +448,36 @@ def _disconnected(adj: list[list[int]]) -> list[tuple]:
     return [("disconnected", len(least), tuple(least))] if len(least) > 1 else []
 
 
-# Near-pair kernel.  Two members of a validated family share exactly d-1
-# symbols iff their masks lie at Hamming distance 2.  By the triangle
-# inequality such a pair also lies within 2 of each other on its
-# distances to any pivot member, so candidates come from a band join on
-# one pivot's distances, the other pivots prune them, and an exact XOR
-# popcount confirms the survivors (LAESA-style pivot elimination, Mico,
-# Oncina & Vidal 1994).  Eight pivots rather than four: on spindle
-# families (n = 2d) farthest-first picks each pivot's complement next,
-# whose distances add nothing, and at d = 4, r = 87 four pivots leave
-# 1.3M survivors where eight leave 8k.
-_PIVOTS = 8
-_BLOCK = 1 << 13  # candidate pairs examined per vectorized step
-
-
-def _pack(masks: list[int]) -> np.ndarray:
-    """The masks as rows of little-endian uint64 words."""
-    import numpy as np
-
-    nbytes = 8 * max(1, -(-max(m.bit_length() for m in masks) // 64))
-    buf = b"".join(m.to_bytes(nbytes, "little") for m in masks)
-    return np.frombuffer(buf, dtype="<u8").reshape(len(masks), nbytes // 8)
-
-
-def _near_mask_pairs(masks: list[int], d: int) -> np.ndarray:
+# Near pairs by a pigeonhole join, as in multi-index hashing (Norouzi,
+# Punjani & Fleet, CVPR 2012).  Two d-sets sharing d-1 symbols differ in
+# exactly 2 bits, which touch at most 2 of 3 symbol blocks, so the pair
+# agrees exactly on the third and meets in that block's grouping.  Blocks
+# interleave (symbol i in block i mod 3): a lifted symbol x@j sits at
+# x*r + j - 1, so contiguous blocks would group whole base symbols.
+def _near_mask_pairs(masks: list[int], d: int) -> list[tuple[int, int]]:
     """Every index pair i < j of ``masks`` (each with d bits set) whose
-    masks share exactly d-1 bits: the rows of an (M, 2) array, ascending."""
+    masks share exactly d-1 bits, as an ascending list of tuples."""
     if any(m.bit_count() != d for m in masks):
         raise ValueError(f"near pairs need every set to hold {d} symbols")
-    import numpy as np
-
-    n = len(masks)
-    if n < 2 or d == 0:
-        return np.empty((0, 2), dtype=np.int64)
-    packed = _pack(masks)
-
-    def dist_to(row: int) -> np.ndarray:
-        return np.bitwise_count(packed ^ packed[row]).sum(axis=1, dtype=np.int64)
-
-    # Deterministic farthest-first pivots, starting from the member
-    # farthest from the first one.
-    pivot_dist = [dist_to(int(np.argmax(dist_to(0))))]
-    nearest = pivot_dist[0]
-    while len(pivot_dist) < _PIVOTS:
-        pivot_dist.append(dist_to(int(np.argmax(nearest))))
-        nearest = np.minimum(nearest, pivot_dist[-1])
-
-    # Band-join on the pivot whose band holds the fewest candidates:
-    # sorted position p pairs with positions p+1 .. p+counts[p].
-    positions = np.arange(1, n + 1)
-    counts = None
-    for i, dist in enumerate(pivot_dist):
-        o = np.argsort(dist, kind="stable")
-        c = np.searchsorted(dist[o], dist[o] + 2, side="right") - positions
-        if counts is None or c.sum() < counts.sum():
-            best, order, counts = i, o, c
-    # On one-word masks the exact test costs no more than a pivot test,
-    # so the other pivots prune only wider masks.
-    others = [] if packed.shape[1] == 1 else [
-        dist[order] for i, dist in enumerate(pivot_dist) if i != best]
-    starts = np.concatenate(([0], np.cumsum(counts)))
-    # Runs of rows holding about _BLOCK candidates each.
-    cuts = np.searchsorted(starts, np.arange(0, starts[-1], _BLOCK), side="right") - 1
-    cuts = np.append(cuts, n).tolist()
-    found = [np.empty(0, dtype=np.int64)]  # pair (i, j) as i*n + j
-    for r0, r1 in zip(cuts[:-1], cuts[1:]):
-        c = counts[r0:r1]
-        p = np.repeat(np.arange(r0, r1), c)
-        q = p + 1 + np.arange(len(p)) - np.repeat(starts[r0:r1] - starts[r0], c)
-        for dist in others:
-            keep = np.abs(dist[p] - dist[q]) <= 2
-            p, q = p[keep], q[keep]
-        p, q = order[p], order[q]
-        near = np.bitwise_count(packed[p] ^ packed[q]).sum(axis=1) == 2
-        p, q = p[near], q[near]
-        found.append(np.minimum(p, q) * n + np.maximum(p, q))
-    keys = np.concatenate(found)
-    found.clear()
-    keys.sort()
-    pairs = np.empty((len(keys), 2), dtype=np.int64)
-    np.divmod(keys, n, out=(pairs[:, 0], pairs[:, 1]))
-    return pairs
+    width = max((m.bit_length() for m in masks), default=0)
+    every_third = int("001" * (width // 3 + 1), 2)  # bits 0, 3, 6, ...
+    found: set[tuple[int, int]] = set()
+    for block in (every_third, every_third << 1, every_third << 2):
+        groups: dict[int, list[int]] = {}
+        for i, m in enumerate(masks):
+            groups.setdefault(m & block, []).append(i)
+        for members in groups.values():
+            if len(members) > 1:
+                found.update((i, j) for i, j in combinations(members, 2)
+                             if (masks[i] ^ masks[j]).bit_count() == 2)
+    return sorted(found)
 
 
-def near_pairs(spg: Spg) -> np.ndarray:
+def near_pairs(spg: Spg) -> list[tuple[int, int]]:
     """Every index pair i < j, in :meth:`Spg.facets_with_vertex` order,
-    of family members sharing exactly d-1 symbols: the rows of an (M, 2)
-    integer array, in ascending order.
+    of family members sharing exactly d-1 symbols: a list of ``(i, j)``
+    tuples in ascending order.  (Releases before the pigeonhole join
+    returned the same pairs as the rows of an (M, 2) numpy array.)
 
     Exact and exhaustive; the graph must pass :func:`validate` (sets of
     a size other than d raise ValueError).
@@ -547,13 +485,14 @@ def near_pairs(spg: Spg) -> np.ndarray:
     return _near_mask_pairs([fs.mask for fs in spg.family()], spg.dimension)
 
 
-def _adjacency_witnesses(spg: Spg, pairs: np.ndarray) -> tuple[list, list]:
+def _adjacency_witnesses(spg: Spg, pairs: list[tuple[int, int]]
+                         ) -> tuple[list, list]:
     """Near pairs across a non-edge, and edges without a near pair."""
     located = spg.facets_with_vertex()
     edge_set = spg.edge_set()
     carried: set[tuple[int, int]] = set()
     non_adjacent: list[tuple] = []
-    for i, j in zip(pairs[:, 0].tolist(), pairs[:, 1].tolist()):
+    for i, j in pairs:
         vi, a = located[i]
         vj, b = located[j]
         if vi == vj:
@@ -568,13 +507,13 @@ def _adjacency_witnesses(spg: Spg, pairs: np.ndarray) -> tuple[list, list]:
     return non_adjacent, unwitnessed
 
 
-def _endpoint_count_report(spg: Spg, pairs: np.ndarray) -> PropertyReport:
+def _endpoint_count_report(spg: Spg, pairs: list[tuple[int, int]]) -> PropertyReport:
     # A (d-1)-face held by k >= 2 members makes those k pairwise near with
     # that face as their intersection, so grouping near pairs by X & Y
     # recovers every face's full list of holders.
     family = spg.family()
     holders: dict[int, set[int]] = {}
-    for i, j in zip(pairs[:, 0].tolist(), pairs[:, 1].tolist()):
+    for i, j in pairs:
         holders.setdefault(family[i].mask & family[j].mask, set()).update((i, j))
     witnesses = [
         ("over-counted-face", FacetSet.from_mask(face),
@@ -593,12 +532,12 @@ def _singleton_report(spg: Spg) -> PropertyReport:
     return PropertyReport(SpgProperty.SINGLETON, _sorted_witnesses(witnesses))
 
 
-def _adjacency_report(spg: Spg, pairs: np.ndarray) -> PropertyReport:
+def _adjacency_report(spg: Spg, pairs: list[tuple[int, int]]) -> PropertyReport:
     non_adjacent, _ = _adjacency_witnesses(spg, pairs)
     return PropertyReport(SpgProperty.ADJACENCY, _sorted_witnesses(non_adjacent))
 
 
-def _strong_adjacency_report(spg: Spg, pairs: np.ndarray) -> PropertyReport:
+def _strong_adjacency_report(spg: Spg, pairs: list[tuple[int, int]]) -> PropertyReport:
     non_adjacent, unwitnessed = _adjacency_witnesses(spg, pairs)
     return PropertyReport(SpgProperty.STRONG_ADJACENCY,
                           _sorted_witnesses(non_adjacent + unwitnessed))
@@ -664,13 +603,14 @@ def restrict(spg: Spg, face: FacetSet) -> Spg | None:
     fail, and the dimension may reach zero).
     """
     require_valid(spg)
-    if len(face) > spg.dimension:
-        raise ValueError(
-            f"restriction face has {len(face)} symbols, dimension is {spg.dimension}")
     return _restrict_validated(spg, face)
 
 
 def _restrict_validated(spg: Spg, face: FacetSet) -> Spg | None:
+    """:func:`restrict` on a graph already known to pass validation."""
+    if len(face) > spg.dimension:
+        raise ValueError(
+            f"restriction face has {len(face)} symbols, dimension is {spg.dimension}")
     kept_syms = [i for i in range(spg.symbols.n) if i not in face]
     remap = {old: new for new, old in enumerate(kept_syms)}
 
@@ -729,20 +669,18 @@ def _dimension_reduction_report(spg: Spg, budget: int = 10_000_000
     for fs in spg.family():
         for k in range(0, d + 1):
             for combo in combinations(fs.elements, k):
-                mask = 0
-                for e in combo:
-                    mask |= 1 << e
-                if mask in seen_faces:
+                face = FacetSet(combo)
+                if face.mask in seen_faces:
                     continue
-                seen_faces.add(mask)
+                seen_faces.add(face.mask)
                 checked += 1
                 if checked > budget:
                     raise BudgetExceededError(checked, budget)
-                sub = _restrict_validated(spg, FacetSet(combo))
+                sub = _restrict_validated(spg, face)
                 if sub is None:
                     continue
                 if _disconnected(sub.neighbors()):
-                    witnesses.append(("disconnecting-face", FacetSet(combo)))
+                    witnesses.append(("disconnecting-face", face))
     return PropertyReport(
         SpgProperty.DIMENSION_REDUCTION, _sorted_witnesses(witnesses))
 

@@ -33,7 +33,7 @@ from itertools import combinations
 from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:
-    import numpy as np  # imported where used, as in core
+    import numpy as np  # imported where used: only the draws need it
 
 from .core import (
     FacetSet,
@@ -510,7 +510,7 @@ def check_localization(result: TransformResult, original: Spg) -> PropertyReport
     facet_of = [vertex[0] for vertex in result.spg.vertices]
     witnesses: list[tuple] = []
     near = _near_mask_pairs([fs.mask for fs in facet_of], result.spg.dimension)
-    for i, j in near.tolist():
+    for i, j in near:
         if not any(
             share_endpoint(e1, e2)
             for e1 in on_edges[i]

@@ -127,7 +127,7 @@ def brute_force_endpoint_violations(spg: Spg) -> set[frozenset[int]]:
     return violating
 
 
-# Brute-force oracles for the near-pair kernel and the verifiers built on
+# Brute-force oracles for the near-pair join and the verifiers built on
 # it: plain loops over all pairs of sets (and, for the end-point count, a
 # hash map over every set's (d-1)-subsets).
 
@@ -135,11 +135,11 @@ def _sorted_witnesses(witnesses: list[tuple]) -> tuple[tuple, ...]:
     return tuple(sorted(witnesses, key=lambda w: (w[0], str(w[1:]))))
 
 
-def brute_force_near_pairs(spg: Spg) -> list[list[int]]:
+def brute_force_near_pairs(spg: Spg) -> list[tuple[int, int]]:
     """Every i < j in facets_with_vertex order sharing exactly d-1 symbols."""
     family = spg.family()
     d = spg.dimension
-    return [[i, j] for i in range(len(family)) for j in range(i + 1, len(family))
+    return [(i, j) for i in range(len(family)) for j in range(i + 1, len(family))
             if (family[i].mask & family[j].mask).bit_count() == d - 1]
 
 

@@ -33,6 +33,20 @@ def build_template_doc(capsys, monkeypatch, dim=2):
     return out
 
 
+def count_validate_calls(monkeypatch):
+    """Record each core.validate call, parse's included, in the returned list."""
+    calls = []
+    validate = core.validate
+
+    def counting_validate(spg):
+        calls.append(spg)
+        return validate(spg)
+
+    monkeypatch.setattr(core, "validate", counting_validate)
+    monkeypatch.setattr(document, "validate", counting_validate)
+    return calls
+
+
 class TestBuildSpindle:
     def test_default_emits_template(self, capsys, monkeypatch):
         out = build_template_doc(capsys, monkeypatch)
@@ -124,15 +138,7 @@ class TestVerify:
     @pytest.mark.parametrize("prop", ["adjacency", "all"])
     def test_validates_once(self, capsys, monkeypatch, prop):
         doc = build_template_doc(capsys, monkeypatch, dim=2)
-        calls = []
-        validate = core.validate
-
-        def counting_validate(spg):
-            calls.append(spg)
-            return validate(spg)
-
-        monkeypatch.setattr(core, "validate", counting_validate)
-        monkeypatch.setattr(document, "validate", counting_validate)
+        calls = count_validate_calls(monkeypatch)
         code, out, _ = run_cli(capsys, monkeypatch,
                                ["verify", "--property", prop], stdin=doc)
         # the d=2 template violates adjacency and end-point count
@@ -230,6 +236,22 @@ class TestRestrict:
             stdin=SHARED_STAR_DOC)
         assert code == 0
         assert out.strip() == "restriction: empty"
+
+    def test_validates_once(self, capsys, monkeypatch):
+        doc = build_template_doc(capsys, monkeypatch, dim=2)
+        calls = count_validate_calls(monkeypatch)
+        code, out, _ = run_cli(capsys, monkeypatch,
+                               ["restrict", "--facet", "1.1"], stdin=doc)
+        assert code == 0
+        assert len(calls) == 1
+        assert parse(out).is_restriction
+
+    def test_face_larger_than_dimension(self, capsys, monkeypatch):
+        code, _, err = run_cli(
+            capsys, monkeypatch, ["restrict", "--facet", "1.1,1.2,2.1"],
+            stdin=build_template_doc(capsys, monkeypatch, dim=2))
+        assert code == 2
+        assert "restriction face has 3 symbols, dimension is 2" in err
 
     def test_unknown_label(self, capsys, monkeypatch):
         code, _, err = run_cli(
@@ -359,7 +381,11 @@ class TestNumpyLoadedWhereUsed:
     @pytest.mark.parametrize("argv, code, loads_numpy", [
         (["stats"], 0, False),
         (["verify", "--property", "singleton"], 0, False),
-        (["verify", "--property", "adjacency"], 1, True),
+        (["verify", "--property", "adjacency"], 1, False),
+        (["verify"], 1, False),
+        # draws permutations: the control that numpy does load
+        (["estimate-bad-event", "--dim", "2", "--r", "4", "--trials", "3",
+          "--seed", "1"], 0, True),
     ])
     def test_commands(self, capsys, monkeypatch, argv, code, loads_numpy):
         done = subprocess.run(

@@ -1,4 +1,4 @@
-"""The near-pair kernel and the verifiers built on it, against the
+"""The near-pair join and the verifiers built on it, against the
 brute-force oracles in conftest."""
 
 import random
@@ -24,6 +24,7 @@ from spgraphs import (
     PermutationAssignment,
     Spg,
     SymbolTable,
+    build_spindle_template,
     build_subdivision,
     check_adjacency,
     check_endpoint_count,
@@ -67,7 +68,7 @@ def individual_checks(spg):
 
 
 def assert_matches_oracles(spg):
-    assert near_pairs(spg).tolist() == brute_force_near_pairs(spg)
+    assert near_pairs(spg) == brute_force_near_pairs(spg)
     assert check_adjacency(spg) == brute_force_adjacency(spg)
     assert check_strong_adjacency(spg) == brute_force_strong_adjacency(spg)
     assert check_endpoint_count(spg) == brute_force_endpoint_count(spg)
@@ -94,7 +95,7 @@ def test_lifted_constructions_match_oracles(case):
         assert_matches_oracles(result.spg)
     else:
         # a bad event that repeats a set: every verifier refuses it
-        assert near_pairs(result.spg).tolist() == brute_force_near_pairs(result.spg)
+        assert near_pairs(result.spg) == brute_force_near_pairs(result.spg)
         with pytest.raises(InvalidSpgError):
             verify_all(result.spg)
 
@@ -119,13 +120,13 @@ def test_dimension_one_every_pair_is_near():
     spg = Spg.build(SymbolTable.alphabetic(n), 1,
                     [[FacetSet([i])] for i in range(n)],
                     [(i, i + 1) for i in range(n - 1)])
-    assert near_pairs(spg).tolist() == [[i, j] for i in range(n) for j in range(i + 1, n)]
+    assert near_pairs(spg) == [(i, j) for i in range(n) for j in range(i + 1, n)]
     assert_matches_oracles(spg)
 
 
 def test_single_set_graph_has_no_near_pairs():
     spg = Spg.build(SymbolTable.alphabetic(5), 3, [[FacetSet([0, 2, 4])]])
-    assert near_pairs(spg).shape == (0, 2)
+    assert near_pairs(spg) == []
     assert_matches_oracles(spg)
 
 
@@ -134,20 +135,44 @@ def test_dimension_zero_restriction_has_no_near_pairs():
                     [[FacetSet([0, 1])], [FacetSet([1, 2])]], [(0, 1)])
     full = restrict(spg, FacetSet([0, 1]))
     assert full.dimension == 0
-    assert near_pairs(full).shape == (0, 2)
+    assert near_pairs(full) == []
     assert_matches_oracles(full)
 
 
 def test_pairs_span_more_than_one_band_block():
-    # 400 singletons at d = 1: 79,800 near pairs, more than one block of
-    # candidates, all of them on the first pivot's band.
+    # 400 singletons at d = 1: 79,800 near pairs, and in each block's
+    # grouping the two thirds of the sets that hold no symbol of the block
+    # fall into one group.
     n = 400
     spg = Spg.build(SymbolTable.alphabetic(n), 1,
                     [[FacetSet([i])] for i in range(n)],
                     [(i, i + 1) for i in range(n - 1)])
-    pairs = near_pairs(spg).tolist()
+    pairs = near_pairs(spg)
     assert len(pairs) == n * (n - 1) // 2
     assert pairs == sorted(pairs)
+
+
+def test_every_block_pair_and_word_boundary_found_once():
+    # Sets {30, 31, 95, p}: every two of them share the 3 symbols of the
+    # base and differ in bits p and q.  The positions put p and q in every
+    # pair of blocks (p mod 3, q mod 3), the same block included, and
+    # across the 64-bit word boundaries at 63/64 and 127/128.
+    positions = [0, 1, 2, 62, 63, 64, 65, 126, 127, 128, 129, 190]
+    assert {(p % 3, q % 3) for p in positions for q in positions
+            if p < q} == {(a, b) for a in range(3) for b in range(3)}
+    spg = Spg.build(SymbolTable.alphabetic(191), 4,
+                    [[FacetSet([30, 31, 95, p])] for p in positions])
+    n = len(positions)
+    assert near_pairs(spg) == [(i, j) for i in range(n) for j in range(i + 1, n)]
+    assert near_pairs(spg) == brute_force_near_pairs(spg)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_spindle_templates_match_oracle(d):
+    # All C(2d, d) d-subsets of 2d symbols: few symbols per block, so the
+    # groups are large and the join does most of its confirming here.
+    spg = build_spindle_template(d).spindle.spg
+    assert near_pairs(spg) == brute_force_near_pairs(spg)
 
 
 def test_wrong_size_sets_refused():
