@@ -96,7 +96,8 @@ def cmd_transform(args) -> int:
     if isinstance(obj, TransformResult):
         raise ValueError("input is already a transform result; expected a template")
     template = _spg_of(obj)
-    result = transform.construct_with_resampling(template, _transform_config(args))
+    # parse raised on a graph that fails validation
+    result = transform._construct_validated(template, _transform_config(args))
     if isinstance(obj, Spindle):
         lifted = (
             transform.lift_facet(obj.apex1, args.r),
@@ -187,7 +188,8 @@ def cmd_sweep(args) -> int:
     obj = document.parse(_read_input(args.input))
     template = _spg_of(obj)
     r_values = [int(part) for part in args.r_list.split(",") if part]
-    report = experiments.sweep_r(
+    # parse raised on a graph that fails validation
+    report = experiments._sweep_validated(
         template, r_values, args.trials, args.seed,
         max_rounds=args.max_rounds, strategy=Strategy(args.strategy))
 

@@ -220,8 +220,7 @@ class Spg:
         normalizes edges to sorted (low, high) pairs.  Duplicates and
         self-loops are preserved for validate() to flag."""
         vtx = tuple(tuple(sorted(v)) for v in vertices)
-        edg = tuple(sorted((min(u, w), max(u, w)) if u != w else (u, w)
-                           for u, w in edges))
+        edg = tuple(sorted((u, w) if u < w else (w, u) for u, w in edges))
         return cls(symbols, dimension, vtx, edg, is_restriction)
 
     @property
@@ -243,7 +242,7 @@ class Spg:
         return adj
 
     def edge_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset((min(u, w), max(u, w)) for u, w in self.edges)
+        return frozenset((u, w) if u < w else (w, u) for u, w in self.edges)
 
 
 @dataclass(frozen=True)
@@ -347,7 +346,13 @@ def require_valid(spg: Spg) -> None:
 
 
 def require_singleton(spg: Spg) -> None:
-    report = check_singleton(spg)
+    require_valid(spg)
+    _require_singleton_validated(spg)
+
+
+def _require_singleton_validated(spg: Spg) -> None:
+    """require_singleton on a graph that already passed validate."""
+    report = _singleton_report(spg)
     if not report.holds:
         raise InvalidSpgError(report)
 
@@ -390,7 +395,7 @@ def validate(spg: Spg) -> PropertyReport:
         if u == w:
             witnesses.append(("self-loop", u))
             continue
-        key = (min(u, w), max(u, w))
+        key = (u, w) if u < w else (w, u)
         if key in seen_edges:
             witnesses.append(("parallel-edge", key[0], key[1]))
         seen_edges.add(key)
@@ -503,7 +508,7 @@ def _adjacency_witnesses(spg: Spg, pairs: list[tuple[int, int]]
         else:
             non_adjacent.append(("non-adjacent-pair", a, b, vi, vj))
     unwitnessed = [("unwitnessed-edge", u, w) for u, w in spg.edges
-                   if (min(u, w), max(u, w)) not in carried]
+                   if ((u, w) if u < w else (w, u)) not in carried]
     return non_adjacent, unwitnessed
 
 

@@ -173,7 +173,7 @@ def _check_subdivision(spg: Spg, vertex_map: list[int],
                 f"{context}: endpoints {path[0]} and {path[-1]} must both be "
                 f"in vertex_map")
         for u, w in zip(path, path[1:]):
-            key = (min(u, w), max(u, w))
+            key = (u, w) if u < w else (w, u)
             if key not in edge_set:
                 raise DocumentError(f"{context}: {u}-{w} is not a graph edge")
             if key in walked:

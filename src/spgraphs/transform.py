@@ -41,8 +41,10 @@ from .core import (
     Spg,
     SpgProperty,
     _near_mask_pairs,
+    _require_singleton_validated,
     _sorted_witnesses,
     require_singleton,
+    require_valid,
     verify_all,
 )
 
@@ -189,8 +191,11 @@ def _fisher_yates(rng: np.random.Generator, r: int) -> tuple[int, ...]:
     return tuple(rows)
 
 
-def _lift_mask(fs: FacetSet, r: int) -> int:
-    return sum(((1 << r) - 1) << (e * r) for e in fs.elements)
+def _lift_mask(fs: FacetSet, r: int, rows: int | None = None) -> int:
+    """Mask of A x [r], or of A x (the rows set in the bit mask ``rows``)."""
+    if rows is None:
+        rows = (1 << r) - 1
+    return sum(rows << (e * r) for e in fs.elements)
 
 
 def lift_facet(fs: FacetSet, r: int) -> FacetSet:
@@ -216,17 +221,19 @@ def lift_product(spg: Spg, r: int) -> Spg:
 
 
 def _subdivision_masks(
-    a: FacetSet, a2: FacetSet, r: int, perm: Sequence[int]
+    a: FacetSet, a2: FacetSet, r: int, perm: Sequence[int],
+    start: int | None = None,
 ) -> list[int]:
     """Bit masks of the full subdivision sequence from A x [r] to A2 x [r].
 
     Segment j adjusts row perm[j-1]: each step retires one lifted copy of
     A minus A2 and introduces the rank-paired copy of A2 minus A, both in
-    ascending base-symbol order.
+    ascending base-symbol order.  The walk starts at A x [r], or at
+    ``start``, a lift whose rows not in ``perm`` are already adjusted.
     """
     out = [e for e in a.elements if e not in a2]
     inn = [e for e in a2.elements if e not in a]
-    mask = _lift_mask(a, r)
+    mask = _lift_mask(a, r) if start is None else start
     seq = [mask]
     for row in perm:
         offset = row - 1
@@ -235,6 +242,25 @@ def _subdivision_masks(
             mask |= 1 << (came * r + offset)
             seq.append(mask)
     return seq
+
+
+def _end_masks(
+    a: FacetSet, a2: FacetSet, r: int, perm: Sequence[int]
+) -> tuple[list[int], list[int]]:
+    """The masks of the first min(3, r) rows walked out of each end of the
+    subdivision path from A x [r] to A2 x [r]: (out of A, out of A2).
+
+    The tail starts from A2's lift with the rows ``perm[-3:]`` put back
+    to A and steps forward through them; reversed, it walks out of A2.
+    By the three-row lemma (see :func:`_scan_bad_events`) every bad
+    event lies inside these lists.  For r <= 3 they are the whole path
+    and its reversal.
+    """
+    last = perm[-3:]
+    undone = sum(1 << (row - 1) for row in last)
+    start = _lift_mask(a2, r, ((1 << r) - 1) ^ undone) | _lift_mask(a, r, undone)
+    return (_subdivision_masks(a, a2, r, perm[:3]),
+            _subdivision_masks(a, a2, r, last, start)[::-1])
 
 
 def subdivision_path(
@@ -264,6 +290,11 @@ def build_subdivision(
     their indices, so the vertex map is the identity embedding.
     """
     require_singleton(spg)
+    return _subdivide(spg, r, perms)
+
+
+def _subdivide(spg: Spg, r: int, perms: PermutationAssignment) -> TransformResult:
+    """build_subdivision on a singleton graph that already passed validate."""
     if r < 2:
         raise ValueError("row multiplier must be at least 2")
     perms.require_covers(len(spg.edges), r)
@@ -308,22 +339,33 @@ def _band_hits(out1: list[int], out2: list[int]) -> list[tuple[int, int]]:
 def _scan_bad_events(
     edges: Sequence[tuple[int, int]],
     num_vertices: int,
-    paths: Sequence[list[int]],
+    ends: Sequence[tuple[list[int], list[int]]],
 ) -> tuple[BadEvent, ...]:
-    """The bad events of the subdivision paths ``paths[ei]`` (masks from
-    the lift of u to that of w, for ``edges[ei]`` = (u, w)).
+    """The bad events of the subdivision paths of ``edges``, given for
+    ``edges[ei]`` = (u, w) as ``ends[ei]`` = (the masks walked out of u,
+    the masks walked out of w): the whole path and its reversal, or the
+    first three rows out of each end.
 
     Each step out of a template vertex V retires one of V's lifted
     symbols and introduces one from outside, so the set k steps out lies
     at Hamming distance exactly 2k from V's lift; by the triangle
     inequality two sets within distance 2 (sharing rd - 1 of their rd
     symbols) then lie in the band |k - l| <= 1.  The law is checked, one
-    popcount per set, and a path breaking it raises ValueError.
+    popcount per given mask, and a list breaking it raises ValueError.
+
+    Three-row lemma: take paths out of V toward distinct sets L1 and L2
+    of V's size, and let m1 = |V minus L1|.  A row that path 1 has
+    finished differs from path 2's state in that row by at least 2 bits,
+    unless it is the one row path 2 is partway through.  So a pair
+    within distance 2 has path 1 finishing at most 2 rows: k < 3 * m1,
+    and likewise l < 3 * m2.  The first three rows out of each end (see
+    :func:`_end_masks`) therefore hold every hit, and the witness, the
+    first hit in path order, is the one the whole paths give.
     """
     outward = [[] for _ in range(num_vertices)]
-    for ei, (u, w) in enumerate(edges):
-        outward[u].append((ei, paths[ei], False))
-        outward[w].append((ei, paths[ei][::-1], True))
+    for ei, ((u, w), (from_u, from_w)) in enumerate(zip(edges, ends)):
+        outward[u].append((ei, from_u, False))
+        outward[w].append((ei, from_w, True))
 
     events: list[BadEvent] = []
     for v, incident in enumerate(outward):
@@ -372,7 +414,8 @@ def find_bad_events(result: TransformResult, original: Spg) -> tuple[BadEvent, .
     rd = result.spg.dimension
     if any(m.bit_count() != rd for path in paths for m in path):
         raise ValueError(f"subdivision sets must hold {rd} symbols")
-    return _scan_bad_events(original.edges, len(original.vertices), paths)
+    return _scan_bad_events(original.edges, len(original.vertices),
+                            [(path, path[::-1]) for path in paths])
 
 
 def construct_with_resampling(spg: Spg, config: TransformConfig) -> TransformResult:
@@ -380,26 +423,35 @@ def construct_with_resampling(spg: Spg, config: TransformConfig) -> TransformRes
     events until none remain, then build.
 
     All randomness flows from one generator seeded with ``config.seed``;
-    permutations are drawn per edge in canonical index order, and redraws
-    consume the same stream, so identical inputs give bit-identical
-    output.  With strategy RESAMPLE only edges participating in a bad
-    event are redrawn each round (and only their paths recomputed);
+    permutations are drawn in full per edge in canonical index order, and
+    redraws consume the same stream, so identical inputs give
+    bit-identical output.  Each round scans only the masks of the first
+    three rows out of each end of every path (the three-row lemma of
+    :func:`_scan_bad_events`), so its cost does not grow with r beyond
+    the draws.  With strategy RESAMPLE only edges participating in a bad
+    event are redrawn each round (and only their end masks recomputed);
     REJECT redraws all of them.  The graph is built once and re-verified
     (validity, singleton, adjacency, strong adjacency, end-point count)
     before being returned; exhausting ``max_rounds`` raises with the
     surviving bad events attached.
     """
-    require_singleton(spg)
+    require_valid(spg)
+    return _construct_validated(spg, config)
+
+
+def _construct_validated(spg: Spg, config: TransformConfig) -> TransformResult:
+    """construct_with_resampling on a graph that already passed validate."""
+    _require_singleton_validated(spg)
     r = config.r
-    ends = [(spg.vertices[u][0], spg.vertices[w][0]) for u, w in spg.edges]
+    sets = [(spg.vertices[u][0], spg.vertices[w][0]) for u, w in spg.edges]
     import numpy as np
     rng = np.random.default_rng(config.seed)
     perms = [_fisher_yates(rng, r) for _ in spg.edges]
-    paths = [_subdivision_masks(a, a2, r, p) for (a, a2), p in zip(ends, perms)]
+    ends = [_end_masks(a, a2, r, p) for (a, a2), p in zip(sets, perms)]
     log: list[tuple[int, tuple[BadEvent, ...]]] = []
 
     attempt = 0
-    while events := _scan_bad_events(spg.edges, len(spg.vertices), paths):
+    while events := _scan_bad_events(spg.edges, len(spg.vertices), ends):
         log.append((attempt, events))
         if attempt == config.max_rounds:
             raise ResamplingExhaustedError(events, log, config.max_rounds)
@@ -409,11 +461,11 @@ def construct_with_resampling(spg: Spg, config: TransformConfig) -> TransformRes
             targets = range(len(spg.edges))
         for ei in targets:
             perms[ei] = _fisher_yates(rng, r)
-            paths[ei] = _subdivision_masks(*ends[ei], r, perms[ei])
+            ends[ei] = _end_masks(*sets[ei], r, perms[ei])
         attempt += 1
 
     result = replace(
-        build_subdivision(spg, r, PermutationAssignment(tuple(perms))),
+        _subdivide(spg, r, PermutationAssignment(tuple(perms))),
         rounds_used=attempt, resample_log=tuple(log))
     failed = [rep for rep in verify_all(result.spg) if not rep.holds]
     if failed:
@@ -439,12 +491,25 @@ def bad_event_occurs(
 ) -> bool:
     """Whether the two subdivision paths out of ``center`` (rows adjusted
     per ``perm1``/``perm2``) contain sets agreeing in rd - 1 or more
-    lifted symbols, the center's own lift excluded.  Raises ValueError
-    when a ``perm`` that is not a permutation of 1..r breaks the paths
-    (a step keeping the scan's law swaps one symbol, so sizes hold)."""
-    paths = [_subdivision_masks(center, leaf1, r, perm1),
-             _subdivision_masks(center, leaf2, r, perm2)]
-    return bool(_scan_bad_events(((0, 1), (0, 2)), 3, paths))
+    lifted symbols, the center's own lift excluded.
+
+    Only the first three rows out of each end are built and scanned (the
+    three-row lemma of :func:`_scan_bad_events`), so past the checks of
+    the perms the cost does not grow with r.  The lemma needs distinct
+    leaves of the center's size and permutations of 1..r: anything else
+    raises ValueError."""
+    if not len(center) == len(leaf1) == len(leaf2):
+        raise ValueError("star sets must have uniform size")
+    if leaf1 == leaf2:
+        raise ValueError("leaves must differ")
+    for perm in (perm1, perm2):
+        if len(perm) != r or not set(perm).issuperset(range(1, r + 1)):
+            raise ValueError(
+                f"not a subdivision path: {perm} is not a permutation of 1..{r}")
+    # each leaf has one edge, so the scan reads only the heads
+    ends = [(_subdivision_masks(center, leaf1, r, perm1[:3]), []),
+            (_subdivision_masks(center, leaf2, r, perm2[:3]), [])]
+    return bool(_scan_bad_events(((0, 1), (0, 2)), 3, ends))
 
 
 def estimate_bad_event_probability(

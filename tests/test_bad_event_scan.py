@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spgraphs.transform as transform
+from spgraphs import core
 from conftest import (
     brute_force_bad_event_occurs,
     brute_force_bad_events,
@@ -80,13 +81,13 @@ def test_find_bad_events_matches_oracle(case):
 
 
 @st.composite
-def star_paths(draw):
+def star_paths(draw, min_r=2, max_r=8):
     """A degree-2 star on a few symbols and one row permutation per edge."""
     d = draw(st.integers(1, 3))
     pool = [FacetSet(c) for c in combinations(range(d + 3), d)]
     sets = draw(st.lists(st.sampled_from(pool), min_size=3, max_size=3,
                          unique=True))
-    r = draw(st.integers(2, 8))
+    r = draw(st.integers(min_r, max_r))
     perms = [tuple(draw(st.permutations(range(1, r + 1)))) for _ in range(2)]
     return (*sets, r, *perms)
 
@@ -173,8 +174,8 @@ def test_set_of_the_wrong_size_raises():
 
 def test_construction_builds_once(monkeypatch):
     calls = []
-    real = transform.build_subdivision
-    monkeypatch.setattr(transform, "build_subdivision",
+    real = transform._subdivide
+    monkeypatch.setattr(transform, "_subdivide",
                         lambda *args: calls.append(1) or real(*args))
     result = construct_with_resampling(SHARED_STAR, TransformConfig(r=4, seed=4))
     assert result.rounds_used == 2 and len(calls) == 1
@@ -182,3 +183,147 @@ def test_construction_builds_once(monkeypatch):
         construct_with_resampling(
             SHARED_STAR, TransformConfig(r=2, seed=0, max_rounds=0))
     assert len(calls) == 1
+
+
+def test_public_entry_points_validate_the_template_once(monkeypatch):
+    calls = []
+    validate = core.validate
+    monkeypatch.setattr(core, "validate",
+                        lambda spg: calls.append(spg) or validate(spg))
+    result = construct_with_resampling(SHARED_STAR, TransformConfig(r=4, seed=4))
+    # the template, then the result in verify_all
+    assert calls == [SHARED_STAR, result.spg]
+    calls.clear()
+    build_subdivision(SHARED_STAR, 2, PermutationAssignment(((1, 2), (2, 1))))
+    assert calls == [SHARED_STAR]
+
+
+# The three-row lemma: every hit lies within the first three rows walked
+# out of the shared vertex, so the round loop and bad_event_occurs scan
+# only those.
+
+def outward_hits(out1, out2):
+    """Every (k, l), k and l >= 1, with the sets k and l steps out within
+    Hamming distance 2: no band."""
+    return [(k, l) for k in range(1, len(out1)) for l in range(1, len(out2))
+            if (out1[k] ^ out2[l]).bit_count() <= 2]
+
+
+@given(star_paths(1, 12))
+@settings(max_examples=300, deadline=None)
+def test_every_hit_lies_in_the_first_three_rows(case):
+    center, leaf1, leaf2, r, perm1, perm2 = case
+    out1 = transform._subdivision_masks(center, leaf1, r, perm1)
+    out2 = transform._subdivision_masks(center, leaf2, r, perm2)
+    m1, m2 = len(center.without(leaf1)), len(center.without(leaf2))
+    for k, l in outward_hits(out1, out2) + transform._band_hits(out1, out2):
+        assert k < 3 * m1 and l < 3 * m2
+
+
+@given(raw_subdivisions())
+@settings(max_examples=150, deadline=None)
+def test_oracle_witnesses_lie_in_the_first_three_rows(case):
+    template, result = case
+    family = [vertex[0] for vertex in result.spg.vertices]
+    for event in brute_force_bad_events(result, template):
+        for ei, fs in zip(event.edges, event.witness):
+            u, w = template.edges[ei]
+            path = [family[idx] for idx in result.edge_paths[ei]]
+            if w == event.vertex:
+                u, w, path = w, u, path[::-1]
+            m = len(template.vertices[u][0].without(template.vertices[w][0]))
+            assert path.index(fs) < 3 * m
+
+
+@given(star_paths(1, 12))
+@settings(max_examples=300, deadline=None)
+def test_end_masks_are_the_first_and_last_rows(case):
+    a, a2, _, r, perm, _ = case
+    full = transform._subdivision_masks(a, a2, r, perm)
+    head, tail = transform._end_masks(a, a2, r, perm)
+    steps = min(3, r) * len(a.without(a2))
+    assert head == full[:steps + 1]
+    assert tail == full[::-1][:steps + 1]
+    if r <= 3:
+        assert (head, tail) == (full, full[::-1])
+
+
+@given(star_paths(9, 12))
+@settings(max_examples=200, deadline=None)
+def test_bad_event_occurs_matches_oracle_at_r_9_to_12(case):
+    assert bad_event_occurs(*case) == brute_force_bad_event_occurs(*case)
+
+
+@given(shared_symbol_templates(), st.integers(7, 12), st.integers(0, 2**32 - 1),
+       st.sampled_from(Strategy), st.integers(0, 4))
+@settings(max_examples=40, deadline=None)
+def test_construction_matches_replay_at_r_7_to_12(template, r, seed, strategy,
+                                                  max_rounds):
+    assert_same_outcome(template, TransformConfig(
+        r=r, seed=seed, max_rounds=max_rounds, strategy=strategy))
+
+
+def test_pinned_star_hit_in_the_second_row():
+    # the only hit is one step out along path 1 (m1 = 2) and two along
+    # path 2 (m2 = 1): inside path 2's second row
+    case = (fs(0, 2), fs(1, 3), fs(1, 2), 4, (3, 1, 4, 2), (2, 3, 4, 1))
+    assert bad_event_occurs(*case)
+    assert brute_force_bad_event_occurs(*case)
+
+
+@pytest.mark.parametrize("sets, perms", [
+    # the hit is in the second row out of the centre's end of edge 0,
+    # the tail of that edge's path
+    ((fs(1, 2), fs(0, 2), fs(1, 3)), ((2, 1, 3, 4), (3, 2, 1, 4))),
+    # ... and at the head of edge 1's path
+    ((fs(1, 2), fs(3, 4), fs(2, 3)), ((3, 1, 2, 4), (1, 4, 3, 2))),
+])
+def test_pinned_path_hit_in_the_second_row(sets, perms):
+    template = Spg.build(SymbolTable.alphabetic(5), 2, [[s] for s in sets],
+                         [(0, 1), (1, 2)])
+    result = build_subdivision(template, 4, PermutationAssignment(perms))
+    ends = [transform._end_masks(sets[u], sets[w], 4, p)
+            for (u, w), p in zip(template.edges, perms)]
+    events = transform._scan_bad_events(template.edges, 3, ends)
+    assert events and events == find_bad_events(result, template)
+
+
+@pytest.mark.parametrize("r", [87, 1000])
+def test_bad_event_occurs_scans_at_most_three_rows(monkeypatch, r):
+    seen = []
+    real = transform._scan_bad_events
+
+    def counting_scan(edges, num_vertices, ends):
+        seen.append([(len(from_u), len(from_w)) for from_u, from_w in ends])
+        return real(edges, num_vertices, ends)
+
+    monkeypatch.setattr(transform, "_scan_bad_events", counting_scan)
+    center, leaf1, leaf2 = fs(0, 1, 2), fs(3, 4, 5), fs(0, 6, 7)
+    perm = tuple(range(r, 0, -1))
+    for perm1, perm2 in [(perm, perm), (perm, perm[::-1])]:
+        bad_event_occurs(center, leaf1, leaf2, r, perm1, perm2)
+    # 3 * m + 1 masks out of the centre (m = 3 toward leaf 1, 2 toward
+    # leaf 2); none out of a leaf, which has one edge
+    assert seen == [[(3 * 3 + 1, 0), (3 * 2 + 1, 0)]] * 2
+
+
+@pytest.mark.parametrize("r, perm", [
+    # two of five rows: the distance law alone does not see it
+    (5, (1, 2)),
+    (87, tuple(range(1, 87))),  # one row short
+    (87, (1, 2, 3, *range(3, 87))),  # row 3 repeated, row 87 missing
+], ids=["short-at-5", "short-at-87", "repeated-row-after-position-3"])
+def test_non_permutation_raises_at_every_r(r, perm):
+    full = tuple(range(1, r + 1))
+    for perms in [(perm, full), (full, perm)]:
+        with pytest.raises(ValueError, match="not a subdivision path"):
+            bad_event_occurs(fs(0, 1), fs(2, 3), fs(4, 5), r, *perms)
+
+
+@pytest.mark.parametrize("leaf2, message", [
+    (fs(2, 3), "leaves must differ"),
+    (fs(2, 3, 4), "uniform size"),
+])
+def test_bad_event_occurs_refuses_stars_outside_the_lemma(leaf2, message):
+    with pytest.raises(ValueError, match=message):
+        bad_event_occurs(fs(0, 1), fs(2, 3), leaf2, 4, (1, 2, 3, 4), (1, 2, 3, 4))

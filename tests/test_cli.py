@@ -7,7 +7,8 @@ import sys
 
 import pytest
 
-from spgraphs import FacetSet, build_star_template, parse, serialize, SymbolTable
+from spgraphs import (
+    FacetSet, Spg, build_star_template, parse, serialize, SymbolTable)
 from spgraphs import core, document
 from spgraphs.cli import main
 
@@ -18,6 +19,8 @@ def fs(*elements):
 
 SHARED_STAR_DOC = serialize(build_star_template(
     SymbolTable.alphabetic(5), fs(0, 1), [fs(2, 3), fs(2, 4)]))
+NON_SINGLETON_DOC = serialize(Spg.build(
+    SymbolTable.alphabetic(3), 2, [[fs(0, 1), fs(1, 2)]]))
 
 
 def run_cli(capsys, monkeypatch, argv, stdin=""):
@@ -219,6 +222,22 @@ class TestTransform:
         assert code == 2
         assert "already a transform result" in err
 
+    def test_validates_once(self, capsys, monkeypatch):
+        doc = build_template_doc(capsys, monkeypatch, dim=2)
+        calls = count_validate_calls(monkeypatch)
+        code, out, _ = run_cli(capsys, monkeypatch,
+                               ["transform", "--r", "8", "--seed", "1"], stdin=doc)
+        assert code == 0
+        # the template in parse, the result in the construction's verify_all
+        assert len(calls) == 2
+        assert len(parse(out).spg.vertices) > 6
+
+    def test_rejects_non_singleton_template(self, capsys, monkeypatch):
+        code, _, err = run_cli(capsys, monkeypatch, [
+            "transform", "--r", "4", "--seed", "1"], stdin=NON_SINGLETON_DOC)
+        assert code == 2
+        assert "non-singleton-vertex" in err
+
 
 class TestRestrict:
     def test_restrict_to_connected_pair(self, capsys, monkeypatch):
@@ -285,6 +304,23 @@ class TestStats:
 
 
 class TestSweepAndEstimate:
+    def test_sweep_validates_once(self, capsys, monkeypatch):
+        doc = build_template_doc(capsys, monkeypatch, dim=2)
+        calls = count_validate_calls(monkeypatch)
+        code, out, _ = run_cli(capsys, monkeypatch, [
+            "sweep", "--r-list", "8", "--trials", "2", "--seed", "1"], stdin=doc)
+        assert code == 0
+        # the template in parse, each trial's result in its verify_all
+        assert len(calls) == 3
+        assert out.splitlines()[2].startswith("8\t2\t2\t")
+
+    def test_sweep_rejects_non_singleton_template(self, capsys, monkeypatch):
+        code, _, err = run_cli(capsys, monkeypatch, [
+            "sweep", "--r-list", "4", "--trials", "1", "--seed", "1"],
+            stdin=NON_SINGLETON_DOC)
+        assert code == 2
+        assert "non-singleton-vertex" in err
+
     def test_sweep_table(self, capsys, monkeypatch):
         code, out, _ = run_cli(capsys, monkeypatch, [
             "sweep", "--r-list", "4,6", "--trials", "2", "--seed", "3"],

@@ -179,6 +179,21 @@ class TestValidate:
         assert any(w[0] == "edge-endpoint-out-of-range"
                    for w in validate(spg).witnesses)
 
+    def test_reversed_edge_pairs(self):
+        # Spg keeps edges as given; only Spg.build sorts each pair
+        table = SymbolTable.alphabetic(3)
+        vertices = ((fs(0, 1),), (fs(1, 2),))
+        doubled = Spg(table, 2, vertices, ((1, 0), (0, 1)))
+        assert ("parallel-edge", 0, 1) in validate(doubled).witnesses
+        reversed_edge = Spg(table, 2, vertices, ((1, 0),))
+        built = Spg.build(table, 2, vertices, [(1, 0)])
+        assert built.edges == ((0, 1),)
+        assert reversed_edge.edge_set() == built.edge_set()
+        for check in (validate, check_adjacency, check_strong_adjacency,
+                      check_endpoint_count):
+            assert check(reversed_edge) == check(built)
+            assert check(reversed_edge).holds
+
     def test_empty_vertex_and_dimension(self):
         table = SymbolTable.alphabetic(2)
         spg = Spg(table, 2, ((fs(0, 1),), ()), ((0, 1),))

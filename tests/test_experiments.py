@@ -15,6 +15,7 @@ from spgraphs import (
     sweep_r,
     verify_dimension_reduction_on_paths,
 )
+from spgraphs import core
 from spgraphs.experiments import trial_seed
 
 
@@ -89,6 +90,17 @@ class TestSweep:
             SymbolTable.alphabetic(3), 2, [[fs(0, 1), fs(1, 2)]])
         with pytest.raises(InvalidSpgError):
             sweep_r(non_singleton, [4], trials=1, seed=1)
+
+    def test_validates_template_once(self, monkeypatch):
+        calls = []
+        validate = core.validate
+        monkeypatch.setattr(core, "validate",
+                            lambda spg: calls.append(spg) or validate(spg))
+        report = sweep_r(SHARED_STAR, [4], trials=2, seed=1)
+        assert report.rows[0].successes == 2
+        # the template once, then each result in its verify_all
+        assert calls[0] is SHARED_STAR
+        assert len(calls) == 3
 
     def test_reject_strategy_runs(self):
         report = sweep_r(SHARED_STAR, [4], trials=3, seed=2,
