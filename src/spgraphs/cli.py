@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import gc
 import sys
 
 from . import core, document, experiments, spindle, transform
@@ -325,6 +326,11 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as err:
         # argparse exits 2 on usage errors and 0 on --help; pass both through
         return int(err.code or 0)
+    # A command builds one large graph of objects without reference
+    # cycles and then exits, so the cyclic collector would only re-scan
+    # it; pause it and leave it as found.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except ResamplingExhaustedError as err:
@@ -336,6 +342,9 @@ def main(argv: list[str] | None = None) -> int:
     except (document.DocumentError, ValueError, KeyError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

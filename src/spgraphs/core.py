@@ -119,7 +119,16 @@ class FacetSet:
     __slots__ = ("elements", "mask")
 
     def __init__(self, elements: Iterable[int]):
-        elems = tuple(sorted(elements))
+        self._fill(tuple(sorted(elements)))
+
+    @classmethod
+    def _from_sorted(cls, elems: tuple[int, ...]) -> "FacetSet":
+        """The set of ``elems``, a tuple already in ascending order."""
+        fs = cls.__new__(cls)
+        fs._fill(elems)
+        return fs
+
+    def _fill(self, elems: tuple[int, ...]) -> None:
         mask = 0
         if elems:
             if elems[0] < 0:

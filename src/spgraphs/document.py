@@ -42,23 +42,35 @@ class DocumentVersionError(DocumentError):
     """Document declares a format version this code does not speak."""
 
 
-def _write(value, out: list[str], indent: str) -> None:
+class _IntText(dict):
+    """``str(k)`` for each int key ``k``, made on its first lookup."""
+
+    def __missing__(self, key: int) -> str:
+        text = self[key] = str(key)
+        return text
+
+
+def _write(value, out: list[str], indent: str, ints: _IntText) -> None:
     """Append the canonical text of ``value`` to ``out``; ``indent`` is
-    the newline and spaces that open its line."""
+    the newline and spaces that open its line, and ``ints`` holds the
+    text of the ints written so far."""
     if isinstance(value, (list, tuple)):
         if not value:
             out.append("[]")
             return
         inner = indent + "  "
         if set(map(type, value)) == {int}:
-            # the bulk of a document: facet sets, edges and paths
-            out.append("[" + inner + ("," + inner).join(map(str, value))
+            # the bulk of a document: facet sets, edges and paths, whose
+            # few distinct ints recur; a bool (equal to 0 or 1) never
+            # gets here, so it is never written from the table
+            out.append("[" + inner
+                       + ("," + inner).join(map(ints.__getitem__, value))
                        + indent + "]")
             return
         opener = "[" + inner
         for item in value:
             out.append(opener)
-            _write(item, out, inner)
+            _write(item, out, inner, ints)
             opener = "," + inner
         out.append(indent + "]")
     elif isinstance(value, dict):
@@ -72,7 +84,7 @@ def _write(value, out: list[str], indent: str) -> None:
                 raise TypeError(
                     f"keys must be str, not {type(key).__name__}")
             out.append(opener + json.dumps(key) + ": ")
-            _write(value[key], out, inner)
+            _write(value[key], out, inner, ints)
             opener = "," + inner
         out.append(indent + "}")
     else:
@@ -84,18 +96,20 @@ def canonical_json(value) -> str:
     """``json.dumps(value, indent=2, sort_keys=True)`` plus a newline,
     byte for byte, for values whose dict keys are strings."""
     out: list[str] = []
-    _write(value, out, "\n")
+    _write(value, out, "\n", _IntText())
     out.append("\n")
     return "".join(out)
 
 
 def _spg_fields(spg: Spg) -> dict[str, Any]:
+    # The writer takes tuples for lists, so the payload's own tuples go
+    # in as they are, without a copy of each facet set.
     return {
         "format_version": FORMAT_VERSION,
-        "symbols": list(spg.symbols.labels),
+        "symbols": spg.symbols.labels,
         "dimension": spg.dimension,
-        "vertices": [[list(fs.elements) for fs in vertex] for vertex in spg.vertices],
-        "edges": [list(e) for e in spg.edges],
+        "vertices": [[fs.elements for fs in vertex] for vertex in spg.vertices],
+        "edges": spg.edges,
         "flags": {"is_restriction": spg.is_restriction},
     }
 
@@ -106,19 +120,19 @@ def serialize(obj: Payload) -> str:
         doc = _spg_fields(obj.spg)
         doc["kind"] = "spg"
         doc["annotations"] = {
-            "apices": [list(obj.apex1.elements), list(obj.apex2.elements)],
+            "apices": [obj.apex1.elements, obj.apex2.elements],
         }
     elif isinstance(obj, TransformResult):
         doc = _spg_fields(obj.spg)
         doc["kind"] = "transform-result"
         annotations: dict[str, Any] = {
-            "vertex_map": list(obj.vertex_map),
-            "edge_paths": [list(path) for path in obj.edge_paths],
+            "vertex_map": obj.vertex_map,
+            "edge_paths": obj.edge_paths,
             "rounds_used": obj.rounds_used,
         }
         if obj.apices is not None:
             annotations["apices"] = [
-                list(obj.apices[0].elements), list(obj.apices[1].elements)]
+                obj.apices[0].elements, obj.apices[1].elements]
         doc["annotations"] = annotations
     elif isinstance(obj, Spg):
         doc = _spg_fields(obj)
@@ -141,18 +155,34 @@ def _expect(doc: dict, key: str, types, context: str = "document"):
 
 
 def _parse_facet(elements, n: int, context: str) -> FacetSet:
-    # JSON yields exact ints, so one pass over the element types (where
-    # bool is not int) replaces an isinstance test per element.
-    if not isinstance(elements, list) or not set(map(type, elements)) <= {int}:
-        raise DocumentError(f"{context}: facet set must be a list of integers")
+    # Besides ints and bools, JSON gives floats, strings, None, lists and
+    # objects, on all of which the sort or FacetSet raises TypeError; it
+    # raises ValueError on a negative or repeated index.  Among distinct
+    # non-negative ints a bool is 0 or 1, so it sorts into the first two
+    # places.  The bound is checked before FacetSet allocates a mask that
+    # wide.  Only a refused facet set pays for _facet_fault's type scan.
     try:
-        fs = FacetSet(elements)
-    except ValueError as err:
-        raise DocumentError(f"{context}: {err}") from None
-    if fs.elements and fs.elements[-1] >= n:
-        raise DocumentError(
-            f"{context}: symbol index {fs.elements[-1]} out of range (n={n})")
-    return fs
+        if isinstance(elements, list):
+            elems = tuple(sorted(elements))
+            if ((not elems or elems[-1] < n)
+                    and bool not in map(type, elems[:2])):
+                return FacetSet._from_sorted(elems)
+    except (TypeError, ValueError):
+        pass
+    raise DocumentError(f"{context}: {_facet_fault(elements, n)}")
+
+
+def _facet_fault(elements, n: int) -> str:
+    """Why :func:`_parse_facet` refused ``elements``: wrong types first,
+    then a negative or repeated index, then an index out of range."""
+    if not isinstance(elements, list) or not set(map(type, elements)) <= {int}:
+        return "facet set must be a list of integers"
+    elems = tuple(sorted(elements))
+    if elems[0] < 0:
+        return f"negative symbol index {elems[0]}"
+    if len(set(elems)) < len(elems):
+        return f"duplicate symbol indices in {elems}"
+    return f"symbol index {elems[-1]} out of range (n={n})"
 
 
 def _check_subdivision(spg: Spg, vertex_map: list[int],

@@ -506,6 +506,13 @@ def bad_event_occurs(
         if len(perm) != r or not set(perm).issuperset(range(1, r + 1)):
             raise ValueError(
                 f"not a subdivision path: {perm} is not a permutation of 1..{r}")
+    return _star_bad_event(center, leaf1, leaf2, r, perm1, perm2)
+
+
+def _star_bad_event(center: FacetSet, leaf1: FacetSet, leaf2: FacetSet,
+                    r: int, perm1: Sequence[int],
+                    perm2: Sequence[int]) -> bool:
+    """bad_event_occurs without its checks of the star and the perms."""
     # each leaf has one edge, so the scan reads only the heads
     ends = [(_subdivision_masks(center, leaf1, r, perm1[:3]), []),
             (_subdivision_masks(center, leaf2, r, perm2[:3]), [])]
@@ -537,7 +544,8 @@ def estimate_bad_event_probability(
     for _ in range(trials):
         p1 = _fisher_yates(rng, r)
         p2 = _fisher_yates(rng, r)
-        if bad_event_occurs(center, leaf1, leaf2, r, p1, p2):
+        # the checks above and _fisher_yates meet bad_event_occurs' terms
+        if _star_bad_event(center, leaf1, leaf2, r, p1, p2):
             hits += 1
     return BadEventEstimate(
         frequency=hits / trials,

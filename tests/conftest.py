@@ -15,6 +15,7 @@ import numpy as np
 from spgraphs import (
     BadEvent,
     ConstructionVerificationError,
+    DocumentError,
     FacetSet,
     PermutationAssignment,
     PropertyReport,
@@ -351,6 +352,23 @@ def loop_facet_mask(elements) -> tuple[tuple[int, ...], int]:
     if mask.bit_count() != len(elems):
         raise ValueError(f"duplicate symbol indices in {elems}")
     return elems, mask
+
+
+def type_scan_parse_facet(elements, n: int, context: str) -> FacetSet:
+    """The document reader's facet check with the element types scanned
+    first: a list of exact ints, then FacetSet's own checks, then the
+    index bound.  Allocates a mask as wide as the largest index, so keep
+    indices small."""
+    if not isinstance(elements, list) or not set(map(type, elements)) <= {int}:
+        raise DocumentError(f"{context}: facet set must be a list of integers")
+    try:
+        fs = FacetSet(elements)
+    except ValueError as err:
+        raise DocumentError(f"{context}: {err}") from None
+    if fs.elements and fs.elements[-1] >= n:
+        raise DocumentError(
+            f"{context}: symbol index {fs.elements[-1]} out of range (n={n})")
+    return fs
 
 
 def json_dumps_canonical(value) -> str:

@@ -1,5 +1,6 @@
 """CLI surface tests: subcommands, exit statuses, pipes, determinism."""
 
+import gc
 import hashlib
 import io
 import subprocess
@@ -9,7 +10,7 @@ import pytest
 
 from spgraphs import (
     FacetSet, Spg, build_star_template, parse, serialize, SymbolTable)
-from spgraphs import core, document
+from spgraphs import cli, core, document
 from spgraphs.cli import main
 
 
@@ -365,6 +366,57 @@ class TestUsageErrors:
         code, out, _ = run_cli(capsys, monkeypatch, ["--help"])
         assert code == 0
         assert "build-spindle" in out
+
+
+def _raise_runtime_error(args):
+    raise RuntimeError("unexpected")
+
+
+@pytest.fixture(params=[True, False], ids=["on", "off"])
+def collector(request):
+    """The cyclic collector switched on or off for the test, then put
+    back as it was."""
+    was_enabled = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was_enabled else gc.disable)()
+
+
+class TestCollectorState:
+    """main pauses the cyclic collector around a command and leaves it as
+    it found it; the suite calls main in-process, so a leak would carry
+    into every later test."""
+
+    @pytest.mark.parametrize("argv, stdin, code", [
+        (["stats"], "template", 0),
+        (["verify", "--property", "endpoint-count"], "template", 1),
+        (["stats"], "{not json", 2),
+        (["frobnicate"], "", 2),
+        (["transform", "--r", "2", "--seed", "0", "--max-rounds", "0"],
+         SHARED_STAR_DOC, 3),
+    ], ids=["exit-0", "exit-1", "exit-2", "usage", "exit-3"])
+    def test_state_restored(self, capsys, monkeypatch, collector, argv,
+                            stdin, code):
+        if stdin == "template":
+            stdin = build_template_doc(capsys, monkeypatch)
+        seen = []
+        parse = document.parse
+
+        def recording_parse(text):
+            seen.append(gc.isenabled())
+            return parse(text)
+
+        monkeypatch.setattr(document, "parse", recording_parse)
+        assert run_cli(capsys, monkeypatch, argv, stdin)[0] == code
+        assert gc.isenabled() is collector
+        assert seen == ([] if argv == ["frobnicate"] else [False])
+
+    def test_state_restored_when_a_command_raises(self, monkeypatch,
+                                                  collector):
+        monkeypatch.setattr(cli, "cmd_stats", _raise_runtime_error)
+        with pytest.raises(RuntimeError):
+            main(["stats"])
+        assert gc.isenabled() is collector
 
 
 README_SPINDLE = ["build-spindle", "--dim", "2", "--transform", "--r", "87",

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import json_dumps_canonical
+from conftest import json_dumps_canonical, type_scan_parse_facet
 
 from spgraphs import (
     DocumentError,
@@ -26,7 +26,7 @@ from spgraphs import (
     serialize,
     sliding_window_path,
 )
-from spgraphs.document import canonical_json
+from spgraphs.document import _parse_facet, canonical_json
 
 
 def fs(*elements):
@@ -102,12 +102,21 @@ def test_serialize_rejects_unknown_type():
 _SCALARS = st.one_of(
     st.none(), st.booleans(), st.integers(), st.integers(-2**200, 2**200),
     st.floats(), st.text())
+# ints that recur within and across lists, as a document's do, so the
+# writer's table of int texts is read back; a bool among them (equal to
+# 0 or 1) must still be written as true or false
+_RECURRING_INTS = st.sampled_from(
+    [0, 1, 2, -1, -2, 2**63, 2**64, 2**64 + 1, -2**64, 2**200])
+_INT_LISTS = st.one_of(
+    st.lists(st.integers(), max_size=6),
+    st.lists(_RECURRING_INTS, max_size=8))
 _VALUES = st.recursive(
     _SCALARS,
     lambda inner: st.one_of(
         st.lists(inner, max_size=4),
-        st.lists(st.integers(), max_size=6),
-        st.lists(st.integers(), max_size=6).map(tuple),
+        _INT_LISTS,
+        _INT_LISTS.map(tuple),
+        st.lists(st.one_of(_RECURRING_INTS, st.booleans()), max_size=6),
         st.dictionaries(st.text(), inner, max_size=4)),
     max_leaves=30)
 
@@ -118,6 +127,8 @@ _VALUES = st.recursive(
 @example({"": [[], {}], "z": [[0], [-1, 2**80]]})
 @example({"symbols": ["\u00e9@1", "\U0001f600", "\"q\"\n"], "flag": False})
 @example([True, 1, 0, False])
+@example({"a": [1, 0, 1], "b": [True, 1, False, 0], "c": [[0, 1], [1, 0]]})
+@example([[2**64, 2**64, -1], [-1, 2**64]])
 def test_canonical_json_matches_json_dumps(value):
     assert canonical_json(value) == json_dumps_canonical(value)
 
@@ -204,12 +215,56 @@ def test_symbol_index_out_of_range():
     ([-1, 1], "negative symbol index -1"),
     ([1, 1], r"duplicate symbol indices in \(1, 1\)"),
     ([0, 17], r"symbol index 17 out of range \(n=\d+\)"),
+    # refused before a mask of 2**40 bits is allocated, in the order above
+    ([0, 2**40], r"symbol index 1099511627776 out of range \(n=\d+\)"),
+    ([2**40, 1, 1], r"duplicate symbol indices in \(1, 1, 1099511627776\)"),
+    ([2**40, -1], "negative symbol index -1"),
+    ([2**40, True], "facet set must be a list of integers"),
 ])
 def test_bad_facet_elements_rejected(facet, message):
     doc = _document_dict()
     doc["vertices"][0] = [facet]
     with pytest.raises(DocumentError, match=r"^vertices\[0\]\[0\]: " + message):
         parse(json.dumps(doc))
+
+
+_NON_INTS = st.one_of(
+    st.booleans(), st.floats(), st.text(max_size=2), st.none(),
+    st.lists(st.integers(0, 3), max_size=2))
+
+
+@st.composite
+def _facet_lists(draw):
+    """Lists of ints (negatives, repeats and indices past n = 8 among
+    them) with up to two other JSON values inserted anywhere."""
+    elements = draw(st.lists(st.integers(-2, 11), max_size=8))
+    for _ in range(draw(st.integers(0, 2))):
+        elements.insert(draw(st.integers(0, len(elements))), draw(_NON_INTS))
+    return elements
+
+
+@given(st.one_of(
+    _facet_lists(), st.lists(st.integers(0, 10), max_size=6, unique=True),
+    _NON_INTS, st.dictionaries(st.text(max_size=2), st.integers(0, 3),
+                               max_size=2)))
+@example([True])
+@example([1, True])
+@example([-1, True])
+@example([1, 1, True])
+@example([True, 5, 7])
+@example([False, 0])
+@example([7, 0.5])
+def test_parse_facet_matches_type_scan_oracle(elements):
+    n, context = 8, "vertices[0][0]"
+    try:
+        expected = type_scan_parse_facet(elements, n, context)
+    except DocumentError as err:
+        with pytest.raises(DocumentError) as raised:
+            _parse_facet(elements, n, context)
+        assert str(raised.value) == str(err)
+    else:
+        got = _parse_facet(elements, n, context)
+        assert (got.elements, got.mask) == (expected.elements, expected.mask)
 
 
 def test_bad_apex_elements_rejected():

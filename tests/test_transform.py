@@ -359,6 +359,20 @@ class TestBadEventProbability:
             fs(0, 1), fs(2, 3), fs(4, 5), 8, 10, seed=1)
         assert est.analytic_bound == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("star, r, seed", [
+        ((fs(0, 1), fs(2, 3), fs(4, 5)), 8, 3),
+        ((fs(0, 1), fs(2, 3), fs(2, 4)), 5, 11),
+        ((fs(0, 1), fs(2, 3), fs(4, 5)), 87, 3),
+    ])
+    def test_matches_checked_scan_on_the_same_draws(self, star, r, seed):
+        est = estimate_bad_event_probability(*star, r, 200, seed)
+        rng = np.random.default_rng(seed)
+        hits = 0
+        for _ in range(200):
+            p1, p2 = loop_fisher_yates(rng, r), loop_fisher_yates(rng, r)
+            hits += bad_event_occurs(*star, r, p1, p2)
+        assert est.occurrences == hits > 0
+
     def test_shared_star_exhaustive_r2(self):
         # all (2!)^2 permutation pairs: exactly half are bad (frozen by
         # direct enumeration); the r >= 4 bound promises nothing here
