@@ -160,14 +160,17 @@ def _parse_facet(elements, n: int, context: str) -> FacetSet:
     # raises ValueError on a negative or repeated index.  Among distinct
     # non-negative ints a bool is 0 or 1, so it sorts into the first two
     # places.  The bound is checked before FacetSet allocates a mask that
-    # wide.  Only a refused facet set pays for _facet_fault's type scan.
+    # wide.  A NaN compares false with everything, so the sort can leave
+    # the list out of order and FacetSet index past its digit buffer
+    # (IndexError); the NaN itself is refused by the type scan.  Only a
+    # refused facet set pays for _facet_fault's type scan.
     try:
         if isinstance(elements, list):
             elems = tuple(sorted(elements))
             if ((not elems or elems[-1] < n)
                     and bool not in map(type, elems[:2])):
                 return FacetSet._from_sorted(elems)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, IndexError):
         pass
     raise DocumentError(f"{context}: {_facet_fault(elements, n)}")
 

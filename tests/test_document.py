@@ -254,6 +254,7 @@ def _facet_lists(draw):
 @example([True, 5, 7])
 @example([False, 0])
 @example([7, 0.5])
+@example([1, float("nan"), False])
 def test_parse_facet_matches_type_scan_oracle(elements):
     n, context = 8, "vertices[0][0]"
     try:
