@@ -85,10 +85,10 @@ def cmd_build_spindle(args) -> int:
             raise ValueError("--transform requires --r and --seed")
         result = spindle.build_exponential_spindle(args.dim, _transform_config(args))
         print(f"rounds used: {result.rounds_used}", file=sys.stderr)
-        sys.stdout.write(document.serialize(result))
+        document.dump(result, sys.stdout)
     else:
         template = spindle.build_spindle_template(args.dim)
-        sys.stdout.write(document.serialize(template.spindle))
+        document.dump(template.spindle, sys.stdout)
     return EXIT_OK
 
 
@@ -106,7 +106,7 @@ def cmd_transform(args) -> int:
         )
         result = dataclasses.replace(result, apices=lifted)
     print(f"rounds used: {result.rounds_used}", file=sys.stderr)
-    sys.stdout.write(document.serialize(result))
+    document.dump(result, sys.stdout)
     return EXIT_OK
 
 
@@ -155,7 +155,7 @@ def cmd_restrict(args) -> int:
     if restricted is None:
         print("restriction: empty")
         return EXIT_OK
-    sys.stdout.write(document.serialize(restricted))
+    document.dump(restricted, sys.stdout)
     return EXIT_OK
 
 

@@ -58,6 +58,24 @@ def _mask_elements(mask: int) -> tuple[int, ...]:
     return tuple(compress(count(), bin(mask)[:1:-1].encode().translate(_BIT_FLAGS)))
 
 
+def _sorted_mask(elems: tuple[int, ...]) -> int:
+    """The bit mask of ``elems``, a tuple in ascending order; ValueError
+    on a negative or repeated index."""
+    mask = 0
+    if elems:
+        if elems[0] < 0:
+            raise ValueError(f"negative symbol index {elems[0]}")
+        # The binary digits, most significant last, read as one int:
+        # a byte store per element instead of a bigint OR per element.
+        digits = bytearray(b"0") * (elems[-1] + 1)
+        for e in elems:
+            digits[e] = 49  # ord("1")
+        mask = int(digits[::-1], 2)
+    if mask.bit_count() != len(elems):
+        raise ValueError(f"duplicate symbol indices in {elems}")
+    return mask
+
+
 @dataclass(frozen=True)
 class SymbolTable:
     """Named symbols with a stable integer encoding 0..n-1.
@@ -108,46 +126,31 @@ class SymbolTable:
 
 
 class FacetSet:
-    """An immutable, canonically sorted set of symbol indices.
+    """An immutable set of symbol indices, stored as one bit mask.
 
     One member of the partitioned family: the d facets identifying one
-    abstract polyhedron vertex.  Equality is structural; a bit mask is
-    kept alongside the sorted tuple so intersection sizes cost one AND
-    plus a popcount.
+    abstract polyhedron vertex.  Bit i of ``mask`` is set when symbol i
+    is a member, so intersection sizes cost one AND plus a popcount.
+    The mask is the only representation: ``elements``, the indices in
+    ascending order, is split off it on each read.  Equality is
+    structural, and sets order as their ``elements`` tuples do.
     """
 
-    __slots__ = ("elements", "mask")
+    __slots__ = ("mask",)
 
     def __init__(self, elements: Iterable[int]):
-        self._fill(tuple(sorted(elements)))
+        self.mask = _sorted_mask(tuple(sorted(elements)))
 
     @classmethod
     def _from_sorted(cls, elems: tuple[int, ...]) -> "FacetSet":
         """The set of ``elems``, a tuple already in ascending order."""
         fs = cls.__new__(cls)
-        fs._fill(elems)
+        fs.mask = _sorted_mask(elems)
         return fs
-
-    def _fill(self, elems: tuple[int, ...]) -> None:
-        mask = 0
-        if elems:
-            if elems[0] < 0:
-                raise ValueError(f"negative symbol index {elems[0]}")
-            # The binary digits, most significant last, read as one int:
-            # a byte store per element instead of a bigint OR per element.
-            digits = bytearray(b"0") * (elems[-1] + 1)
-            for e in elems:
-                digits[e] = 49  # ord("1")
-            mask = int(digits[::-1], 2)
-        if mask.bit_count() != len(elems):
-            raise ValueError(f"duplicate symbol indices in {elems}")
-        self.elements = elems
-        self.mask = mask
 
     @classmethod
     def from_mask(cls, mask: int) -> "FacetSet":
         fs = cls.__new__(cls)
-        fs.elements = _mask_elements(mask)
         fs.mask = mask
         return fs
 
@@ -155,8 +158,12 @@ class FacetSet:
     def from_labels(cls, table: SymbolTable, labels: Iterable[str]) -> "FacetSet":
         return cls(table.index(lbl) for lbl in labels)
 
+    @property
+    def elements(self) -> tuple[int, ...]:
+        return _mask_elements(self.mask)
+
     def __len__(self) -> int:
-        return len(self.elements)
+        return self.mask.bit_count()
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.elements)
@@ -171,7 +178,17 @@ class FacetSet:
         return hash(self.mask)
 
     def __lt__(self, other: "FacetSet") -> bool:
-        return self.elements < other.elements
+        # The elements tuples agree below the lowest differing bit b.  If
+        # b is ours, the other tuple continues past the common prefix
+        # with something above b, or ends there (and is the smaller);
+        # if b is theirs, ours is smaller exactly when it ends there.
+        # Bits below b sum to less than b's value, and bit b is unset in
+        # the set tested, so "has a bit above b" is "is at least 2b".
+        a, o = self.mask, other.mask
+        low = (a ^ o) & -(a ^ o)
+        if a & low:
+            return o >= low << 1
+        return a < low << 1  # equal masks: low = 0, and no mask is < 0
 
     def __repr__(self) -> str:
         return f"FacetSet({list(self.elements)})"
@@ -387,7 +404,7 @@ def validate(spg: Spg) -> PropertyReport:
         for fs in vertex:
             if len(fs) != d:
                 witnesses.append(("wrong-size-set", fs, vi))
-            if fs.elements and fs.elements[-1] >= n:
+            if fs.mask.bit_length() > n:
                 witnesses.append(("symbol-out-of-range", fs, vi))
             if fs.mask in seen:
                 witnesses.append(("duplicate-set", fs, seen[fs.mask], vi))

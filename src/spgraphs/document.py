@@ -8,7 +8,8 @@ sets sorted, keys sorted, two-space indent, trailing newline -- so equal
 objects produce byte-equal documents and parse(serialize(x)) == x.  The
 text is byte-equal to ``json.dumps(doc, indent=2, sort_keys=True)`` plus
 a newline, written by :func:`canonical_json` without the pure-Python
-encoder that ``indent`` would otherwise force.
+encoder that ``indent`` would otherwise force; :func:`dump` writes the
+same text to a stream as it goes.
 Parsing validates everything: structural errors and invariant violations
 are reported as :class:`DocumentError` with field context, never as a
 silently repaired object.
@@ -50,32 +51,35 @@ class _IntText(dict):
         return text
 
 
-def _write(value, out: list[str], indent: str, ints: _IntText) -> None:
-    """Append the canonical text of ``value`` to ``out``; ``indent`` is
-    the newline and spaces that open its line, and ``ints`` holds the
-    text of the ints written so far."""
+def _write(value, write, indent: str, ints: _IntText) -> None:
+    """Pass the canonical text of ``value`` to ``write`` piece by piece;
+    ``indent`` is the newline and spaces that open its line, and
+    ``ints`` holds the text of the ints written so far.  A
+    :class:`FacetSet` is written as the list of its elements, split off
+    its mask only when the writer reaches it."""
+    if isinstance(value, FacetSet):
+        value = value.elements
     if isinstance(value, (list, tuple)):
         if not value:
-            out.append("[]")
+            write("[]")
             return
         inner = indent + "  "
         if set(map(type, value)) == {int}:
             # the bulk of a document: facet sets, edges and paths, whose
             # few distinct ints recur; a bool (equal to 0 or 1) never
             # gets here, so it is never written from the table
-            out.append("[" + inner
-                       + ("," + inner).join(map(ints.__getitem__, value))
-                       + indent + "]")
+            write("[" + inner + ("," + inner).join(map(ints.__getitem__, value))
+                  + indent + "]")
             return
         opener = "[" + inner
         for item in value:
-            out.append(opener)
-            _write(item, out, inner, ints)
+            write(opener)
+            _write(item, write, inner, ints)
             opener = "," + inner
-        out.append(indent + "]")
+        write(indent + "]")
     elif isinstance(value, dict):
         if not value:
-            out.append("{}")
+            write("{}")
             return
         inner = indent + "  "
         opener = "{" + inner
@@ -83,45 +87,50 @@ def _write(value, out: list[str], indent: str, ints: _IntText) -> None:
             if not isinstance(key, str):
                 raise TypeError(
                     f"keys must be str, not {type(key).__name__}")
-            out.append(opener + json.dumps(key) + ": ")
-            _write(value[key], out, inner, ints)
+            write(opener + json.dumps(key) + ": ")
+            _write(value[key], write, inner, ints)
             opener = "," + inner
-        out.append(indent + "}")
+        write(indent + "}")
     else:
         # strings, numbers, bools and None; anything else raises TypeError
-        out.append(json.dumps(value))
+        write(json.dumps(value))
+
+
+def _write_canonical(value, write) -> None:
+    """Pass the canonical text of ``value``, newline included, to ``write``."""
+    _write(value, write, "\n", _IntText())
+    write("\n")
 
 
 def canonical_json(value) -> str:
     """``json.dumps(value, indent=2, sort_keys=True)`` plus a newline,
-    byte for byte, for values whose dict keys are strings."""
+    byte for byte, for values whose dict keys are strings (a
+    :class:`FacetSet` is written as the list of its elements)."""
     out: list[str] = []
-    _write(value, out, "\n", _IntText())
-    out.append("\n")
+    _write_canonical(value, out.append)
     return "".join(out)
 
 
 def _spg_fields(spg: Spg) -> dict[str, Any]:
-    # The writer takes tuples for lists, so the payload's own tuples go
-    # in as they are, without a copy of each facet set.
+    # The writer takes tuples for lists and facet sets for their element
+    # lists, so the payload goes in as it is: no copy of the family.
     return {
         "format_version": FORMAT_VERSION,
         "symbols": spg.symbols.labels,
         "dimension": spg.dimension,
-        "vertices": [[fs.elements for fs in vertex] for vertex in spg.vertices],
+        "vertices": spg.vertices,
         "edges": spg.edges,
         "flags": {"is_restriction": spg.is_restriction},
     }
 
 
-def serialize(obj: Payload) -> str:
-    """Canonical text form of a graph, spindle, or transform result."""
+def _document(obj: Payload) -> dict[str, Any]:
+    """The document of a graph, spindle, or transform result, as a value
+    for the canonical writer."""
     if isinstance(obj, Spindle):
         doc = _spg_fields(obj.spg)
         doc["kind"] = "spg"
-        doc["annotations"] = {
-            "apices": [obj.apex1.elements, obj.apex2.elements],
-        }
+        doc["annotations"] = {"apices": [obj.apex1, obj.apex2]}
     elif isinstance(obj, TransformResult):
         doc = _spg_fields(obj.spg)
         doc["kind"] = "transform-result"
@@ -131,15 +140,26 @@ def serialize(obj: Payload) -> str:
             "rounds_used": obj.rounds_used,
         }
         if obj.apices is not None:
-            annotations["apices"] = [
-                obj.apices[0].elements, obj.apices[1].elements]
+            annotations["apices"] = obj.apices
         doc["annotations"] = annotations
     elif isinstance(obj, Spg):
         doc = _spg_fields(obj)
         doc["kind"] = "spg"
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
-    return canonical_json(doc)
+    return doc
+
+
+def serialize(obj: Payload) -> str:
+    """Canonical text form of a graph, spindle, or transform result."""
+    return canonical_json(_document(obj))
+
+
+def dump(obj: Payload, fp) -> None:
+    """Write :func:`serialize`'s text of ``obj`` to the text stream
+    ``fp``, as :func:`json.dump` does: piece by piece, so that neither
+    the whole text nor a list of every facet set's elements is held."""
+    _write_canonical(_document(obj), fp.write)
 
 
 def _expect(doc: dict, key: str, types, context: str = "document"):

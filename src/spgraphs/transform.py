@@ -40,6 +40,7 @@ from .core import (
     PropertyReport,
     Spg,
     SpgProperty,
+    _mask_elements,
     _near_mask_pairs,
     _require_singleton_validated,
     _sorted_witnesses,
@@ -220,47 +221,63 @@ def lift_product(spg: Spg, r: int) -> Spg:
     )
 
 
-def _subdivision_masks(
-    a: FacetSet, a2: FacetSet, r: int, perm: Sequence[int],
-    start: int | None = None,
-) -> list[int]:
+def _swaps(a: FacetSet, a2: FacetSet, r: int) -> list[tuple[int, int]]:
+    """The steps of one row of the walk from A x [r] to A2 x [r]: the
+    row-1 bit of the lifted symbol each retires (of A minus A2) and of the
+    one it introduces (of A2 minus A), paired by ascending base-symbol
+    rank."""
+    return list(zip((e * r for e in _mask_elements(a.mask & ~a2.mask)),
+                    (e * r for e in _mask_elements(a2.mask & ~a.mask))))
+
+
+def _walk(mask: int, swaps: list[tuple[int, int]], rows: Sequence[int]
+          ) -> list[int]:
+    """``mask`` and the masks after each step of ``swaps`` (see
+    :func:`_swaps`) made in each of ``rows`` (1-based), in turn."""
+    seq = [mask]
+    for row in rows:
+        offset = row - 1
+        for gone, came in swaps:
+            mask &= ~(1 << (gone + offset))
+            mask |= 1 << (came + offset)
+            seq.append(mask)
+    return seq
+
+
+def _subdivision_masks(a: FacetSet, a2: FacetSet, r: int, perm: Sequence[int]
+                       ) -> list[int]:
     """Bit masks of the full subdivision sequence from A x [r] to A2 x [r].
 
     Segment j adjusts row perm[j-1]: each step retires one lifted copy of
     A minus A2 and introduces the rank-paired copy of A2 minus A, both in
-    ascending base-symbol order.  The walk starts at A x [r], or at
-    ``start``, a lift whose rows not in ``perm`` are already adjusted.
+    ascending base-symbol order.
     """
-    out = [e for e in a.elements if e not in a2]
-    inn = [e for e in a2.elements if e not in a]
-    mask = _lift_mask(a, r) if start is None else start
-    seq = [mask]
-    for row in perm:
-        offset = row - 1
-        for gone, came in zip(out, inn):
-            mask &= ~(1 << (gone * r + offset))
-            mask |= 1 << (came * r + offset)
-            seq.append(mask)
-    return seq
+    return _walk(_lift_mask(a, r), _swaps(a, a2, r), perm)
+
+
+# Rows read out of each end of a subdivision path by the bad-event scan:
+# by the two-row lemma (see _scan_bad_events) they hold every hit.
+_END_ROWS = 2
 
 
 def _end_masks(
     a: FacetSet, a2: FacetSet, r: int, perm: Sequence[int]
 ) -> tuple[list[int], list[int]]:
-    """The masks of the first min(3, r) rows walked out of each end of the
+    """The masks of the first min(2, r) rows walked out of each end of the
     subdivision path from A x [r] to A2 x [r]: (out of A, out of A2).
 
-    The tail starts from A2's lift with the rows ``perm[-3:]`` put back
+    The tail starts from A2's lift with the rows ``perm[-2:]`` put back
     to A and steps forward through them; reversed, it walks out of A2.
-    By the three-row lemma (see :func:`_scan_bad_events`) every bad
-    event lies inside these lists.  For r <= 3 they are the whole path
-    and its reversal.
+    By the two-row lemma (see :func:`_scan_bad_events`) every bad event
+    lies inside these lists.  For r <= 2 they are the whole path and its
+    reversal.
     """
-    last = perm[-3:]
+    swaps = _swaps(a, a2, r)
+    last = perm[-_END_ROWS:]
     undone = sum(1 << (row - 1) for row in last)
     start = _lift_mask(a2, r, ((1 << r) - 1) ^ undone) | _lift_mask(a, r, undone)
-    return (_subdivision_masks(a, a2, r, perm[:3]),
-            _subdivision_masks(a, a2, r, last, start)[::-1])
+    return (_walk(_lift_mask(a, r), swaps, perm[:_END_ROWS]),
+            _walk(start, swaps, last)[::-1])
 
 
 def subdivision_path(
@@ -344,7 +361,7 @@ def _scan_bad_events(
     """The bad events of the subdivision paths of ``edges``, given for
     ``edges[ei]`` = (u, w) as ``ends[ei]`` = (the masks walked out of u,
     the masks walked out of w): the whole path and its reversal, or the
-    first three rows out of each end.
+    first two rows out of each end.
 
     Each step out of a template vertex V retires one of V's lifted
     symbols and introduces one from outside, so the set k steps out lies
@@ -353,12 +370,21 @@ def _scan_bad_events(
     symbols) then lie in the band |k - l| <= 1.  The law is checked, one
     popcount per given mask, and a list breaking it raises ValueError.
 
-    Three-row lemma: take paths out of V toward distinct sets L1 and L2
-    of V's size, and let m1 = |V minus L1|.  A row that path 1 has
-    finished differs from path 2's state in that row by at least 2 bits,
-    unless it is the one row path 2 is partway through.  So a pair
-    within distance 2 has path 1 finishing at most 2 rows: k < 3 * m1,
-    and likewise l < 3 * m2.  The first three rows out of each end (see
+    Two-row lemma: take paths out of V toward distinct sets L1 and L2
+    of V's size, and let m1 = |V minus L1| and m2 = |V minus L2|.  In
+    each row a path's state is V, its target, or (in the one row it is
+    partway through) a set strictly between them.  A row that path 1
+    has finished holds L1, which differs by at least 2 bits from V and
+    from L2, so it costs at least 2 of the pair's budget of 2 bits
+    unless it is path 2's partial row.  So path 1 has finished at most
+    two rows.  If it has finished two, one of them, row p, is path 2's
+    partial row and the other spends the whole budget, so every other
+    row agrees exactly.  In row p path 2 has made fewer than m2 swaps
+    and reached L1, which lies m1 swaps from V: m1 < m2.  A row that
+    path 1 is partway through (fewer than m1 swaps from V) would have to
+    equal path 2's state there, V or L2; not V, so L2, and m2 < m1.
+    Both cannot hold, so path 1 has not started a third row: k <= 2 * m1,
+    and likewise l <= 2 * m2.  The first two rows out of each end (see
     :func:`_end_masks`) therefore hold every hit, and the witness, the
     first hit in path order, is the one the whole paths give.
     """
@@ -426,7 +452,7 @@ def construct_with_resampling(spg: Spg, config: TransformConfig) -> TransformRes
     permutations are drawn in full per edge in canonical index order, and
     redraws consume the same stream, so identical inputs give
     bit-identical output.  Each round scans only the masks of the first
-    three rows out of each end of every path (the three-row lemma of
+    two rows out of each end of every path (the two-row lemma of
     :func:`_scan_bad_events`), so its cost does not grow with r beyond
     the draws.  With strategy RESAMPLE only edges participating in a bad
     event are redrawn each round (and only their end masks recomputed);
@@ -493,8 +519,8 @@ def bad_event_occurs(
     per ``perm1``/``perm2``) contain sets agreeing in rd - 1 or more
     lifted symbols, the center's own lift excluded.
 
-    Only the first three rows out of each end are built and scanned (the
-    three-row lemma of :func:`_scan_bad_events`), so past the checks of
+    Only the first two rows out of each end are built and scanned (the
+    two-row lemma of :func:`_scan_bad_events`), so past the checks of
     the perms the cost does not grow with r.  The lemma needs distinct
     leaves of the center's size and permutations of 1..r: anything else
     raises ValueError."""
@@ -506,16 +532,18 @@ def bad_event_occurs(
         if len(perm) != r or not set(perm).issuperset(range(1, r + 1)):
             raise ValueError(
                 f"not a subdivision path: {perm} is not a permutation of 1..{r}")
-    return _star_bad_event(center, leaf1, leaf2, r, perm1, perm2)
+    return _star_bad_event(_lift_mask(center, r), _swaps(center, leaf1, r),
+                           _swaps(center, leaf2, r), perm1, perm2)
 
 
-def _star_bad_event(center: FacetSet, leaf1: FacetSet, leaf2: FacetSet,
-                    r: int, perm1: Sequence[int],
+def _star_bad_event(lift: int, swaps1: list[tuple[int, int]],
+                    swaps2: list[tuple[int, int]], perm1: Sequence[int],
                     perm2: Sequence[int]) -> bool:
-    """bad_event_occurs without its checks of the star and the perms."""
+    """bad_event_occurs, given the centre's lift and the :func:`_swaps`
+    toward each leaf, without its checks of the star and the perms."""
     # each leaf has one edge, so the scan reads only the heads
-    ends = [(_subdivision_masks(center, leaf1, r, perm1[:3]), []),
-            (_subdivision_masks(center, leaf2, r, perm2[:3]), [])]
+    ends = [(_walk(lift, swaps1, perm1[:_END_ROWS]), []),
+            (_walk(lift, swaps2, perm2[:_END_ROWS]), [])]
     return bool(_scan_bad_events(((0, 1), (0, 2)), 3, ends))
 
 
@@ -540,12 +568,15 @@ def estimate_bad_event_probability(
 
     import numpy as np
     rng = np.random.default_rng(seed)
+    # the star is the same in every trial; only the perms are drawn
+    lift = _lift_mask(center, r)
+    swaps1, swaps2 = _swaps(center, leaf1, r), _swaps(center, leaf2, r)
     hits = 0
     for _ in range(trials):
         p1 = _fisher_yates(rng, r)
         p2 = _fisher_yates(rng, r)
         # the checks above and _fisher_yates meet bad_event_occurs' terms
-        if _star_bad_event(center, leaf1, leaf2, r, p1, p2):
+        if _star_bad_event(lift, swaps1, swaps2, p1, p2):
             hits += 1
     return BadEventEstimate(
         frequency=hits / trials,

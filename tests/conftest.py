@@ -354,6 +354,26 @@ def loop_facet_mask(elements) -> tuple[tuple[int, ...], int]:
     return elems, mask
 
 
+class TupleFacetSet:
+    """A facet set that stores its sorted tuple of elements beside the
+    mask and orders by the tuple: the oracle for FacetSet's mask-only
+    length, membership and order."""
+
+    __slots__ = ("elements", "mask")
+
+    def __init__(self, elements):
+        self.elements, self.mask = loop_facet_mask(elements)
+
+    def __len__(self) -> int:
+        return len(self.elements)
+
+    def __contains__(self, index: int) -> bool:
+        return index in self.elements
+
+    def __lt__(self, other: "TupleFacetSet") -> bool:
+        return self.elements < other.elements
+
+
 def type_scan_parse_facet(elements, n: int, context: str) -> FacetSet:
     """The document reader's facet check with the element types scanned
     first: a list of exact ints, then FacetSet's own checks, then the

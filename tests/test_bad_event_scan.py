@@ -198,9 +198,9 @@ def test_public_entry_points_validate_the_template_once(monkeypatch):
     assert calls == [SHARED_STAR]
 
 
-# The three-row lemma: every hit lies within the first three rows walked
-# out of the shared vertex, so the round loop and bad_event_occurs scan
-# only those.
+# The two-row lemma: every hit lies within the first two rows walked out
+# of the shared vertex, so the round loop and bad_event_occurs scan only
+# those.
 
 def outward_hits(out1, out2):
     """Every (k, l), k and l >= 1, with the sets k and l steps out within
@@ -217,7 +217,7 @@ def test_every_hit_lies_in_the_first_three_rows(case):
     out2 = transform._subdivision_masks(center, leaf2, r, perm2)
     m1, m2 = len(center.without(leaf1)), len(center.without(leaf2))
     for k, l in outward_hits(out1, out2) + transform._band_hits(out1, out2):
-        assert k < 3 * m1 and l < 3 * m2
+        assert k <= 2 * m1 and l <= 2 * m2
 
 
 @given(raw_subdivisions())
@@ -232,7 +232,7 @@ def test_oracle_witnesses_lie_in_the_first_three_rows(case):
             if w == event.vertex:
                 u, w, path = w, u, path[::-1]
             m = len(template.vertices[u][0].without(template.vertices[w][0]))
-            assert path.index(fs) < 3 * m
+            assert path.index(fs) <= 2 * m
 
 
 @given(star_paths(1, 12))
@@ -241,10 +241,10 @@ def test_end_masks_are_the_first_and_last_rows(case):
     a, a2, _, r, perm, _ = case
     full = transform._subdivision_masks(a, a2, r, perm)
     head, tail = transform._end_masks(a, a2, r, perm)
-    steps = min(3, r) * len(a.without(a2))
+    steps = min(2, r) * len(a.without(a2))
     assert head == full[:steps + 1]
     assert tail == full[::-1][:steps + 1]
-    if r <= 3:
+    if r <= 2:
         assert (head, tail) == (full, full[::-1])
 
 
@@ -302,9 +302,9 @@ def test_bad_event_occurs_scans_at_most_three_rows(monkeypatch, r):
     perm = tuple(range(r, 0, -1))
     for perm1, perm2 in [(perm, perm), (perm, perm[::-1])]:
         bad_event_occurs(center, leaf1, leaf2, r, perm1, perm2)
-    # 3 * m + 1 masks out of the centre (m = 3 toward leaf 1, 2 toward
+    # 2 * m + 1 masks out of the centre (m = 3 toward leaf 1, 2 toward
     # leaf 2); none out of a leaf, which has one edge
-    assert seen == [[(3 * 3 + 1, 0), (3 * 2 + 1, 0)]] * 2
+    assert seen == [[(2 * 3 + 1, 0), (2 * 2 + 1, 0)]] * 2
 
 
 @pytest.mark.parametrize("r, perm", [

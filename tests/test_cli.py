@@ -9,7 +9,8 @@ import sys
 import pytest
 
 from spgraphs import (
-    FacetSet, Spg, build_star_template, parse, serialize, SymbolTable)
+    FacetSet, Spg, SymbolTable, TransformConfig, build_exponential_spindle,
+    build_spindle_template, build_star_template, parse, restrict, serialize)
 from spgraphs import cli, core, document
 from spgraphs.cli import main
 
@@ -427,24 +428,41 @@ def sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+TEMPLATE_SHA256 = (
+    "1e83271ca07c201128f77277632f0f7efb91494f818fcce26366dfd7b934ebc2")
+README_SPINDLE_SHA256 = (
+    "7655deba8df0c7eb0e0e279662533eec2777bad0789a81c43d2aa9e35e38b37e")
+RESTRICTION_SHA256 = (
+    "9170659a2f2ec99bad60c2f6873fcc4e9147ac0e3c81d2fdbfa14b761b178fb9")
+
+
 class TestGoldenStdout:
     """Digests of stdout as the standard library's json.dumps(indent=2,
     sort_keys=True) wrote it: a drifting byte fails here."""
 
     def test_template(self, capsys, monkeypatch):
-        assert sha256(build_template_doc(capsys, monkeypatch)) == (
-            "1e83271ca07c201128f77277632f0f7efb91494f818fcce26366dfd7b934ebc2")
+        assert sha256(build_template_doc(capsys, monkeypatch)) == TEMPLATE_SHA256
 
     def test_readme_spindle_and_restriction(self, capsys, monkeypatch):
         code, doc, _ = run_cli(capsys, monkeypatch, README_SPINDLE)
         assert code == 0
-        assert sha256(doc) == (
-            "7655deba8df0c7eb0e0e279662533eec2777bad0789a81c43d2aa9e35e38b37e")
+        assert sha256(doc) == README_SPINDLE_SHA256
         code, out, _ = run_cli(capsys, monkeypatch,
                                ["restrict", "--facet", "1.1@1,1.1@2"], stdin=doc)
         assert code == 0
-        assert sha256(out) == (
-            "9170659a2f2ec99bad60c2f6873fcc4e9147ac0e3c81d2fdbfa14b761b178fb9")
+        assert sha256(out) == RESTRICTION_SHA256
+
+    def test_library_writes_the_pinned_documents(self):
+        # serialize and dump, without the CLI, on the pinned payloads
+        spindle = build_exponential_spindle(2, TransformConfig(r=87, seed=7))
+        face = FacetSet.from_labels(spindle.spg.symbols, ["1.1@1", "1.1@2"])
+        for obj, digest in [
+                (build_spindle_template(2).spindle, TEMPLATE_SHA256),
+                (spindle, README_SPINDLE_SHA256),
+                (restrict(spindle.spg, face), RESTRICTION_SHA256)]:
+            stream = io.StringIO()
+            assert document.dump(obj, stream) is None
+            assert sha256(stream.getvalue()) == sha256(serialize(obj)) == digest
 
     def test_sweep_json(self, capsys, monkeypatch):
         # floats, a null mean (r = 2 never succeeds) and nested objects
@@ -456,6 +474,25 @@ class TestGoldenStdout:
         assert '"mean_rounds": null' in out
         assert sha256(out) == (
             "743b896168274ef7ad1b8b5d5c64d494d2bebff98b41689665a985d2eac5f06a")
+
+
+@pytest.mark.parametrize("argv, stdin", [
+    (["build-spindle", "--dim", "2"], ""),
+    (["build-spindle", "--dim", "1", "--transform", "--r", "4", "--seed", "3"],
+     ""),
+    (["transform", "--r", "4", "--seed", "12"], SHARED_STAR_DOC),
+    (["restrict", "--facet", "c"], SHARED_STAR_DOC),
+], ids=["template", "transformed-spindle", "transform", "restrict"])
+def test_documents_are_streamed_to_stdout(capsys, monkeypatch, argv, stdin):
+    # no command builds the whole text: each writes through document.dump
+    def whole_text(obj):
+        raise AssertionError("serialize called")
+
+    monkeypatch.setattr(document, "serialize", whole_text)
+    code, out, _ = run_cli(capsys, monkeypatch, argv, stdin)
+    assert code == 0
+    monkeypatch.undo()
+    assert out == serialize(parse(out))
 
 
 class TestNumpyLoadedWhereUsed:

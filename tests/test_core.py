@@ -5,6 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    TupleFacetSet,
     brute_force_endpoint_violations,
     loop_facet_mask,
     loop_mask_elements,
@@ -70,6 +71,13 @@ class TestSymbolTable:
         assert t.labels == ("a@1", "a@2", "b@1", "b@2")
 
 
+# Sets that share prefixes and differ in size, on a few symbols that
+# straddle 64-bit word boundaries and reach bit 521.
+_ORDER_SETS = st.lists(
+    st.sampled_from([0, 1, 2, 3, 62, 63, 64, 65, 127, 128, 129, 521]),
+    max_size=6, unique=True)
+
+
 class TestFacetSet:
     def test_canonical_order(self):
         assert fs(3, 1, 2).elements == (1, 2, 3)
@@ -133,6 +141,32 @@ class TestFacetSet:
             return
         fs_ = FacetSet(elements)
         assert (fs_.elements, fs_.mask) == expected
+
+    def test_mask_is_the_only_slot(self):
+        assert FacetSet.__slots__ == ("mask",)
+        with pytest.raises(AttributeError):
+            fs(0, 1).elements = (0, 1)
+
+    @given(st.lists(_ORDER_SETS, min_size=2, max_size=6))
+    @example([[], []])
+    @example([[], [0]])
+    @example([[63], [64]])
+    @example([[63, 64], [63]])
+    @example([[127], [128], [127, 128], [127, 521]])
+    @example([[0, 521], [0, 2], [0]])
+    @example([[1, 2, 3], [1, 2, 4], [1, 3], [2]])
+    def test_order_length_and_membership_match_tuples(self, lists):
+        sets = [FacetSet(xs) for xs in lists]
+        tuples = [TupleFacetSet(xs) for xs in lists]
+        for a, ta in zip(sets, tuples):
+            assert a.elements == ta.elements
+            assert len(a) == len(ta)
+            for i in (-1, 0, 63, 64, 127, 128, 521, 522, *ta.elements):
+                assert (i in a) == (i in ta)
+            for b, tb in zip(sets, tuples):
+                assert (a < b) == (ta < tb)
+        assert ([s.elements for s in sorted(sets)]
+                == [t.elements for t in sorted(tuples)])
 
 
 class TestValidate:

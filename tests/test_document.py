@@ -1,12 +1,19 @@
 """Round-trip and error-path tests for the document format."""
 
+import io
 import json
+from dataclasses import replace
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import json_dumps_canonical, type_scan_parse_facet
+from conftest import (
+    json_dumps_canonical,
+    spg_instances,
+    type_scan_parse_facet,
+    wide_spg_instances,
+)
 
 from spgraphs import (
     DocumentError,
@@ -21,6 +28,7 @@ from spgraphs import (
     build_spindle_template,
     build_subdivision,
     construct_with_resampling,
+    dump,
     parse,
     restrict,
     serialize,
@@ -140,6 +148,40 @@ def test_canonical_json_rejects_what_json_dumps_rejects(value):
         json_dumps_canonical(value)
     with pytest.raises(TypeError):
         canonical_json(value)
+
+
+@st.composite
+def _payloads(draw):
+    """Graphs (narrow, wide or flagged as restrictions), spindle templates
+    and transform results with and without apices."""
+    kind = draw(st.sampled_from(
+        ["spg", "wide", "restriction", "spindle", "transform"]))
+    if kind == "spindle":
+        return build_spindle_template(draw(st.integers(1, 3))).spindle
+    if kind == "transform":
+        template = draw(spg_instances(singleton=True))
+        r = draw(st.integers(2, 5))
+        perms = PermutationAssignment(tuple(
+            tuple(draw(st.permutations(range(1, r + 1))))
+            for _ in template.edges))
+        result = build_subdivision(template, r, perms)
+        if draw(st.booleans()):
+            result = replace(
+                result, rounds_used=draw(st.integers(0, 3)),
+                apices=(result.spg.vertices[0][0], result.spg.vertices[-1][0]))
+        return result
+    spg = draw(wide_spg_instances() if kind == "wide" else spg_instances())
+    return replace(spg, is_restriction=kind == "restriction")
+
+
+@given(_payloads())
+@settings(max_examples=150, deadline=None)
+def test_dump_writes_what_serialize_returns(obj):
+    stream = io.StringIO()
+    assert dump(obj, stream) is None
+    text = stream.getvalue()
+    assert text == serialize(obj)
+    assert text == json_dumps_canonical(json.loads(text))
 
 
 def _document_dict(spg=GOOD_PATH):
