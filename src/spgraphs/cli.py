@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import gc
 import sys
 
@@ -24,7 +23,6 @@ from .core import (
     FacetSet,
     PropertyReport,
     Spg,
-    SpgProperty,
     Spindle,
 )
 from .transform import (
@@ -97,8 +95,7 @@ def cmd_transform(args) -> int:
     if isinstance(obj, TransformResult):
         raise ValueError("input is already a transform result; expected a template")
     template = _spg_of(obj)
-    # parse raised on a graph that fails validation
-    result = transform._construct_validated(template, _transform_config(args))
+    result = transform.construct_with_resampling(template, _transform_config(args))
     if isinstance(obj, Spindle):
         lifted = (
             transform.lift_facet(obj.apex1, args.r),
@@ -110,36 +107,30 @@ def cmd_transform(args) -> int:
     return EXIT_OK
 
 
-# Each check on a graph that document.parse has already validated.
-# ``pairs`` returns the near pairs, found once for all checks that ask.
+# The graph keeps its validity and near pairs, so these share parse's
+# validation and one near-pair search.
 _PROPERTY_CHECKS = {
-    "adjacency": lambda spg, pairs: core._adjacency_report(spg, pairs()),
-    "strong-adjacency":
-        lambda spg, pairs: core._strong_adjacency_report(spg, pairs()),
-    "endpoint-count":
-        lambda spg, pairs: core._endpoint_count_report(spg, pairs()),
-    "singleton": lambda spg, pairs: core._singleton_report(spg),
-    "dimension-reduction":
-        lambda spg, pairs: core._dimension_reduction_report(spg),
+    "adjacency": core.check_adjacency,
+    "strong-adjacency": core.check_strong_adjacency,
+    "endpoint-count": core.check_endpoint_count,
+    "singleton": core.check_singleton,
+    "dimension-reduction": core.check_dimension_reduction,
 }
 
 
 def cmd_verify(args) -> int:
     obj = document.parse(_read_input(args.input))
     spg = _spg_of(obj)
-    pairs = functools.cache(lambda: core.near_pairs(spg))
 
-    # parse raised on a graph that fails validation, so validity holds;
     # print as computed: a check that refuses (exit 2) keeps earlier verdicts
-    _print_report(PropertyReport(SpgProperty.VALIDITY), spg.symbols,
-                  args.all_witnesses)
+    _print_report(core.validate(spg), spg.symbols, args.all_witnesses)
     if args.property == "all":
         selected = list(_PROPERTY_CHECKS)
     else:
         selected = [args.property]
     violated = False
     for name in selected:
-        report = _PROPERTY_CHECKS[name](spg, pairs)
+        report = _PROPERTY_CHECKS[name](spg)
         _print_report(report, spg.symbols, args.all_witnesses)
         violated = violated or not report.holds
     return EXIT_VIOLATION if violated else EXIT_OK
@@ -150,8 +141,7 @@ def cmd_restrict(args) -> int:
     spg = _spg_of(obj)
     labels = [part for part in args.facet.split(",") if part]
     face = FacetSet.from_labels(spg.symbols, labels)
-    # parse raised on a graph that fails validation
-    restricted = core._restrict_validated(spg, face)
+    restricted = core.restrict(spg, face)
     if restricted is None:
         print("restriction: empty")
         return EXIT_OK
@@ -189,8 +179,7 @@ def cmd_sweep(args) -> int:
     obj = document.parse(_read_input(args.input))
     template = _spg_of(obj)
     r_values = [int(part) for part in args.r_list.split(",") if part]
-    # parse raised on a graph that fails validation
-    report = experiments._sweep_validated(
+    report = experiments.sweep_r(
         template, r_values, args.trials, args.seed,
         max_rounds=args.max_rounds, strategy=Strategy(args.strategy))
 
@@ -339,7 +328,11 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceededError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except (document.DocumentError, ValueError, KeyError, OSError) as err:
+    except KeyError as err:
+        # str() of a KeyError quotes its message; print the message itself
+        print(f"error: {err.args[0]}", file=sys.stderr)
+        return EXIT_USAGE
+    except (document.DocumentError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     finally:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 from itertools import combinations, compress, count
 from typing import Iterable, Iterator
 
@@ -225,6 +226,11 @@ class Spg:
     ``is_restriction`` exempts the graph from the connectivity
     requirement: restrictions routinely disconnect, and measuring
     exactly that is the point of dimension reduction.
+
+    The fields never change, so what the checks derive from them (the
+    validity report and the near pairs) is computed on first use and
+    kept on the object; :func:`dataclasses.replace` builds a new object
+    that derives its own.
     """
 
     symbols: SymbolTable
@@ -269,6 +275,15 @@ class Spg:
 
     def edge_set(self) -> frozenset[tuple[int, int]]:
         return frozenset((u, w) if u < w else (w, u) for u, w in self.edges)
+
+    @cached_property
+    def _validity(self) -> "PropertyReport":
+        return _validate(self)
+
+    @cached_property
+    def _near_pairs(self) -> tuple[tuple[int, int], ...]:
+        return tuple(_near_mask_pairs([fs.mask for fs in self.family()],
+                                      self.dimension))
 
 
 @dataclass(frozen=True)
@@ -372,20 +387,23 @@ def require_valid(spg: Spg) -> None:
 
 
 def require_singleton(spg: Spg) -> None:
-    require_valid(spg)
-    _require_singleton_validated(spg)
-
-
-def _require_singleton_validated(spg: Spg) -> None:
-    """require_singleton on a graph that already passed validate."""
-    report = _singleton_report(spg)
+    report = check_singleton(spg)
     if not report.holds:
         raise InvalidSpgError(report)
 
 
 def validate(spg: Spg) -> PropertyReport:
     """Gatekeeper check: partition property, uniform set size, simple
-    connected graph.  Violations are data, never exceptions."""
+    connected graph.  Violations are data, never exceptions.
+
+    Computed once per graph object and kept on it, so every check after
+    the first reads the kept report.
+    """
+    return spg._validity
+
+
+def _validate(spg: Spg) -> PropertyReport:
+    """:func:`validate` itself, run once per graph by ``Spg._validity``."""
     witnesses: list[tuple] = []
     n = spg.symbols.n
     d = spg.dimension
@@ -511,19 +529,19 @@ def near_pairs(spg: Spg) -> list[tuple[int, int]]:
     returned the same pairs as the rows of an (M, 2) numpy array.)
 
     Exact and exhaustive; the graph must pass :func:`validate` (sets of
-    a size other than d raise ValueError).
+    a size other than d raise ValueError).  The pairs are found once per
+    graph object and kept on it; each call returns a new list of them.
     """
-    return _near_mask_pairs([fs.mask for fs in spg.family()], spg.dimension)
+    return list(spg._near_pairs)
 
 
-def _adjacency_witnesses(spg: Spg, pairs: list[tuple[int, int]]
-                         ) -> tuple[list, list]:
+def _adjacency_witnesses(spg: Spg) -> tuple[list, list]:
     """Near pairs across a non-edge, and edges without a near pair."""
     located = spg.facets_with_vertex()
     edge_set = spg.edge_set()
     carried: set[tuple[int, int]] = set()
     non_adjacent: list[tuple] = []
-    for i, j in pairs:
+    for i, j in spg._near_pairs:
         vi, a = located[i]
         vj, b = located[j]
         if vi == vj:
@@ -538,13 +556,33 @@ def _adjacency_witnesses(spg: Spg, pairs: list[tuple[int, int]]
     return non_adjacent, unwitnessed
 
 
-def _endpoint_count_report(spg: Spg, pairs: list[tuple[int, int]]) -> PropertyReport:
+def check_adjacency(spg: Spg) -> PropertyReport:
+    """Every pair of facet sets sharing d-1 symbols must sit in the same
+    vertex or in adjacent vertices."""
+    require_valid(spg)
+    non_adjacent, _ = _adjacency_witnesses(spg)
+    return PropertyReport(SpgProperty.ADJACENCY, _sorted_witnesses(non_adjacent))
+
+
+def check_strong_adjacency(spg: Spg) -> PropertyReport:
+    """Adjacency, plus: every graph edge is witnessed by some pair of
+    facet sets sharing d-1 symbols across it."""
+    require_valid(spg)
+    non_adjacent, unwitnessed = _adjacency_witnesses(spg)
+    return PropertyReport(SpgProperty.STRONG_ADJACENCY,
+                          _sorted_witnesses(non_adjacent + unwitnessed))
+
+
+def check_endpoint_count(spg: Spg) -> PropertyReport:
+    """Every (d-1)-subset of symbols is contained in at most two family
+    members."""
+    require_valid(spg)
     # A (d-1)-face held by k >= 2 members makes those k pairwise near with
     # that face as their intersection, so grouping near pairs by X & Y
     # recovers every face's full list of holders.
     family = spg.family()
     holders: dict[int, set[int]] = {}
-    for i, j in pairs:
+    for i, j in spg._near_pairs:
         holders.setdefault(family[i].mask & family[j].mask, set()).update((i, j))
     witnesses = [
         ("over-counted-face", FacetSet.from_mask(face),
@@ -554,7 +592,9 @@ def _endpoint_count_report(spg: Spg, pairs: list[tuple[int, int]]) -> PropertyRe
     return PropertyReport(SpgProperty.ENDPOINT_COUNT, _sorted_witnesses(witnesses))
 
 
-def _singleton_report(spg: Spg) -> PropertyReport:
+def check_singleton(spg: Spg) -> PropertyReport:
+    """Every vertex holds exactly one facet set."""
+    require_valid(spg)
     witnesses = [
         ("non-singleton-vertex", vi, len(vertex))
         for vi, vertex in enumerate(spg.vertices)
@@ -563,64 +603,26 @@ def _singleton_report(spg: Spg) -> PropertyReport:
     return PropertyReport(SpgProperty.SINGLETON, _sorted_witnesses(witnesses))
 
 
-def _adjacency_report(spg: Spg, pairs: list[tuple[int, int]]) -> PropertyReport:
-    non_adjacent, _ = _adjacency_witnesses(spg, pairs)
-    return PropertyReport(SpgProperty.ADJACENCY, _sorted_witnesses(non_adjacent))
-
-
-def _strong_adjacency_report(spg: Spg, pairs: list[tuple[int, int]]) -> PropertyReport:
-    non_adjacent, unwitnessed = _adjacency_witnesses(spg, pairs)
-    return PropertyReport(SpgProperty.STRONG_ADJACENCY,
-                          _sorted_witnesses(non_adjacent + unwitnessed))
-
-
-def check_adjacency(spg: Spg) -> PropertyReport:
-    """Every pair of facet sets sharing d-1 symbols must sit in the same
-    vertex or in adjacent vertices."""
-    require_valid(spg)
-    return _adjacency_report(spg, near_pairs(spg))
-
-
-def check_strong_adjacency(spg: Spg) -> PropertyReport:
-    """Adjacency, plus: every graph edge is witnessed by some pair of
-    facet sets sharing d-1 symbols across it."""
-    require_valid(spg)
-    return _strong_adjacency_report(spg, near_pairs(spg))
-
-
-def check_endpoint_count(spg: Spg) -> PropertyReport:
-    """Every (d-1)-subset of symbols is contained in at most two family
-    members."""
-    require_valid(spg)
-    return _endpoint_count_report(spg, near_pairs(spg))
-
-
-def check_singleton(spg: Spg) -> PropertyReport:
-    """Every vertex holds exactly one facet set."""
-    require_valid(spg)
-    return _singleton_report(spg)
-
-
 def verify_all(spg: Spg) -> tuple[PropertyReport, ...]:
     """Validity, singleton, adjacency, strong adjacency and end-point
-    count, in that order, from one validation and one near-pair pass.
+    count, in that order, with one pass over the near pairs for both
+    adjacency reports.
 
     Equal, report for report, to running :func:`validate` and the four
     checks one by one; like them it raises :class:`InvalidSpgError` on a
-    graph that fails validation.
+    graph that fails validation.  Validity and the near pairs are the
+    ones kept on the graph object, so they are computed at most once
+    whichever of these runs first.
     """
-    validity = validate(spg)
-    if not validity.holds:
-        raise InvalidSpgError(validity)
-    pairs = near_pairs(spg)
-    non_adjacent, unwitnessed = _adjacency_witnesses(spg, pairs)
+    require_valid(spg)
+    non_adjacent, unwitnessed = _adjacency_witnesses(spg)
     return (
-        validity,
-        _singleton_report(spg),
+        validate(spg),
+        check_singleton(spg),
         PropertyReport(SpgProperty.ADJACENCY, _sorted_witnesses(non_adjacent)),
         PropertyReport(SpgProperty.STRONG_ADJACENCY,
                        _sorted_witnesses(non_adjacent + unwitnessed)),
-        _endpoint_count_report(spg, pairs),
+        check_endpoint_count(spg),
     )
 
 
@@ -634,11 +636,6 @@ def restrict(spg: Spg, face: FacetSet) -> Spg | None:
     fail, and the dimension may reach zero).
     """
     require_valid(spg)
-    return _restrict_validated(spg, face)
-
-
-def _restrict_validated(spg: Spg, face: FacetSet) -> Spg | None:
-    """:func:`restrict` on a graph already known to pass validation."""
     if len(face) > spg.dimension:
         raise ValueError(
             f"restriction face has {len(face)} symbols, dimension is {spg.dimension}")
@@ -684,11 +681,6 @@ def check_dimension_reduction(spg: Spg, budget: int = 10_000_000) -> PropertyRep
     a partial pass.
     """
     require_valid(spg)
-    return _dimension_reduction_report(spg, budget)
-
-
-def _dimension_reduction_report(spg: Spg, budget: int = 10_000_000
-                                ) -> PropertyReport:
     d = spg.dimension
     if spg.vertices and (1 << d) > budget:
         # Every subset of a single member is already a candidate face.
@@ -707,7 +699,7 @@ def _dimension_reduction_report(spg: Spg, budget: int = 10_000_000
                 checked += 1
                 if checked > budget:
                     raise BudgetExceededError(checked, budget)
-                sub = _restrict_validated(spg, face)
+                sub = restrict(spg, face)
                 if sub is None:
                     continue
                 if _disconnected(sub.neighbors()):

@@ -15,9 +15,9 @@ from typing import Sequence
 
 from .core import (
     Spg,
-    _dimension_reduction_report,
-    _require_singleton_validated,
+    check_dimension_reduction,
     max_degree,
+    require_singleton,
     require_valid,
 )
 from .spindle import sliding_window_path
@@ -26,7 +26,7 @@ from .transform import (
     ResamplingExhaustedError,
     Strategy,
     TransformConfig,
-    _construct_validated,
+    construct_with_resampling,
 )
 
 
@@ -85,28 +85,16 @@ def sweep_r(
     permutations are replayed across r values and the whole report is
     reproducible.  A trial fails when the resampling budget runs out (or,
     below r = 4, when a bad-event-free draw still fails verification);
-    failures are counted, never raised.  The template is validated once.
+    failures are counted, never raised.
     """
     require_valid(template)
-    return _sweep_validated(template, r_values, trials, seed, max_rounds, strategy)
-
-
-def _sweep_validated(
-    template: Spg,
-    r_values: Sequence[int],
-    trials: int,
-    seed: int,
-    max_rounds: int,
-    strategy: Strategy,
-) -> SweepReport:
-    """sweep_r on a template that already passed validate."""
     if not r_values:
         raise ValueError("r_values must not be empty")
     if any(r < 2 for r in r_values):
         raise ValueError("all row multipliers must be at least 2")
     if trials < 1:
         raise ValueError("trials must be positive")
-    _require_singleton_validated(template)
+    require_singleton(template)
 
     rows = []
     for r in r_values:
@@ -118,7 +106,7 @@ def _sweep_validated(
                 r=r, seed=trial_seed(seed, t), max_rounds=max_rounds,
                 strategy=strategy)
             try:
-                result = _construct_validated(template, config)
+                result = construct_with_resampling(template, config)
             except ResamplingExhaustedError as err:
                 round0_counts.append(_round0_events(err.resample_log))
             except ConstructionVerificationError as err:
@@ -171,7 +159,7 @@ def verify_dimension_reduction_on_paths(
     """
     if trials < 1:
         raise ValueError("trials must be positive")
-    template = sliding_window_path(d)  # validated there
+    template = sliding_window_path(d)
 
     constructions = 0
     holds_count = 0
@@ -180,12 +168,11 @@ def verify_dimension_reduction_on_paths(
         config = TransformConfig(
             r=r, seed=trial_seed(seed, t), max_rounds=max_rounds)
         try:
-            result = _construct_validated(template, config)
+            result = construct_with_resampling(template, config)
         except (ResamplingExhaustedError, ConstructionVerificationError):
             continue
         constructions += 1
-        # the construction validated the result in verify_all
-        report = _dimension_reduction_report(result.spg, budget)
+        report = check_dimension_reduction(result.spg, budget)
         if report.holds:
             holds_count += 1
         else:

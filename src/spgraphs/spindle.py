@@ -28,7 +28,7 @@ from .core import (
 from .transform import (
     TransformConfig,
     TransformResult,
-    _construct_validated,
+    construct_with_resampling,
     lift_facet,
 )
 
@@ -103,8 +103,8 @@ def build_exponential_spindle(d: int, config: TransformConfig) -> TransformResul
     r * (C(2d, d) - 1) since every template edge becomes a path of length
     at least r.  Strong adjacency and end-point count hold on success
     (re-verified by the construction itself)."""
-    template = build_spindle_template(d)  # validated there
-    result = _construct_validated(template.spindle.spg, config)
+    template = build_spindle_template(d)
+    result = construct_with_resampling(template.spindle.spg, config)
 
     length = graph_distance(
         result.spg, result.vertex_map[0], result.vertex_map[template.length])

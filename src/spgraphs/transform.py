@@ -42,10 +42,8 @@ from .core import (
     SpgProperty,
     _mask_elements,
     _near_mask_pairs,
-    _require_singleton_validated,
     _sorted_witnesses,
     require_singleton,
-    require_valid,
     verify_all,
 )
 
@@ -307,11 +305,6 @@ def build_subdivision(
     their indices, so the vertex map is the identity embedding.
     """
     require_singleton(spg)
-    return _subdivide(spg, r, perms)
-
-
-def _subdivide(spg: Spg, r: int, perms: PermutationAssignment) -> TransformResult:
-    """build_subdivision on a singleton graph that already passed validate."""
     if r < 2:
         raise ValueError("row multiplier must be at least 2")
     perms.require_covers(len(spg.edges), r)
@@ -461,13 +454,7 @@ def construct_with_resampling(spg: Spg, config: TransformConfig) -> TransformRes
     before being returned; exhausting ``max_rounds`` raises with the
     surviving bad events attached.
     """
-    require_valid(spg)
-    return _construct_validated(spg, config)
-
-
-def _construct_validated(spg: Spg, config: TransformConfig) -> TransformResult:
-    """construct_with_resampling on a graph that already passed validate."""
-    _require_singleton_validated(spg)
+    require_singleton(spg)
     r = config.r
     sets = [(spg.vertices[u][0], spg.vertices[w][0]) for u, w in spg.edges]
     import numpy as np
@@ -491,7 +478,7 @@ def _construct_validated(spg: Spg, config: TransformConfig) -> TransformResult:
         attempt += 1
 
     result = replace(
-        _subdivide(spg, r, PermutationAssignment(tuple(perms))),
+        build_subdivision(spg, r, PermutationAssignment(tuple(perms))),
         rounds_used=attempt, resample_log=tuple(log))
     failed = [rep for rep in verify_all(result.spg) if not rep.holds]
     if failed:
@@ -521,13 +508,15 @@ def bad_event_occurs(
 
     Only the first two rows out of each end are built and scanned (the
     two-row lemma of :func:`_scan_bad_events`), so past the checks of
-    the perms the cost does not grow with r.  The lemma needs distinct
-    leaves of the center's size and permutations of 1..r: anything else
-    raises ValueError."""
+    the perms the cost does not grow with r.  The lemma needs leaves of
+    the center's size, distinct from each other and from the center, and
+    permutations of 1..r: anything else raises ValueError."""
     if not len(center) == len(leaf1) == len(leaf2):
         raise ValueError("star sets must have uniform size")
     if leaf1 == leaf2:
         raise ValueError("leaves must differ")
+    if center in (leaf1, leaf2):
+        raise ValueError("leaves must differ from the center")
     for perm in (perm1, perm2):
         if len(perm) != r or not set(perm).issuperset(range(1, r + 1)):
             raise ValueError(

@@ -174,8 +174,8 @@ def test_set_of_the_wrong_size_raises():
 
 def test_construction_builds_once(monkeypatch):
     calls = []
-    real = transform._subdivide
-    monkeypatch.setattr(transform, "_subdivide",
+    real = transform.build_subdivision
+    monkeypatch.setattr(transform, "build_subdivision",
                         lambda *args: calls.append(1) or real(*args))
     result = construct_with_resampling(SHARED_STAR, TransformConfig(r=4, seed=4))
     assert result.rounds_used == 2 and len(calls) == 1
@@ -187,15 +187,18 @@ def test_construction_builds_once(monkeypatch):
 
 def test_public_entry_points_validate_the_template_once(monkeypatch):
     calls = []
-    validate = core.validate
-    monkeypatch.setattr(core, "validate",
+    validate = core._validate
+    monkeypatch.setattr(core, "_validate",
                         lambda spg: calls.append(spg) or validate(spg))
-    result = construct_with_resampling(SHARED_STAR, TransformConfig(r=4, seed=4))
+    # fresh copies: the module constant may keep a report from earlier
+    template = replace(SHARED_STAR)
+    result = construct_with_resampling(template, TransformConfig(r=4, seed=4))
     # the template, then the result in verify_all
-    assert calls == [SHARED_STAR, result.spg]
+    assert calls == [template, result.spg]
     calls.clear()
-    build_subdivision(SHARED_STAR, 2, PermutationAssignment(((1, 2), (2, 1))))
-    assert calls == [SHARED_STAR]
+    template = replace(SHARED_STAR)
+    build_subdivision(template, 2, PermutationAssignment(((1, 2), (2, 1))))
+    assert calls == [template]
 
 
 # The two-row lemma: every hit lies within the first two rows walked out
@@ -323,7 +326,14 @@ def test_non_permutation_raises_at_every_r(r, perm):
 @pytest.mark.parametrize("leaf2, message", [
     (fs(2, 3), "leaves must differ"),
     (fs(2, 3, 4), "uniform size"),
+    (fs(0, 1), "differ from the center"),
 ])
 def test_bad_event_occurs_refuses_stars_outside_the_lemma(leaf2, message):
     with pytest.raises(ValueError, match=message):
         bad_event_occurs(fs(0, 1), fs(2, 3), leaf2, 4, (1, 2, 3, 4), (1, 2, 3, 4))
+
+
+def test_bad_event_occurs_refuses_the_center_as_first_leaf():
+    # subdivision_path(c, c, ...) raises too: there is no path to walk
+    with pytest.raises(ValueError, match="differ from the center"):
+        bad_event_occurs(fs(0, 1), fs(0, 1), fs(2, 3), 4, (1, 2, 3, 4), (1, 2, 3, 4))

@@ -1,5 +1,7 @@
 """Tests for the sweep and dimension-reduction experiment harness."""
 
+from dataclasses import replace
+
 import pytest
 
 from spgraphs import (
@@ -93,13 +95,15 @@ class TestSweep:
 
     def test_validates_template_once(self, monkeypatch):
         calls = []
-        validate = core.validate
-        monkeypatch.setattr(core, "validate",
+        validate = core._validate
+        monkeypatch.setattr(core, "_validate",
                             lambda spg: calls.append(spg) or validate(spg))
-        report = sweep_r(SHARED_STAR, [4], trials=2, seed=1)
+        # a fresh copy: the module constant may keep a report from earlier
+        template = replace(SHARED_STAR)
+        report = sweep_r(template, [4], trials=2, seed=1)
         assert report.rows[0].successes == 2
         # the template once, then each result in its verify_all
-        assert calls[0] is SHARED_STAR
+        assert calls[0] is template
         assert len(calls) == 3
 
     def test_reject_strategy_runs(self):
