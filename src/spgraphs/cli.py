@@ -17,18 +17,17 @@ import dataclasses
 import gc
 import sys
 
-from . import core, document, experiments, spindle, transform
+# transform, spindle and experiments (and numpy, which they draw with)
+# are imported in the commands that run them, so that verify, stats and
+# restrict load only core and document.
+from . import core, document
 from .core import (
     BudgetExceededError,
     FacetSet,
     PropertyReport,
+    ResamplingExhaustedError,
     Spg,
     Spindle,
-)
-from .transform import (
-    ResamplingExhaustedError,
-    Strategy,
-    TransformConfig,
     TransformResult,
 )
 
@@ -68,7 +67,9 @@ def _print_report(report: PropertyReport, table, all_witnesses: bool) -> None:
         print(f"  ... ({hidden} more; use --all-witnesses to print them)")
 
 
-def _transform_config(args) -> TransformConfig:
+def _transform_config(args):
+    from .transform import Strategy, TransformConfig
+
     return TransformConfig(
         r=args.r,
         seed=args.seed,
@@ -78,6 +79,8 @@ def _transform_config(args) -> TransformConfig:
 
 
 def cmd_build_spindle(args) -> int:
+    from . import spindle
+
     if args.transform:
         if args.r is None or args.seed is None:
             raise ValueError("--transform requires --r and --seed")
@@ -91,6 +94,8 @@ def cmd_build_spindle(args) -> int:
 
 
 def cmd_transform(args) -> int:
+    from . import transform
+
     obj = document.parse(_read_input(args.input))
     if isinstance(obj, TransformResult):
         raise ValueError("input is already a transform result; expected a template")
@@ -176,11 +181,13 @@ def cmd_stats(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from . import experiments
+    from .transform import Strategy
+
     obj = document.parse(_read_input(args.input))
     template = _spg_of(obj)
-    r_values = [int(part) for part in args.r_list.split(",") if part]
     report = experiments.sweep_r(
-        template, r_values, args.trials, args.seed,
+        template, args.r_list, args.trials, args.seed,
         max_rounds=args.max_rounds, strategy=Strategy(args.strategy))
 
     if args.json:
@@ -210,6 +217,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_estimate_bad_event(args) -> int:
+    from . import transform
+
     d = args.dim
     if d < 1:
         raise ValueError("--dim must be at least 1")
@@ -225,6 +234,30 @@ def cmd_estimate_bad_event(args) -> int:
     print(f"frequency: {estimate.frequency:.6f}")
     print(f"analytic-bound: {estimate.analytic_bound:.6f}")
     return EXIT_OK
+
+
+# Argument types: argparse names the flag in the messages they raise and
+# exits 2, before any input is read.
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
+def _int_list(text: str) -> list[int]:
+    try:
+        values = [int(part) for part in text.split(",") if part]
+    except ValueError:
+        values = []
+    if not values:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}")
+    return values
 
 
 def _add_input(parser: argparse.ArgumentParser) -> None:
@@ -286,8 +319,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep",
                        help="success-rate sweep over row multipliers")
     _add_input(p)
-    p.add_argument("--r-list", required=True, help="e.g. 4,8,16")
-    p.add_argument("--trials", type=int, required=True)
+    p.add_argument("--r-list", type=_int_list, required=True,
+                   help="e.g. 4,8,16")
+    p.add_argument("--trials", type=_positive_int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--max-rounds", type=int, default=1000)
     p.add_argument("--strategy", choices=["resample", "reject"],
@@ -301,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "disjoint degree-2 star")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--trials", type=int, required=True)
+    p.add_argument("--trials", type=_positive_int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.set_defaults(func=cmd_estimate_bad_event)
 

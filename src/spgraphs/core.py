@@ -17,11 +17,14 @@ failures.  Only malformed *calls* (precondition breaches) raise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
 from itertools import combinations, compress, count
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
+
+if TYPE_CHECKING:
+    from .transform import BadEvent
 
 
 class InvalidSpgError(ValueError):
@@ -49,14 +52,36 @@ class BudgetExceededError(RuntimeError):
         )
 
 
+class ResamplingExhaustedError(RuntimeError):
+    """The resampling budget ran out with bad events still present.
+
+    Carries the last bad-event list and the full log; no partial graph is
+    ever returned as a success.
+    """
+
+    def __init__(self, bad_events, resample_log, max_rounds):
+        self.bad_events = tuple(bad_events)
+        self.resample_log = tuple(resample_log)
+        self.max_rounds = max_rounds
+        super().__init__(
+            f"still {len(self.bad_events)} bad events after {max_rounds} "
+            f"resampling rounds")
+
+
 _BIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _mask_digits(mask: int) -> bytes:
+    """The binary digits of ``mask``, least significant first, as 0/1
+    bytes (one byte, 0, for the empty mask): one C-level pass each for
+    bin, the reversal and translate.  ``itertools.compress`` with these
+    selects the items at the set bits' indices."""
+    return bin(mask)[:1:-1].encode().translate(_BIT_FLAGS)
 
 
 def _mask_elements(mask: int) -> tuple[int, ...]:
     """Indices of the set bits of ``mask``, ascending."""
-    # The binary digits, least significant first, as 0/1 bytes: one
-    # C-level pass each for bin, the reversal, translate and compress.
-    return tuple(compress(count(), bin(mask)[:1:-1].encode().translate(_BIT_FLAGS)))
+    return tuple(compress(count(), _mask_digits(mask)))
 
 
 def _sorted_mask(elems: tuple[int, ...]) -> int:
@@ -319,6 +344,24 @@ class Spindle:
         """Graph distance between the vertices holding the two apices."""
         v1, v2 = self.apex_vertices()
         return graph_distance(self.spg, v1, v2)
+
+
+@dataclass(frozen=True)
+class TransformResult:
+    """The constructed graph plus the bookkeeping tying it back to the
+    template: where each original vertex went and which new vertices make
+    up each subdivided edge.  ``resample_log`` is diagnostic only and
+    excluded from structural equality.  Defined here rather than in
+    :mod:`spgraphs.transform`, which builds it, so that reading a
+    document does not load the construction code."""
+
+    spg: Spg
+    vertex_map: tuple[int, ...]
+    edge_paths: tuple[tuple[int, ...], ...]
+    rounds_used: int = 0
+    resample_log: tuple[tuple[int, tuple[BadEvent, ...]], ...] = field(
+        default=(), compare=False)
+    apices: tuple[FacetSet, FacetSet] | None = None
 
 
 class SpgProperty(Enum):

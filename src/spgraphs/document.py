@@ -18,6 +18,7 @@ silently repaired object.
 from __future__ import annotations
 
 import json
+from itertools import compress
 from typing import Any, Union
 
 from .core import (
@@ -25,10 +26,11 @@ from .core import (
     Spg,
     Spindle,
     SymbolTable,
+    TransformResult,
+    _mask_digits,
     validate,
     witness_text,
 )
-from .transform import TransformResult
 
 FORMAT_VERSION = 1
 
@@ -51,30 +53,42 @@ class _IntText(dict):
         return text
 
 
-def _write(value, write, indent: str, ints: _IntText) -> None:
+def _write(value, write, indent: str, ints: _IntText,
+           indices: list[str]) -> None:
     """Pass the canonical text of ``value`` to ``write`` piece by piece;
-    ``indent`` is the newline and spaces that open its line, and
-    ``ints`` holds the text of the ints written so far.  A
-    :class:`FacetSet` is written as the list of its elements, split off
-    its mask only when the writer reaches it."""
+    ``indent`` is the newline and spaces that open its line, ``ints``
+    holds the text of the ints written so far, and ``indices[i]`` is
+    ``str(i)`` for every i below the widest facet set written so far.
+    A :class:`FacetSet` is written as the list of its elements straight
+    from its mask: the mask's binary digits select the elements' texts
+    out of ``indices``."""
     if isinstance(value, FacetSet):
-        value = value.elements
+        if not value.mask:
+            write("[]")
+            return
+        digits = _mask_digits(value.mask)
+        if len(digits) > len(indices):
+            indices.extend(map(str, range(len(indices), len(digits))))
+        inner = indent + "  "
+        write("[" + inner + ("," + inner).join(compress(indices, digits))
+              + indent + "]")
+        return
     if isinstance(value, (list, tuple)):
         if not value:
             write("[]")
             return
         inner = indent + "  "
         if set(map(type, value)) == {int}:
-            # the bulk of a document: facet sets, edges and paths, whose
-            # few distinct ints recur; a bool (equal to 0 or 1) never
-            # gets here, so it is never written from the table
+            # edges, paths and the vertex map, whose ints recur; a bool
+            # (equal to 0 or 1) never gets here, so it is never written
+            # from the table
             write("[" + inner + ("," + inner).join(map(ints.__getitem__, value))
                   + indent + "]")
             return
         opener = "[" + inner
         for item in value:
             write(opener)
-            _write(item, write, inner, ints)
+            _write(item, write, inner, ints, indices)
             opener = "," + inner
         write(indent + "]")
     elif isinstance(value, dict):
@@ -88,7 +102,7 @@ def _write(value, write, indent: str, ints: _IntText) -> None:
                 raise TypeError(
                     f"keys must be str, not {type(key).__name__}")
             write(opener + json.dumps(key) + ": ")
-            _write(value[key], write, inner, ints)
+            _write(value[key], write, inner, ints, indices)
             opener = "," + inner
         write(indent + "}")
     else:
@@ -98,7 +112,7 @@ def _write(value, write, indent: str, ints: _IntText) -> None:
 
 def _write_canonical(value, write) -> None:
     """Pass the canonical text of ``value``, newline included, to ``write``."""
-    _write(value, write, "\n", _IntText())
+    _write(value, write, "\n", _IntText(), [])
     write("\n")
 
 

@@ -27,7 +27,7 @@ exists and the resampling loop finds one quickly in practice.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import combinations
 from typing import TYPE_CHECKING, Sequence
@@ -35,11 +35,15 @@ from typing import TYPE_CHECKING, Sequence
 if TYPE_CHECKING:
     import numpy as np  # imported where used: only the draws need it
 
+# TransformResult and ResamplingExhaustedError live in core, so that
+# reading a document does not load this module; they are re-exported here.
 from .core import (
     FacetSet,
     PropertyReport,
+    ResamplingExhaustedError,
     Spg,
     SpgProperty,
+    TransformResult,
     _mask_elements,
     _near_mask_pairs,
     _sorted_witnesses,
@@ -108,38 +112,6 @@ class BadEvent:
     vertex: int
     edges: tuple[int, int]
     witness: tuple[FacetSet, FacetSet]
-
-
-@dataclass(frozen=True)
-class TransformResult:
-    """The constructed graph plus the bookkeeping tying it back to the
-    template: where each original vertex went and which new vertices make
-    up each subdivided edge.  ``resample_log`` is diagnostic only and
-    excluded from structural equality."""
-
-    spg: Spg
-    vertex_map: tuple[int, ...]
-    edge_paths: tuple[tuple[int, ...], ...]
-    rounds_used: int = 0
-    resample_log: tuple[tuple[int, tuple[BadEvent, ...]], ...] = field(
-        default=(), compare=False)
-    apices: tuple[FacetSet, FacetSet] | None = None
-
-
-class ResamplingExhaustedError(RuntimeError):
-    """The resampling budget ran out with bad events still present.
-
-    Carries the last bad-event list and the full log; no partial graph is
-    ever returned as a success.
-    """
-
-    def __init__(self, bad_events, resample_log, max_rounds):
-        self.bad_events = tuple(bad_events)
-        self.resample_log = tuple(resample_log)
-        self.max_rounds = max_rounds
-        super().__init__(
-            f"still {len(self.bad_events)} bad events after {max_rounds} "
-            f"resampling rounds")
 
 
 class ConstructionVerificationError(RuntimeError):

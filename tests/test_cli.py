@@ -359,6 +359,26 @@ class TestSweepAndEstimate:
             "--trials", "0", "--seed", "4"])
         assert code == 2
 
+    @pytest.mark.parametrize("argv, message", [
+        (["sweep", "--r-list", ",", "--trials", "2", "--seed", "1"],
+         "argument --r-list: expected comma-separated integers, got ','"),
+        (["sweep", "--r-list", "4,x", "--trials", "2", "--seed", "1"],
+         "argument --r-list: expected comma-separated integers, got '4,x'"),
+        (["sweep", "--r-list", "4", "--trials", "0", "--seed", "1"],
+         "argument --trials: must be positive, got 0"),
+        (["estimate-bad-event", "--dim", "2", "--r", "8", "--trials", "0",
+          "--seed", "4"],
+         "argument --trials: must be positive, got 0"),
+    ], ids=["empty-r-list", "non-int-r-list", "sweep-zero-trials",
+            "estimate-zero-trials"])
+    def test_argument_errors_name_the_flag(self, capsys, monkeypatch, argv,
+                                           message):
+        code, out, err = run_cli(capsys, monkeypatch, argv,
+                                 stdin=SHARED_STAR_DOC)
+        assert code == 2
+        assert out == ""
+        assert err.splitlines()[-1].endswith(f"error: {message}")
+
 
 class TestUsageErrors:
     def test_unknown_subcommand(self, capsys, monkeypatch):
@@ -497,6 +517,27 @@ def test_documents_are_streamed_to_stdout(capsys, monkeypatch, argv, stdin):
     assert out == serialize(parse(out))
 
 
+# Run main as `python -m spgraphs` does, then report on stderr whether
+# numpy was loaded and which spgraphs modules were.
+_REPORT_MODULES = """\
+import sys
+from spgraphs.__main__ import main
+code = main(sys.argv[1:])
+loaded = sorted(m for m in sys.modules if m.partition(".")[0] == "spgraphs")
+print("numpy" in sys.modules, *loaded, file=sys.stderr)
+sys.exit(code)
+"""
+
+# Reading and checking a document takes core and document only.
+_READER = {"spgraphs", "spgraphs.__main__", "spgraphs.cli", "spgraphs.core",
+           "spgraphs.document"}
+_BUILDER = _READER | {"spgraphs.spindle", "spgraphs.transform"}
+
+
+def _command(argv, code, modules, loads_numpy):
+    return pytest.param(argv, code, modules, loads_numpy, id=" ".join(argv))
+
+
 class TestNumpyLoadedWhereUsed:
     def test_import_leaves_numpy_unloaded(self):
         done = subprocess.run(
@@ -522,6 +563,45 @@ class TestNumpyLoadedWhereUsed:
         assert done.returncode == code
         assert "spgraphs.cli" in done.stderr  # the import log is there
         assert ("numpy" in done.stderr) == loads_numpy
+
+    def test_import_loads_no_submodule(self):
+        done = subprocess.run(
+            [sys.executable, "-c",
+             "import spgraphs, sys; "
+             "print(*sorted(m for m in sys.modules if 'spgraphs' in m))"],
+            capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0
+        assert done.stdout.split() == ["spgraphs"]
+
+    @pytest.mark.parametrize("argv, code, modules, loads_numpy", [
+        _command(["stats"], 0, _READER, False),
+        *[_command(["verify", "--property", name], code, _READER, False)
+          for name, code in [
+              ("adjacency", 1), ("strong-adjacency", 1),
+              ("endpoint-count", 1), ("singleton", 0),
+              ("dimension-reduction", 1), ("all", 1)]],
+        _command(["restrict", "--facet", "1.1"], 0, _READER, False),
+        _command(["build-spindle", "--dim", "2"], 0, _BUILDER, False),
+        _command(["build-spindle", "--dim", "2", "--transform", "--r", "4",
+                  "--seed", "1"], 0, _BUILDER, True),
+        _command(["transform", "--r", "4", "--seed", "1"], 0,
+                 _READER | {"spgraphs.transform"}, True),
+        _command(["sweep", "--r-list", "4", "--trials", "1", "--seed", "1"],
+                 0, _BUILDER | {"spgraphs.experiments"}, True),
+        _command(["estimate-bad-event", "--dim", "2", "--r", "4",
+                  "--trials", "3", "--seed", "1"], 0,
+                 _READER | {"spgraphs.transform"}, True),
+    ])
+    def test_modules_loaded(self, capsys, monkeypatch, argv, code, modules,
+                            loads_numpy):
+        done = subprocess.run(
+            [sys.executable, "-c", _REPORT_MODULES, *argv],
+            input=build_template_doc(capsys, monkeypatch),
+            capture_output=True, text=True, timeout=60)
+        assert done.returncode == code
+        numpy, *loaded = done.stderr.splitlines()[-1].split()
+        assert set(loaded) == modules
+        assert numpy == str(loads_numpy)
 
 
 class TestDeterminism:

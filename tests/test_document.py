@@ -34,7 +34,7 @@ from spgraphs import (
     serialize,
     sliding_window_path,
 )
-from spgraphs.document import _parse_facet, canonical_json
+from spgraphs.document import _parse_facet, _write_canonical, canonical_json
 
 
 def fs(*elements):
@@ -182,6 +182,77 @@ def test_dump_writes_what_serialize_returns(obj):
     text = stream.getvalue()
     assert text == serialize(obj)
     assert text == json_dumps_canonical(json.loads(text))
+
+
+# Facet sets beside their element lists, which the expected text is
+# written from: each set's width (its highest bit) is drawn from around
+# the machine-word and table boundaries up to a lifted d = 3 spindle's.
+_BITS = st.sampled_from([0, 1, 2, 62, 63, 64, 65, 127, 128, 129, 521])
+_ELEMENT_LISTS = st.one_of(
+    st.lists(_BITS, unique=True),
+    st.lists(st.integers(0, 600), unique=True, max_size=12),
+).map(sorted)
+_FACET_PAIRS = _ELEMENT_LISTS.map(lambda elems: (FacetSet(elems), elems))
+
+
+def _nested_pairs(children):
+    def unzip_list(pairs):
+        return [v for v, _ in pairs], [e for _, e in pairs]
+
+    def unzip_dict(pairs):
+        return ({k: v for k, (v, _) in pairs.items()},
+                {k: e for k, (_, e) in pairs.items()})
+
+    return st.one_of(
+        st.lists(children, max_size=5).map(unzip_list),
+        st.dictionaries(st.text(max_size=3), children, max_size=4)
+        .map(unzip_dict))
+
+
+_FACET_TREES = st.recursive(
+    st.one_of(_FACET_PAIRS, st.integers(-3, 600).map(lambda i: (i, i))),
+    _nested_pairs, max_leaves=16)
+
+
+def _facets(*element_lists):
+    """A list of facet sets, and the list of their element lists."""
+    return ([FacetSet(elems) for elems in element_lists],
+            [list(elems) for elems in element_lists])
+
+
+@given(_FACET_TREES)
+@example(_facets([], [0], [63], [0, 63, 64], [127, 128], [0, 521], [5]))
+@example(({"a": [[FacetSet([0, 127])], {"b": FacetSet([128, 521])}],
+           "c": FacetSet([]), "d": [1, 2]},
+          {"a": [[[0, 127]], {"b": [128, 521]}], "c": [], "d": [1, 2]}))
+def test_facet_sets_are_written_from_their_masks(pair):
+    # the writer behind serialize and dump, at every depth, with a table
+    # of index texts that grows as wider sets come
+    value, expected = pair
+    text = json_dumps_canonical(expected)
+    assert canonical_json(value) == text
+    stream = io.StringIO()
+    _write_canonical(value, stream.write)
+    assert stream.getvalue() == text
+
+
+@given(st.lists(_ELEMENT_LISTS, max_size=8))
+@example([[], [0], [63], [0, 63, 64], [127, 128], [0, 521], [5]])
+@settings(deadline=None)
+def test_serialize_and_dump_write_facet_sets_from_their_masks(element_lists):
+    facets, lists = _facets(*element_lists)
+    # the graph is not valid, and the writer does not ask
+    spg = Spg(SymbolTable.alphabetic(522), 0,
+              tuple((fs,) for fs in facets), ())
+    text = json_dumps_canonical({
+        "dimension": 0, "edges": [], "flags": {"is_restriction": False},
+        "format_version": 1, "kind": "spg",
+        "symbols": list(spg.symbols.labels),
+        "vertices": [[elems] for elems in lists]})
+    assert serialize(spg) == text
+    stream = io.StringIO()
+    dump(spg, stream)
+    assert stream.getvalue() == text
 
 
 def _document_dict(spg=GOOD_PATH):
