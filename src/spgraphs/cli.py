@@ -112,8 +112,8 @@ def cmd_transform(args) -> int:
     return EXIT_OK
 
 
-# The graph keeps its validity and near pairs, so these share parse's
-# validation and one near-pair search.
+# The graph keeps its verdicts, so these share parse's validation, and
+# the first of the three pair-based checks runs the one near-pair search.
 _PROPERTY_CHECKS = {
     "adjacency": core.check_adjacency,
     "strong-adjacency": core.check_strong_adjacency,

@@ -252,10 +252,11 @@ class Spg:
     requirement: restrictions routinely disconnect, and measuring
     exactly that is the point of dimension reduction.
 
-    The fields never change, so what the checks derive from them (the
-    validity report and the near pairs) is computed on first use and
-    kept on the object; :func:`dataclasses.replace` builds a new object
-    that derives its own.
+    The fields never change, so the verdicts the checks derive from them
+    (the validity report, and the three reports built on the near pairs)
+    are computed on first use and kept on the object; the near pairs
+    themselves are not kept.  :func:`dataclasses.replace` builds a new
+    object that derives its own.
     """
 
     symbols: SymbolTable
@@ -306,9 +307,8 @@ class Spg:
         return _validate(self)
 
     @cached_property
-    def _near_pairs(self) -> tuple[tuple[int, int], ...]:
-        return tuple(_near_mask_pairs([fs.mask for fs in self.family()],
-                                      self.dimension))
+    def _pair_verdicts(self) -> tuple["PropertyReport", ...]:
+        return _pair_reports(self)
 
 
 @dataclass(frozen=True)
@@ -413,7 +413,7 @@ def witness_text(witness: tuple, table: SymbolTable | None = None) -> str:
 
 
 def _sorted_witnesses(witnesses: list[tuple]) -> tuple[tuple, ...]:
-    # Deterministic order regardless of internal iteration (parallel-safe):
+    # Deterministic order regardless of internal iteration:
     # by kind, then by the text of the payload.  Sorting each kind apart
     # keeps the sort keys to one string per witness.
     by_kind: dict[str, list[tuple]] = {}
@@ -546,9 +546,16 @@ def _disconnected(adj: list[list[int]]) -> list[tuple]:
 # agrees exactly on the third and meets in that block's grouping.  Blocks
 # interleave (symbol i in block i mod 3): a lifted symbol x@j sits at
 # x*r + j - 1, so contiguous blocks would group whole base symbols.
-def _near_mask_pairs(masks: list[int], d: int) -> list[tuple[int, int]]:
-    """Every index pair i < j of ``masks`` (each with d bits set) whose
-    masks share exactly d-1 bits, as an ascending list of tuples."""
+def near_pairs(spg: Spg) -> list[tuple[int, int]]:
+    """Every index pair i < j, in :meth:`Spg.facets_with_vertex` order,
+    of family members sharing exactly d-1 symbols: a new list of
+    ``(i, j)`` tuples in ascending order on each call.
+
+    Exact and exhaustive; the graph must pass :func:`validate` (sets of
+    a size other than d raise ValueError).
+    """
+    masks = [fs.mask for fs in spg.family()]
+    d = spg.dimension
     if any(m.bit_count() != d for m in masks):
         raise ValueError(f"near pairs need every set to hold {d} symbols")
     width = max((m.bit_length() for m in masks), default=0)
@@ -565,26 +572,16 @@ def _near_mask_pairs(masks: list[int], d: int) -> list[tuple[int, int]]:
     return sorted(found)
 
 
-def near_pairs(spg: Spg) -> list[tuple[int, int]]:
-    """Every index pair i < j, in :meth:`Spg.facets_with_vertex` order,
-    of family members sharing exactly d-1 symbols: a list of ``(i, j)``
-    tuples in ascending order.  (Releases before the pigeonhole join
-    returned the same pairs as the rows of an (M, 2) numpy array.)
-
-    Exact and exhaustive; the graph must pass :func:`validate` (sets of
-    a size other than d raise ValueError).  The pairs are found once per
-    graph object and kept on it; each call returns a new list of them.
-    """
-    return list(spg._near_pairs)
-
-
-def _adjacency_witnesses(spg: Spg) -> tuple[list, list]:
-    """Near pairs across a non-edge, and edges without a near pair."""
+def _pair_reports(spg: Spg) -> tuple[PropertyReport, ...]:
+    """The adjacency, strong-adjacency and end-point-count reports, from
+    one run of the near-pair join; run once per graph by
+    ``Spg._pair_verdicts``."""
+    pairs = near_pairs(spg)
     located = spg.facets_with_vertex()
     edge_set = spg.edge_set()
     carried: set[tuple[int, int]] = set()
     non_adjacent: list[tuple] = []
-    for i, j in spg._near_pairs:
+    for i, j in pairs:
         vi, a = located[i]
         vj, b = located[j]
         if vi == vj:
@@ -596,43 +593,47 @@ def _adjacency_witnesses(spg: Spg) -> tuple[list, list]:
             non_adjacent.append(("non-adjacent-pair", a, b, vi, vj))
     unwitnessed = [("unwitnessed-edge", u, w) for u, w in spg.edges
                    if ((u, w) if u < w else (w, u)) not in carried]
-    return non_adjacent, unwitnessed
+    del located, edge_set, carried  # freed before the grouping: a lower peak
+
+    # A (d-1)-face held by k >= 2 members makes those k pairwise near with
+    # that face as their intersection, so grouping near pairs by X & Y
+    # recovers every face's full list of holders.
+    family = spg.family()
+    holders: dict[int, set[int]] = {}
+    for i, j in pairs:
+        holders.setdefault(family[i].mask & family[j].mask, set()).update((i, j))
+    over_counted = [
+        ("over-counted-face", FacetSet.from_mask(face),
+         tuple(sorted(family[k] for k in members)))
+        for face, members in holders.items() if len(members) > 2
+    ]
+    return (
+        PropertyReport(SpgProperty.ADJACENCY, _sorted_witnesses(non_adjacent)),
+        PropertyReport(SpgProperty.STRONG_ADJACENCY,
+                       _sorted_witnesses(non_adjacent + unwitnessed)),
+        PropertyReport(SpgProperty.ENDPOINT_COUNT, _sorted_witnesses(over_counted)),
+    )
 
 
 def check_adjacency(spg: Spg) -> PropertyReport:
     """Every pair of facet sets sharing d-1 symbols must sit in the same
     vertex or in adjacent vertices."""
     require_valid(spg)
-    non_adjacent, _ = _adjacency_witnesses(spg)
-    return PropertyReport(SpgProperty.ADJACENCY, _sorted_witnesses(non_adjacent))
+    return spg._pair_verdicts[0]
 
 
 def check_strong_adjacency(spg: Spg) -> PropertyReport:
     """Adjacency, plus: every graph edge is witnessed by some pair of
     facet sets sharing d-1 symbols across it."""
     require_valid(spg)
-    non_adjacent, unwitnessed = _adjacency_witnesses(spg)
-    return PropertyReport(SpgProperty.STRONG_ADJACENCY,
-                          _sorted_witnesses(non_adjacent + unwitnessed))
+    return spg._pair_verdicts[1]
 
 
 def check_endpoint_count(spg: Spg) -> PropertyReport:
     """Every (d-1)-subset of symbols is contained in at most two family
     members."""
     require_valid(spg)
-    # A (d-1)-face held by k >= 2 members makes those k pairwise near with
-    # that face as their intersection, so grouping near pairs by X & Y
-    # recovers every face's full list of holders.
-    family = spg.family()
-    holders: dict[int, set[int]] = {}
-    for i, j in spg._near_pairs:
-        holders.setdefault(family[i].mask & family[j].mask, set()).update((i, j))
-    witnesses = [
-        ("over-counted-face", FacetSet.from_mask(face),
-         tuple(sorted(family[k] for k in members)))
-        for face, members in holders.items() if len(members) > 2
-    ]
-    return PropertyReport(SpgProperty.ENDPOINT_COUNT, _sorted_witnesses(witnesses))
+    return spg._pair_verdicts[2]
 
 
 def check_singleton(spg: Spg) -> PropertyReport:
@@ -648,25 +649,15 @@ def check_singleton(spg: Spg) -> PropertyReport:
 
 def verify_all(spg: Spg) -> tuple[PropertyReport, ...]:
     """Validity, singleton, adjacency, strong adjacency and end-point
-    count, in that order, with one pass over the near pairs for both
-    adjacency reports.
+    count, in that order.
 
     Equal, report for report, to running :func:`validate` and the four
     checks one by one; like them it raises :class:`InvalidSpgError` on a
-    graph that fails validation.  Validity and the near pairs are the
-    ones kept on the graph object, so they are computed at most once
-    whichever of these runs first.
+    graph that fails validation.  Validity and the three reports built
+    on near pairs are the ones kept on the graph object, so they are
+    computed at most once whichever of these runs first.
     """
-    require_valid(spg)
-    non_adjacent, unwitnessed = _adjacency_witnesses(spg)
-    return (
-        validate(spg),
-        check_singleton(spg),
-        PropertyReport(SpgProperty.ADJACENCY, _sorted_witnesses(non_adjacent)),
-        PropertyReport(SpgProperty.STRONG_ADJACENCY,
-                       _sorted_witnesses(non_adjacent + unwitnessed)),
-        check_endpoint_count(spg),
-    )
+    return (validate(spg), check_singleton(spg), *spg._pair_verdicts)
 
 
 def restrict(spg: Spg, face: FacetSet) -> Spg | None:

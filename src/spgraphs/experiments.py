@@ -107,9 +107,7 @@ def sweep_r(
                 strategy=strategy)
             try:
                 result = construct_with_resampling(template, config)
-            except ResamplingExhaustedError as err:
-                round0_counts.append(_round0_events(err.resample_log))
-            except ConstructionVerificationError as err:
+            except (ResamplingExhaustedError, ConstructionVerificationError) as err:
                 round0_counts.append(_round0_events(err.resample_log))
             else:
                 successes += 1

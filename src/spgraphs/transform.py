@@ -45,8 +45,8 @@ from .core import (
     SpgProperty,
     TransformResult,
     _mask_elements,
-    _near_mask_pairs,
     _sorted_witnesses,
+    near_pairs,
     require_singleton,
     verify_all,
 )
@@ -551,14 +551,17 @@ def check_localization(result: TransformResult, original: Spg) -> PropertyReport
     """Exhaustive check that near-coincidences stay local: every pair of
     constructed sets agreeing in exactly rd - 1 lifted symbols must lie
     on a single subdivided edge or on two edges sharing a template
-    endpoint.  Refuses below r = 4, where the guarantee does not apply,
-    and (ValueError) when a vertex's first set does not hold rd symbols.
+    endpoint.  Refuses (ValueError) below r = 4, where the guarantee does
+    not apply, on a result graph that is not singleton, and when a set
+    does not hold rd symbols.
     """
     if original.dimension == 0 or result.spg.dimension % original.dimension:
         raise ValueError("result dimension is not a multiple of the template's")
     r = result.spg.dimension // original.dimension
     if r < 4:
         raise ValueError(f"localization is only guaranteed for r >= 4, got r={r}")
+    if any(len(vertex) != 1 for vertex in result.spg.vertices):
+        raise ValueError("localization needs a singleton result graph")
 
     on_edges: list[set[int]] = [set() for _ in result.spg.vertices]
     for ei, path in enumerate(result.edge_paths):
@@ -574,8 +577,8 @@ def check_localization(result: TransformResult, original: Spg) -> PropertyReport
 
     facet_of = [vertex[0] for vertex in result.spg.vertices]
     witnesses: list[tuple] = []
-    near = _near_mask_pairs([fs.mask for fs in facet_of], result.spg.dimension)
-    for i, j in near:
+    # on a singleton graph, family order is vertex order
+    for i, j in near_pairs(result.spg):
         if not any(
             share_endpoint(e1, e2)
             for e1 in on_edges[i]

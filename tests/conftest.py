@@ -192,6 +192,8 @@ def brute_force_endpoint_count(spg: Spg) -> PropertyReport:
 
 
 def brute_force_localization(result: TransformResult, original: Spg) -> PropertyReport:
+    if any(len(vertex) != 1 for vertex in result.spg.vertices):
+        raise ValueError("localization needs a singleton result graph")
     on_edges: list[set[int]] = [set() for _ in result.spg.vertices]
     for ei, path in enumerate(result.edge_paths):
         for idx in path:

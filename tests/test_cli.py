@@ -52,6 +52,15 @@ def count_validate_calls(monkeypatch):
     return calls
 
 
+def count_joins(monkeypatch):
+    """Record each run of the near-pair join in the returned list."""
+    calls = []
+    near_pairs = core.near_pairs
+    monkeypatch.setattr(core, "near_pairs",
+                        lambda spg: calls.append(spg) or near_pairs(spg))
+    return calls
+
+
 class TestBuildSpindle:
     def test_default_emits_template(self, capsys, monkeypatch):
         out = build_template_doc(capsys, monkeypatch)
@@ -144,12 +153,14 @@ class TestVerify:
     def test_validates_once(self, capsys, monkeypatch, prop):
         doc = build_template_doc(capsys, monkeypatch, dim=2)
         calls = count_validate_calls(monkeypatch)
+        joins = count_joins(monkeypatch)
         code, out, _ = run_cli(capsys, monkeypatch,
                                ["verify", "--property", prop], stdin=doc)
         # the d=2 template violates adjacency and end-point count
         assert code == 1
         assert out.startswith("validity: holds\n")
         assert len(calls) == 1
+        assert len(joins) == 1
 
     def test_all_properties_hold_for_edge_template(self, capsys, monkeypatch):
         doc = build_template_doc(capsys, monkeypatch, dim=1)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import loop_fisher_yates, spg_instances
+from conftest import brute_force_localization, loop_fisher_yates, spg_instances
 from spgraphs import (
     ConstructionVerificationError,
     FacetSet,
@@ -40,6 +40,7 @@ from spgraphs import (
     subdivision_path,
     validate,
 )
+from spgraphs import document
 
 
 def fs(*elements):
@@ -419,6 +420,29 @@ class TestCheckLocalization:
         path = sliding_window_path(2)
         result = construct_with_resampling(path, TransformConfig(r=5, seed=3))
         assert check_localization(result, path).holds
+
+    def test_refuses_a_non_singleton_result(self):
+        # A second set on the first vertex: the image of the last template
+        # vertex with one symbol swapped.  The graph is valid and a
+        # document round-trips it, but that set is near the last vertex's
+        # set across edges 0 and 2, which share no endpoint; a check that
+        # read only each vertex's first set would pass it.
+        path = sliding_window_path(3)
+        result = construct_with_resampling(path, TransformConfig(r=4, seed=1))
+        spg = result.spg
+        last = spg.vertices[result.vertex_map[3]][0]
+        swapped = FacetSet.from_mask(last.mask ^ (1 << last.elements[0]) ^ 1)
+        assert 0 not in last and swapped not in spg.family()
+        vertices = [list(vertex) for vertex in spg.vertices]
+        vertices[result.vertex_map[0]].append(swapped)
+        grown = Spg.build(spg.symbols, spg.dimension, vertices, spg.edges)
+        assert validate(grown).holds
+        assert document.parse(document.serialize(grown)) == grown
+        assert len(check_adjacency(grown).witnesses) == 1
+        grown_result = TransformResult(grown, result.vertex_map, result.edge_paths)
+        for check in (check_localization, brute_force_localization):
+            with pytest.raises(ValueError, match="singleton"):
+                check(grown_result, path)
 
 
 class TestRowStructureViolations:

@@ -1,8 +1,11 @@
-"""Each graph is validated once: an Spg keeps its validity report and its
-near pairs, so every public check after the first reads what is kept."""
+"""Each graph is validated once: an Spg keeps its validity report, and
+the adjacency, strong-adjacency and end-point-count reports that one run
+of the near-pair join gives, so every public check after the first reads
+what is kept.  The near pairs themselves are not kept."""
 
 import ast
-from dataclasses import replace
+from dataclasses import fields, replace
+from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -10,8 +13,10 @@ import pytest
 from spgraphs import (
     FacetSet,
     InvalidSpgError,
+    PropertyReport,
     Spg,
     SymbolTable,
+    TransformConfig,
     check_adjacency,
     check_connectivity,
     check_dimension_reduction,
@@ -19,8 +24,10 @@ from spgraphs import (
     check_partition,
     check_singleton,
     check_strong_adjacency,
+    construct_with_resampling,
     near_pairs,
     restrict,
+    sliding_window_path,
     validate,
     verify_all,
 )
@@ -59,6 +66,45 @@ def count_validations(monkeypatch):
     monkeypatch.setattr(core, "_validate",
                         lambda spg: calls.append(spg) or real(spg))
     return calls
+
+
+def count_joins(monkeypatch):
+    """The graphs the near-pair join runs on, in order, into the list."""
+    calls = []
+    real = core.near_pairs
+    monkeypatch.setattr(core, "near_pairs",
+                        lambda spg: calls.append(spg) or real(spg))
+    return calls
+
+
+def test_every_order_of_the_pair_checks_runs_the_join_once(monkeypatch):
+    calls = count_joins(monkeypatch)
+    checks = (check_adjacency, check_strong_adjacency, check_endpoint_count,
+              verify_all)
+    expected = verify_all(path_graph())
+    for order in permutations(checks):
+        calls.clear()
+        spg = path_graph()
+        reports = {check: check(spg) for check in order + order}
+        assert calls == [spg]
+        assert reports[verify_all] == expected
+        assert expected[2:] == tuple(reports[check] for check in checks[:3])
+
+
+def test_a_constructed_graph_keeps_verdicts_and_no_near_pairs(monkeypatch):
+    result = construct_with_resampling(sliding_window_path(2),
+                                       TransformConfig(r=5, seed=3))
+    names = {f.name for f in fields(Spg)}
+    kept = [value for name, value in vars(result.spg).items()
+            if name not in names]
+    assert kept
+    for value in kept:
+        reports = value if isinstance(value, tuple) else (value,)
+        assert all(isinstance(report, PropertyReport) for report in reports)
+    # the construction verified the graph, so a later check runs no join
+    calls = count_joins(monkeypatch)
+    assert check_strong_adjacency(result.spg).holds
+    assert calls == []
 
 
 def test_every_public_check_shares_one_validation(monkeypatch):
