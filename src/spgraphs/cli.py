@@ -238,14 +238,25 @@ def cmd_estimate_bad_event(args) -> int:
 
 # Argument types: argparse names the flag in the messages they raise and
 # exits 2, before any input is read.
-def _positive_int(text: str) -> int:
+def _int(text: str) -> int:
     try:
-        value = int(text)
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"invalid int value: {text!r}") from None
+
+
+def _positive_int(text: str) -> int:
+    value = _int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
+def _seed(text: str) -> int:
+    value = _int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
     return value
 
 
@@ -270,7 +281,7 @@ def _add_transform_options(parser: argparse.ArgumentParser,
                            required: bool) -> None:
     parser.add_argument("--r", type=int, required=required,
                         help="row multiplier (at least 2)")
-    parser.add_argument("--seed", type=int, required=required,
+    parser.add_argument("--seed", type=_seed, required=required,
                         help="random seed (explicit, for reproducibility)")
     parser.add_argument("--strategy", choices=["resample", "reject"],
                         default="resample")
@@ -322,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r-list", type=_int_list, required=True,
                    help="e.g. 4,8,16")
     p.add_argument("--trials", type=_positive_int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--max-rounds", type=int, default=1000)
     p.add_argument("--strategy", choices=["resample", "reject"],
                    default="resample")
@@ -336,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--trials", type=_positive_int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.set_defaults(func=cmd_estimate_bad_event)
 
     return parser

@@ -26,6 +26,7 @@ from .transform import (
     ResamplingExhaustedError,
     Strategy,
     TransformConfig,
+    _require_seed,
     construct_with_resampling,
 )
 
@@ -94,6 +95,7 @@ def sweep_r(
         raise ValueError("all row multipliers must be at least 2")
     if trials < 1:
         raise ValueError("trials must be positive")
+    _require_seed(seed)
     require_singleton(template)
 
     rows = []

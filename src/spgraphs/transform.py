@@ -74,6 +74,7 @@ class TransformConfig:
                 "the end-point count")
         if self.max_rounds < 0:
             raise ValueError("max_rounds must be non-negative")
+        _require_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -101,7 +102,7 @@ class PermutationAssignment:
     @classmethod
     def draw(cls, rng: np.random.Generator, edge_count: int, r: int
              ) -> "PermutationAssignment":
-        return cls(tuple(_fisher_yates(rng, r) for _ in range(edge_count)))
+        return cls(tuple(_fisher_yates(rng, r, edge_count)))
 
 
 @dataclass(frozen=True)
@@ -149,17 +150,32 @@ def lll_sufficient(delta: int, r: int) -> bool:
     return (4 * delta - 5) * (4.0 / r) * math.e < 1.0
 
 
-def _fisher_yates(rng: np.random.Generator, r: int) -> tuple[int, ...]:
-    # One vectorized draw of the swap partners for rows r-1 .. 1: numpy
-    # draws them in order, one bounded integer each, so the permutation
-    # and the generator state equal those of a loop of scalar draws.
+def _require_seed(seed: int) -> None:
+    # numpy refuses a negative seed too, but without naming it, and only
+    # once a generator is made from it
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+
+
+def _fisher_yates(rng: np.random.Generator, r: int, count: int
+                  ) -> list[tuple[int, ...]]:
+    """``count`` uniform permutations of rows 1..r, drawn in turn.
+
+    One vectorized draw gives the swap partners of rows r-1 .. 1 of
+    each permutation in turn: numpy draws them in order, one bounded
+    integer each, so the permutations and the generator state equal
+    those of ``count`` loops of scalar draws."""
     import numpy as np
 
-    rows = list(range(1, r + 1))
-    partners = rng.integers(0, np.arange(r, 1, -1)).tolist()
-    for i, j in zip(range(r - 1, 0, -1), partners):
-        rows[i], rows[j] = rows[j], rows[i]
-    return tuple(rows)
+    partners = iter(rng.integers(0, np.tile(np.arange(r, 1, -1), count)).tolist())
+    perms = []
+    for _ in range(count):
+        rows = list(range(1, r + 1))
+        # zip asks the range first, so it takes r - 1 partners, no more
+        for i, j in zip(range(r - 1, 0, -1), partners):
+            rows[i], rows[j] = rows[j], rows[i]
+        perms.append(tuple(rows))
+    return perms
 
 
 def _lift_mask(fs: FacetSet, r: int, rows: int | None = None) -> int:
@@ -322,11 +338,15 @@ def _scan_bad_events(
     edges: Sequence[tuple[int, int]],
     num_vertices: int,
     ends: Sequence[tuple[list[int], list[int]]],
+    redrawn: frozenset[int] | None = None,
 ) -> tuple[BadEvent, ...]:
     """The bad events of the subdivision paths of ``edges``, given for
     ``edges[ei]`` = (u, w) as ``ends[ei]`` = (the masks walked out of u,
     the masks walked out of w): the whole path and its reversal, or the
-    first two rows out of each end.
+    first two rows out of each end.  With ``redrawn`` given, only the
+    pairs holding at least one of those edges are examined, and only
+    their ends are checked against the distance law; the events come in
+    the order of a full scan.
 
     Each step out of a template vertex V retires one of V's lifted
     symbols and introduces one from outside, so the set k steps out lies
@@ -362,14 +382,20 @@ def _scan_bad_events(
     for v, incident in enumerate(outward):
         if len(incident) < 2:
             continue
+        fresh = incident if redrawn is None else [
+            item for item in incident if item[0] in redrawn]
+        if not fresh:
+            continue
         centre = incident[0][1][0]
-        for ei, out, _ in incident:
+        for ei, out, _ in fresh:
             if [(m ^ centre).bit_count() for m in out] != list(
                     range(0, 2 * len(out), 2)):
                 raise ValueError(
                     f"the path of edge {ei} is not a subdivision path out of "
                     f"template vertex {v}")
         for (e1, out1, back1), (e2, out2, back2) in combinations(incident, 2):
+            if redrawn is not None and e1 not in redrawn and e2 not in redrawn:
+                continue
             hits = _band_hits(out1, out2)
             if hits:
                 # first in path order: a path ending at V is walked inward
@@ -415,9 +441,10 @@ def construct_with_resampling(spg: Spg, config: TransformConfig) -> TransformRes
 
     All randomness flows from one generator seeded with ``config.seed``;
     permutations are drawn in full per edge in canonical index order, and
-    redraws consume the same stream, so identical inputs give
-    bit-identical output.  Each round scans only the masks of the first
-    two rows out of each end of every path (the two-row lemma of
+    redraws consume the same stream (one call of :func:`_fisher_yates`
+    per round, targets ascending), so identical inputs give bit-identical
+    output.  Each round scans only the masks of the first two rows out
+    of each end of every path (the two-row lemma of
     :func:`_scan_bad_events`), so its cost does not grow with r beyond
     the draws.  With strategy RESAMPLE only edges participating in a bad
     event are redrawn each round (and only their end masks recomputed);
@@ -425,28 +452,40 @@ def construct_with_resampling(spg: Spg, config: TransformConfig) -> TransformRes
     (validity, singleton, adjacency, strong adjacency, end-point count)
     before being returned; exhausting ``max_rounds`` raises with the
     surviving bad events attached.
+
+    Under RESAMPLE, rounds after the first rescan only the pairs that
+    hold a redrawn edge.  Every pair left out is clean: by induction,
+    after each scan the only pairs not known clean are the bad ones, and
+    both edges of a bad pair are redrawn; a pair with neither edge
+    redrawn was therefore clean, and its paths have not changed.  So the
+    events found, and the witnesses, log and exhaustion error they make,
+    are those of a full rescan.  REJECT redraws every edge and rescans
+    every pair.
     """
     require_singleton(spg)
     r = config.r
     sets = [(spg.vertices[u][0], spg.vertices[w][0]) for u, w in spg.edges]
     import numpy as np
     rng = np.random.default_rng(config.seed)
-    perms = [_fisher_yates(rng, r) for _ in spg.edges]
+    perms = _fisher_yates(rng, r, len(spg.edges))
     ends = [_end_masks(a, a2, r, p) for (a, a2), p in zip(sets, perms)]
     log: list[tuple[int, tuple[BadEvent, ...]]] = []
 
     attempt = 0
-    while events := _scan_bad_events(spg.edges, len(spg.vertices), ends):
+    redrawn = None  # round 0 scans every pair
+    while events := _scan_bad_events(spg.edges, len(spg.vertices), ends,
+                                     redrawn):
         log.append((attempt, events))
         if attempt == config.max_rounds:
             raise ResamplingExhaustedError(events, log, config.max_rounds)
         if config.strategy is Strategy.RESAMPLE:
             targets = sorted({ei for ev in events for ei in ev.edges})
+            redrawn = frozenset(targets)
         else:
             targets = range(len(spg.edges))
-        for ei in targets:
-            perms[ei] = _fisher_yates(rng, r)
-            ends[ei] = _end_masks(*sets[ei], r, perms[ei])
+        for ei, perm in zip(targets, _fisher_yates(rng, r, len(targets))):
+            perms[ei] = perm
+            ends[ei] = _end_masks(*sets[ei], r, perm)
         attempt += 1
 
     result = replace(
@@ -508,6 +547,12 @@ def _star_bad_event(lift: int, swaps1: list[tuple[int, int]],
     return bool(_scan_bad_events(((0, 1), (0, 2)), 3, ends))
 
 
+# Monte-Carlo trials whose permutations one _fisher_yates call draws:
+# drawing all of them at once would hold a partner array of 2 * trials
+# * (r - 1) integers.
+_TRIAL_BLOCK = 64
+
+
 def estimate_bad_event_probability(
     center: FacetSet,
     leaf1: FacetSet,
@@ -517,11 +562,27 @@ def estimate_bad_event_probability(
     seed: int,
 ) -> BadEventEstimate:
     """Monte-Carlo frequency of the bad event on a degree-2 star, next to
-    the analytic bound 4/r it should respect once r >= 4."""
+    the analytic bound 4/r it should respect once r >= 4.
+
+    Each trial draws two permutations and is decided by the pattern of
+    their first two rows.  Relabelling the rows by a permutation s of
+    [r] maps each lifted symbol x@j to x@s(j).  This bijection fixes the
+    centre's lift, keeps the base-rank pairing of :func:`_swaps` (so it
+    maps the path with rows p to the path with rows s(p)) and keeps
+    Hamming distances, so it keeps the verdict.  By the two-row lemma
+    (see :func:`_scan_bad_events`) the verdict reads only the first two
+    rows (a1, a2) of perm1 and (b1, b2) of perm2.  Take s with a1 -> 1,
+    a2 -> 2 and the rows of (b1, b2) outside {a1, a2} -> 3, 4 in order of
+    first appearance: the verdict is that of perm1 = (1, 2) and
+    perm2 = (s(b1), s(b2)), one of at most 7 keys, each decided once.
+    The draws are those of the per-trial loop, made a block of trials at
+    a time.
+    """
     if trials < 1:
         raise ValueError("trials must be positive")
     if r < 2:
         raise ValueError("row multiplier must be at least 2")
+    _require_seed(seed)
     if len({center, leaf1, leaf2}) != 3:
         raise ValueError("star sets must be pairwise distinct")
     if not (len(center) == len(leaf1) == len(leaf2)):
@@ -532,13 +593,22 @@ def estimate_bad_event_probability(
     # the star is the same in every trial; only the perms are drawn
     lift = _lift_mask(center, r)
     swaps1, swaps2 = _swaps(center, leaf1, r), _swaps(center, leaf2, r)
+    verdicts: dict[tuple[int, int], bool] = {}
     hits = 0
-    for _ in range(trials):
-        p1 = _fisher_yates(rng, r)
-        p2 = _fisher_yates(rng, r)
-        # the checks above and _fisher_yates meet bad_event_occurs' terms
-        if _star_bad_event(lift, swaps1, swaps2, p1, p2):
-            hits += 1
+    for start in range(0, trials, _TRIAL_BLOCK):
+        perms = _fisher_yates(rng, r, 2 * min(_TRIAL_BLOCK, trials - start))
+        for p1, p2 in zip(perms[::2], perms[1::2]):
+            # rows outside p1's first two become 3, then 4, as they come
+            relabel = {p1[0]: 1, p1[1]: 2}
+            key = (relabel.setdefault(p2[0], 3),
+                   relabel.setdefault(p2[1], len(relabel) + 1))
+            verdict = verdicts.get(key)
+            if verdict is None:
+                # the checks above and _fisher_yates meet
+                # bad_event_occurs' terms
+                verdict = verdicts[key] = _star_bad_event(
+                    lift, swaps1, swaps2, (1, 2), key)
+            hits += verdict
     return BadEventEstimate(
         frequency=hits / trials,
         analytic_bound=4.0 / r,

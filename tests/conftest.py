@@ -30,6 +30,7 @@ from spgraphs import (
     subdivision_path,
     verify_all,
 )
+from spgraphs import transform
 from spgraphs.core import require_valid
 
 
@@ -282,6 +283,37 @@ def replay_construction(spg: Spg, config: TransformConfig):
             targets = range(len(spg.edges))
         for ei in targets:
             perms[ei] = PermutationAssignment.draw(rng, 1, config.r).perms[0]
+
+
+def full_rescan_construction(spg: Spg, config: TransformConfig):
+    """construct_with_resampling with every pair of end masks rescanned
+    each round and each permutation drawn by its own scalar loop.
+    Returns the result, or the exception the construction should raise."""
+    r = config.r
+    sets = [(spg.vertices[u][0], spg.vertices[w][0]) for u, w in spg.edges]
+    rng = np.random.default_rng(config.seed)
+    perms = [loop_fisher_yates(rng, r) for _ in spg.edges]
+    log = []
+    for attempt in range(config.max_rounds + 1):
+        ends = [transform._end_masks(a, a2, r, p)
+                for (a, a2), p in zip(sets, perms)]
+        events = transform._scan_bad_events(spg.edges, len(spg.vertices), ends)
+        if not events:
+            result = build_subdivision(
+                spg, r, PermutationAssignment(tuple(perms)))
+            failed = [rep for rep in verify_all(result.spg) if not rep.holds]
+            if failed:
+                return ConstructionVerificationError(failed, tuple(log))
+            return replace(result, rounds_used=attempt, resample_log=tuple(log))
+        log.append((attempt, events))
+        if attempt == config.max_rounds:
+            return ResamplingExhaustedError(events, log, config.max_rounds)
+        if config.strategy is Strategy.RESAMPLE:
+            targets = sorted({ei for ev in events for ei in ev.edges})
+        else:
+            targets = range(len(spg.edges))
+        for ei in targets:
+            perms[ei] = loop_fisher_yates(rng, r)
 
 
 # Dict-based breadth-first search: the oracle for the BFS core.

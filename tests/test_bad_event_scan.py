@@ -5,6 +5,8 @@ import json
 from dataclasses import replace
 from itertools import combinations
 
+import numpy as np
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +16,8 @@ from spgraphs import core
 from conftest import (
     brute_force_bad_event_occurs,
     brute_force_bad_events,
+    full_rescan_construction,
+    loop_fisher_yates,
     replay_construction,
 )
 from spgraphs import (
@@ -25,9 +29,11 @@ from spgraphs import (
     SymbolTable,
     TransformConfig,
     bad_event_occurs,
+    build_spindle_template,
     build_star_template,
     build_subdivision,
     construct_with_resampling,
+    estimate_bad_event_probability,
     find_bad_events,
     parse,
     serialize,
@@ -98,8 +104,8 @@ def test_bad_event_occurs_matches_oracle(case):
     assert bad_event_occurs(*case) == brute_force_bad_event_occurs(*case)
 
 
-def assert_same_outcome(template, config):
-    expected = replay_construction(template, config)
+def assert_same_outcome(template, config, oracle=replay_construction):
+    expected = oracle(template, config)
     if isinstance(expected, Exception):
         with pytest.raises(type(expected)) as err:
             construct_with_resampling(template, config)
@@ -337,3 +343,106 @@ def test_bad_event_occurs_refuses_the_center_as_first_leaf():
     # subdivision_path(c, c, ...) raises too: there is no path to walk
     with pytest.raises(ValueError, match="differ from the center"):
         bad_event_occurs(fs(0, 1), fs(0, 1), fs(2, 3), 4, (1, 2, 3, 4), (1, 2, 3, 4))
+
+
+# Rounds after the first rescan only the pairs holding a redrawn edge,
+# and draw every redrawn permutation in one call: the outcome is that of
+# a full rescan with one scalar draw loop per edge.
+
+@st.composite
+def shared_symbol_trees(draw):
+    """Random singleton trees on a few symbols, vertex labels shuffled."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(d + 1, d + 3))
+    pool = [FacetSet(c) for c in combinations(range(n), d)]
+    k = draw(st.integers(2, min(len(pool), 7)))
+    sets = draw(st.lists(st.sampled_from(pool), min_size=k, max_size=k,
+                         unique=True))
+    at = draw(st.permutations(range(k)))
+    edges = [(at[draw(st.integers(0, i - 1))], at[i]) for i in range(1, k)]
+    return Spg.build(SymbolTable.alphabetic(n), d, [[s] for s in sets], edges)
+
+
+@given(st.one_of(shared_symbol_templates(), shared_symbol_trees()),
+       st.integers(2, 8), st.integers(0, 2**32 - 1), st.sampled_from(Strategy),
+       st.integers(0, 4))
+@settings(max_examples=150, deadline=None)
+def test_construction_matches_full_rescans(template, r, seed, strategy,
+                                           max_rounds):
+    assert_same_outcome(template, TransformConfig(
+        r=r, seed=seed, max_rounds=max_rounds, strategy=strategy),
+        oracle=full_rescan_construction)
+
+
+def test_rounds_after_the_first_examine_only_redrawn_pairs(monkeypatch):
+    template = build_spindle_template(3).spindle.spg
+    scans = []  # per scan: (redrawn, the edge pairs examined)
+    edge_of = {}
+    real_scan, real_hits = transform._scan_bad_events, transform._band_hits
+
+    def counting_scan(edges, num_vertices, ends, redrawn=None):
+        edge_of.clear()
+        for ei, (from_u, from_w) in enumerate(ends):
+            edge_of[id(from_u)] = edge_of[id(from_w)] = ei
+        scans.append((redrawn, []))
+        return real_scan(edges, num_vertices, ends, redrawn)
+
+    def counting_hits(out1, out2):
+        scans[-1][1].append((edge_of[id(out1)], edge_of[id(out2)]))
+        return real_hits(out1, out2)
+
+    monkeypatch.setattr(transform, "_scan_bad_events", counting_scan)
+    monkeypatch.setattr(transform, "_band_hits", counting_hits)
+    result = construct_with_resampling(template, TransformConfig(r=4, seed=1))
+    assert result.rounds_used == len(scans) - 1 >= 2
+
+    incident = [[] for _ in template.vertices]
+    for ei, (u, w) in enumerate(template.edges):
+        incident[u].append(ei)
+        incident[w].append(ei)
+    all_pairs = [pair for edge_ids in incident
+                 for pair in combinations(edge_ids, 2)]
+    assert scans[0][0] is None and scans[0][1] == all_pairs
+    for (_, events), (redrawn, examined) in zip(result.resample_log, scans[1:]):
+        assert redrawn == {ei for ev in events for ei in ev.edges}
+        assert examined == [pair for pair in all_pairs
+                            if redrawn.intersection(pair)]
+        assert len(examined) < len(all_pairs)
+
+
+# Each Monte-Carlo trial is decided by the pattern of its first two rows.
+
+@st.composite
+def random_stars(draw):
+    """A centre and two leaves of one size on a few symbols, so that the
+    leaves may share symbols with each other and with the centre."""
+    d = draw(st.integers(1, 4))
+    n = draw(st.integers(d + 2, 3 * d + 2))
+    pool = [FacetSet(c) for c in combinations(range(n), d)]
+    return draw(st.lists(st.sampled_from(pool), min_size=3, max_size=3,
+                         unique=True))
+
+
+@given(random_stars(), st.one_of(st.integers(2, 20), st.just(87)),
+       st.integers(1, 150), st.integers(0, 2**32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_estimate_matches_per_trial_loop(star, r, trials, seed):
+    est = estimate_bad_event_probability(*star, r, trials, seed)
+    rng = np.random.default_rng(seed)
+    hits = 0
+    for _ in range(trials):
+        p1, p2 = loop_fisher_yates(rng, r), loop_fisher_yates(rng, r)
+        hits += bad_event_occurs(*star, r, p1, p2)
+    assert est.occurrences == hits
+
+
+@pytest.mark.parametrize("r, keys", [(2, 2), (3, 6), (4, 7), (87, 7)])
+def test_estimate_decides_each_row_pattern_once(monkeypatch, r, keys):
+    calls = []
+    real = transform._star_bad_event
+    monkeypatch.setattr(transform, "_star_bad_event",
+                        lambda *args: calls.append(args[3:]) or real(*args))
+    estimate_bad_event_probability(
+        fs(0, 1), fs(2, 3), fs(2, 4), r, 20_000, seed=5)
+    assert len(calls) == len(set(calls)) == keys
+    assert all(perm1 == (1, 2) for perm1, _ in calls)

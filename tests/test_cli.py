@@ -380,8 +380,22 @@ class TestSweepAndEstimate:
         (["estimate-bad-event", "--dim", "2", "--r", "8", "--trials", "0",
           "--seed", "4"],
          "argument --trials: must be positive, got 0"),
+        (["sweep", "--r-list", "4", "--trials", "2", "--seed", "-1"],
+         "argument --seed: must be non-negative, got -1"),
+        (["estimate-bad-event", "--dim", "2", "--r", "8", "--trials", "5",
+          "--seed", "-1"],
+         "argument --seed: must be non-negative, got -1"),
+        (["transform", "--r", "4", "--seed", "-1"],
+         "argument --seed: must be non-negative, got -1"),
+        (["build-spindle", "--dim", "2", "--transform", "--r", "4",
+          "--seed", "-1"],
+         "argument --seed: must be non-negative, got -1"),
+        (["sweep", "--r-list", "4", "--trials", "2", "--seed", "x"],
+         "argument --seed: invalid int value: 'x'"),
     ], ids=["empty-r-list", "non-int-r-list", "sweep-zero-trials",
-            "estimate-zero-trials"])
+            "estimate-zero-trials", "sweep-negative-seed",
+            "estimate-negative-seed", "transform-negative-seed",
+            "build-spindle-negative-seed", "non-int-seed"])
     def test_argument_errors_name_the_flag(self, capsys, monkeypatch, argv,
                                            message):
         code, out, err = run_cli(capsys, monkeypatch, argv,

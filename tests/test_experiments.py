@@ -88,6 +88,8 @@ class TestSweep:
             sweep_r(SINGLE_EDGE, [4], trials=0, seed=1)
         with pytest.raises(ValueError):
             sweep_r(SINGLE_EDGE, [1], trials=3, seed=1)
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            sweep_r(SINGLE_EDGE, [4], trials=3, seed=-1)
         non_singleton = Spg.build(
             SymbolTable.alphabetic(3), 2, [[fs(0, 1), fs(1, 2)]])
         with pytest.raises(InvalidSpgError):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spgraphs.transform as transform
 from conftest import brute_force_localization, loop_fisher_yates, spg_instances
 from spgraphs import (
     ConstructionVerificationError,
@@ -70,6 +71,14 @@ class TestPermutationDraw:
             got = PermutationAssignment.draw(rng, 3, r).perms
             assert got == tuple(loop_fisher_yates(loop_rng, r) for _ in range(3))
             assert rng.bit_generator.state == loop_rng.bit_generator.state
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 300), st.integers(0, 80))
+    @settings(max_examples=60, deadline=None)
+    def test_batch_matches_loop_draws_and_generator_state(self, seed, r, count):
+        rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = transform._fisher_yates(rng, r, count)
+        assert got == [loop_fisher_yates(loop_rng, r) for _ in range(count)]
+        assert rng.bit_generator.state == loop_rng.bit_generator.state
 
 
 class TestMinMultiplier:
@@ -328,6 +337,10 @@ class TestConstructWithResampling:
         result = construct_with_resampling(SHARED_STAR, cfg)
         assert result.rounds_used == 0
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            TransformConfig(r=4, seed=-1)
+
     def test_r_below_two_rejected(self):
         with pytest.raises(ValueError):
             TransformConfig(r=1, seed=0)
@@ -349,6 +362,11 @@ class TestBadEventProbability:
         with pytest.raises(ValueError):
             estimate_bad_event_probability(
                 fs(0, 1), fs(2, 3), fs(4, 5), 8, 0, seed=1)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            estimate_bad_event_probability(
+                fs(0, 1), fs(2, 3), fs(4, 5), 8, 10, seed=-1)
 
     def test_distinctness_required(self):
         with pytest.raises(ValueError):
