@@ -168,15 +168,10 @@ def cmd_stats(args) -> int:
     except ValueError:
         print("diameter: unreachable (graph is disconnected)")
 
-    apices = None
+    if isinstance(obj, TransformResult) and obj.apices is not None:
+        obj = Spindle(spg, *obj.apices)
     if isinstance(obj, Spindle):
-        apices = (obj.apex1, obj.apex2)
-    elif isinstance(obj, TransformResult) and obj.apices is not None:
-        apices = obj.apices
-    if apices is not None:
-        locate = {fs: vi for vi, vertex in enumerate(spg.vertices) for fs in vertex}
-        length = core.graph_distance(spg, locate[apices[0]], locate[apices[1]])
-        print(f"spindle-length: {length}")
+        print(f"spindle-length: {obj.length()}")
     return EXIT_OK
 
 
@@ -191,20 +186,7 @@ def cmd_sweep(args) -> int:
         max_rounds=args.max_rounds, strategy=Strategy(args.strategy))
 
     if args.json:
-        payload = {
-            "template": report.template,
-            "rows": [
-                {
-                    "r": row.r,
-                    "trials": row.trials,
-                    "successes": row.successes,
-                    "mean_rounds": row.mean_rounds,
-                    "mean_round0_bad_events": row.mean_round0_bad_events,
-                }
-                for row in report.rows
-            ],
-        }
-        sys.stdout.write(document.canonical_json(payload))
+        sys.stdout.write(document.canonical_json(dataclasses.asdict(report)))
         return EXIT_OK
 
     print(f"template: {report.template}")
@@ -253,7 +235,7 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _seed(text: str) -> int:
+def _non_negative(text: str) -> int:
     value = _int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
@@ -281,11 +263,11 @@ def _add_transform_options(parser: argparse.ArgumentParser,
                            required: bool) -> None:
     parser.add_argument("--r", type=int, required=required,
                         help="row multiplier (at least 2)")
-    parser.add_argument("--seed", type=_seed, required=required,
+    parser.add_argument("--seed", type=_non_negative, required=required,
                         help="random seed (explicit, for reproducibility)")
     parser.add_argument("--strategy", choices=["resample", "reject"],
                         default="resample")
-    parser.add_argument("--max-rounds", type=int, default=1000)
+    parser.add_argument("--max-rounds", type=_non_negative, default=1000)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -333,8 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r-list", type=_int_list, required=True,
                    help="e.g. 4,8,16")
     p.add_argument("--trials", type=_positive_int, required=True)
-    p.add_argument("--seed", type=_seed, required=True)
-    p.add_argument("--max-rounds", type=int, default=1000)
+    p.add_argument("--seed", type=_non_negative, required=True)
+    p.add_argument("--max-rounds", type=_non_negative, default=1000)
     p.add_argument("--strategy", choices=["resample", "reject"],
                    default="resample")
     p.add_argument("--json", action="store_true",
@@ -347,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--trials", type=_positive_int, required=True)
-    p.add_argument("--seed", type=_seed, required=True)
+    p.add_argument("--seed", type=_non_negative, required=True)
     p.set_defaults(func=cmd_estimate_bad_event)
 
     return parser

@@ -168,13 +168,6 @@ class FacetSet:
         self.mask = _sorted_mask(tuple(sorted(elements)))
 
     @classmethod
-    def _from_sorted(cls, elems: tuple[int, ...]) -> "FacetSet":
-        """The set of ``elems``, a tuple already in ascending order."""
-        fs = cls.__new__(cls)
-        fs.mask = _sorted_mask(elems)
-        return fs
-
-    @classmethod
     def from_mask(cls, mask: int) -> "FacetSet":
         fs = cls.__new__(cls)
         fs.mask = mask
@@ -204,17 +197,7 @@ class FacetSet:
         return hash(self.mask)
 
     def __lt__(self, other: "FacetSet") -> bool:
-        # The elements tuples agree below the lowest differing bit b.  If
-        # b is ours, the other tuple continues past the common prefix
-        # with something above b, or ends there (and is the smaller);
-        # if b is theirs, ours is smaller exactly when it ends there.
-        # Bits below b sum to less than b's value, and bit b is unset in
-        # the set tested, so "has a bit above b" is "is at least 2b".
-        a, o = self.mask, other.mask
-        low = (a ^ o) & -(a ^ o)
-        if a & low:
-            return o >= low << 1
-        return a < low << 1  # equal masks: low = 0, and no mask is < 0
+        return self.elements < other.elements
 
     def __repr__(self) -> str:
         return f"FacetSet({list(self.elements)})"
@@ -414,13 +397,8 @@ def witness_text(witness: tuple, table: SymbolTable | None = None) -> str:
 
 def _sorted_witnesses(witnesses: list[tuple]) -> tuple[tuple, ...]:
     # Deterministic order regardless of internal iteration:
-    # by kind, then by the text of the payload.  Sorting each kind apart
-    # keeps the sort keys to one string per witness.
-    by_kind: dict[str, list[tuple]] = {}
-    for w in witnesses:
-        by_kind.setdefault(w[0], []).append(w)
-    return tuple(w for kind in sorted(by_kind)
-                 for w in sorted(by_kind[kind], key=lambda w: str(w[1:])))
+    # by kind, then by the text of the payload.
+    return tuple(sorted(witnesses, key=lambda w: (w[0], str(w[1:]))))
 
 
 def require_valid(spg: Spg) -> None:

@@ -28,6 +28,7 @@ from .core import (
     SymbolTable,
     TransformResult,
     _mask_digits,
+    _sorted_mask,
     validate,
     witness_text,
 )
@@ -35,6 +36,12 @@ from .core import (
 FORMAT_VERSION = 1
 
 Payload = Union[Spg, Spindle, TransformResult]
+
+# The annotations each document kind reads; parse refuses any other key.
+_ANNOTATIONS = {
+    "spg": {"apices"},
+    "transform-result": {"apices", "vertex_map", "edge_paths", "rounds_used"},
+}
 
 
 class DocumentError(ValueError):
@@ -45,20 +52,11 @@ class DocumentVersionError(DocumentError):
     """Document declares a format version this code does not speak."""
 
 
-class _IntText(dict):
-    """``str(k)`` for each int key ``k``, made on its first lookup."""
-
-    def __missing__(self, key: int) -> str:
-        text = self[key] = str(key)
-        return text
-
-
-def _write(value, write, indent: str, ints: _IntText,
-           indices: list[str]) -> None:
+def _write(value, write, indent: str, indices: list[str]) -> None:
     """Pass the canonical text of ``value`` to ``write`` piece by piece;
-    ``indent`` is the newline and spaces that open its line, ``ints``
-    holds the text of the ints written so far, and ``indices[i]`` is
-    ``str(i)`` for every i below the widest facet set written so far.
+    ``indent`` is the newline and spaces that open its line, and
+    ``indices[i]`` is ``str(i)`` for every i below the widest facet set
+    written so far.
     A :class:`FacetSet` is written as the list of its elements straight
     from its mask: the mask's binary digits select the elements' texts
     out of ``indices``."""
@@ -79,16 +77,15 @@ def _write(value, write, indent: str, ints: _IntText,
             return
         inner = indent + "  "
         if set(map(type, value)) == {int}:
-            # edges, paths and the vertex map, whose ints recur; a bool
-            # (equal to 0 or 1) never gets here, so it is never written
-            # from the table
-            write("[" + inner + ("," + inner).join(map(ints.__getitem__, value))
+            # edges, paths and the vertex map; exact ints only, since
+            # str(True) is not JSON
+            write("[" + inner + ("," + inner).join(map(str, value))
                   + indent + "]")
             return
         opener = "[" + inner
         for item in value:
             write(opener)
-            _write(item, write, inner, ints, indices)
+            _write(item, write, inner, indices)
             opener = "," + inner
         write(indent + "]")
     elif isinstance(value, dict):
@@ -102,7 +99,7 @@ def _write(value, write, indent: str, ints: _IntText,
                 raise TypeError(
                     f"keys must be str, not {type(key).__name__}")
             write(opener + json.dumps(key) + ": ")
-            _write(value[key], write, inner, ints, indices)
+            _write(value[key], write, inner, indices)
             opener = "," + inner
         write(indent + "}")
     else:
@@ -112,7 +109,7 @@ def _write(value, write, indent: str, ints: _IntText,
 
 def _write_canonical(value, write) -> None:
     """Pass the canonical text of ``value``, newline included, to ``write``."""
-    _write(value, write, "\n", _IntText(), [])
+    _write(value, write, "\n", [])
     write("\n")
 
 
@@ -203,7 +200,7 @@ def _parse_facet(elements, n: int, context: str) -> FacetSet:
             elems = tuple(sorted(elements))
             if ((not elems or elems[-1] < n)
                     and bool not in map(type, elems[:2])):
-                return FacetSet._from_sorted(elems)
+                return FacetSet.from_mask(_sorted_mask(elems))
     except (TypeError, ValueError, IndexError):
         pass
     raise DocumentError(f"{context}: {_facet_fault(elements, n)}")
@@ -337,6 +334,10 @@ def parse(text: str) -> Payload:
     annotations = doc.get("annotations", {})
     if not isinstance(annotations, dict):
         raise DocumentError("annotations: expected an object")
+    stray = sorted(set(annotations) - _ANNOTATIONS[kind])
+    if stray:
+        raise DocumentError(
+            f"annotations.{stray[0]}: not an annotation of a {kind} document")
 
     apices = None
     if "apices" in annotations:

@@ -230,17 +230,6 @@ def _walk(mask: int, swaps: list[tuple[int, int]], rows: Sequence[int]
     return seq
 
 
-def _subdivision_masks(a: FacetSet, a2: FacetSet, r: int, perm: Sequence[int]
-                       ) -> list[int]:
-    """Bit masks of the full subdivision sequence from A x [r] to A2 x [r].
-
-    Segment j adjusts row perm[j-1]: each step retires one lifted copy of
-    A minus A2 and introduces the rank-paired copy of A2 minus A, both in
-    ascending base-symbol order.
-    """
-    return _walk(_lift_mask(a, r), _swaps(a, a2, r), perm)
-
-
 # Rows read out of each end of a subdivision path by the bad-event scan:
 # by the two-row lemma (see _scan_bad_events) they hold every hit.
 _END_ROWS = 2
@@ -271,7 +260,12 @@ def subdivision_path(
 ) -> list[FacetSet]:
     """The sequence of r*d-sized sets interpolating between two lifted
     endpoints, 1 + r * (d - |A intersect A2|) entries, one symbol swapped
-    per consecutive pair."""
+    per consecutive pair.
+
+    Segment j adjusts row perm[j-1]: each step retires one lifted copy of
+    A minus A2 and introduces the rank-paired copy of A2 minus A, both in
+    ascending base-symbol order.
+    """
     if len(a) != len(a2):
         raise ValueError("endpoint sets must have equal size")
     if a == a2:
@@ -280,7 +274,8 @@ def subdivision_path(
         raise ValueError("row multiplier must be positive")
     if sorted(perm) != list(range(1, r + 1)):
         raise ValueError(f"not a permutation of 1..{r}: {perm}")
-    return [FacetSet.from_mask(m) for m in _subdivision_masks(a, a2, r, perm)]
+    return [FacetSet.from_mask(m)
+            for m in _walk(_lift_mask(a, r), _swaps(a, a2, r), perm)]
 
 
 def build_subdivision(

@@ -211,6 +211,11 @@ def test_public_entry_points_validate_the_template_once(monkeypatch):
 # of the shared vertex, so the round loop and bad_event_occurs scan only
 # those.
 
+def path_masks(a, a2, r, perm):
+    """The masks of ``subdivision_path(a, a2, r, perm)``, in order."""
+    return [fs.mask for fs in transform.subdivision_path(a, a2, r, perm)]
+
+
 def outward_hits(out1, out2):
     """Every (k, l), k and l >= 1, with the sets k and l steps out within
     Hamming distance 2: no band."""
@@ -222,8 +227,8 @@ def outward_hits(out1, out2):
 @settings(max_examples=300, deadline=None)
 def test_every_hit_lies_in_the_first_three_rows(case):
     center, leaf1, leaf2, r, perm1, perm2 = case
-    out1 = transform._subdivision_masks(center, leaf1, r, perm1)
-    out2 = transform._subdivision_masks(center, leaf2, r, perm2)
+    out1 = path_masks(center, leaf1, r, perm1)
+    out2 = path_masks(center, leaf2, r, perm2)
     m1, m2 = len(center.without(leaf1)), len(center.without(leaf2))
     for k, l in outward_hits(out1, out2) + transform._band_hits(out1, out2):
         assert k <= 2 * m1 and l <= 2 * m2
@@ -248,7 +253,7 @@ def test_oracle_witnesses_lie_in_the_first_three_rows(case):
 @settings(max_examples=300, deadline=None)
 def test_end_masks_are_the_first_and_last_rows(case):
     a, a2, _, r, perm, _ = case
-    full = transform._subdivision_masks(a, a2, r, perm)
+    full = path_masks(a, a2, r, perm)
     head, tail = transform._end_masks(a, a2, r, perm)
     steps = min(2, r) * len(a.without(a2))
     assert head == full[:steps + 1]

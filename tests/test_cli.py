@@ -3,6 +3,7 @@
 import gc
 import hashlib
 import io
+import json
 import subprocess
 import sys
 
@@ -109,6 +110,16 @@ class TestVerify:
         assert code == 1
         assert "endpoint-count: VIOLATED" in out
         assert "over-counted-face" in out
+
+    def test_stray_annotation_is_a_usage_error(self, capsys, monkeypatch):
+        doc = json.loads(build_template_doc(capsys, monkeypatch))
+        doc["annotations"]["rounds_used"] = "x"
+        code, out, err = run_cli(capsys, monkeypatch, ["verify"],
+                                 stdin=json.dumps(doc))
+        assert code == 2
+        assert out == ""
+        assert err == ("error: annotations.rounds_used: not an annotation "
+                       "of a spg document\n")
 
     def test_dimension_reduction_refuses_lifted_spindle(self, capsys, monkeypatch,
                                                        tmp_path):
@@ -392,10 +403,22 @@ class TestSweepAndEstimate:
          "argument --seed: must be non-negative, got -1"),
         (["sweep", "--r-list", "4", "--trials", "2", "--seed", "x"],
          "argument --seed: invalid int value: 'x'"),
+        (["sweep", "--r-list", "4", "--trials", "2", "--seed", "1",
+          "--max-rounds", "-1"],
+         "argument --max-rounds: must be non-negative, got -1"),
+        (["transform", "--r", "4", "--seed", "1", "--max-rounds", "-1"],
+         "argument --max-rounds: must be non-negative, got -1"),
+        (["build-spindle", "--dim", "2", "--transform", "--r", "4",
+          "--seed", "1", "--max-rounds", "-1"],
+         "argument --max-rounds: must be non-negative, got -1"),
+        (["transform", "--r", "4", "--seed", "1", "--max-rounds", "x"],
+         "argument --max-rounds: invalid int value: 'x'"),
     ], ids=["empty-r-list", "non-int-r-list", "sweep-zero-trials",
             "estimate-zero-trials", "sweep-negative-seed",
             "estimate-negative-seed", "transform-negative-seed",
-            "build-spindle-negative-seed", "non-int-seed"])
+            "build-spindle-negative-seed", "non-int-seed",
+            "sweep-negative-max-rounds", "transform-negative-max-rounds",
+            "build-spindle-negative-max-rounds", "non-int-max-rounds"])
     def test_argument_errors_name_the_flag(self, capsys, monkeypatch, argv,
                                            message):
         code, out, err = run_cli(capsys, monkeypatch, argv,

@@ -110,9 +110,8 @@ def test_serialize_rejects_unknown_type():
 _SCALARS = st.one_of(
     st.none(), st.booleans(), st.integers(), st.integers(-2**200, 2**200),
     st.floats(), st.text())
-# ints that recur within and across lists, as a document's do, so the
-# writer's table of int texts is read back; a bool among them (equal to
-# 0 or 1) must still be written as true or false
+# ints that recur within and across lists, as a document's do; a bool
+# among them (equal to 0 or 1) must still be written as true or false
 _RECURRING_INTS = st.sampled_from(
     [0, 1, 2, -1, -2, 2**63, 2**64, 2**64 + 1, -2**64, 2**200])
 _INT_LISTS = st.one_of(
@@ -446,6 +445,33 @@ def test_transform_result_path_indices_checked():
     doc = json.loads(serialize(result))
     doc["annotations"]["edge_paths"] = [[0, 99, 1]]
     with pytest.raises(DocumentError, match="edge_paths"):
+        parse(json.dumps(doc))
+
+
+@pytest.mark.parametrize("key, value", [
+    ("vertex_map", [0]),
+    ("edge_paths", [[0, 5]]),
+    ("rounds_used", "x"),
+])
+@pytest.mark.parametrize("spg", [GOOD_PATH, build_spindle_template(2).spindle],
+                         ids=["plain", "spindle"])
+def test_spg_document_refuses_other_annotations(spg, key, value):
+    doc = _document_dict(spg)
+    doc.setdefault("annotations", {})[key] = value
+    with pytest.raises(
+            DocumentError,
+            match=rf"^annotations\.{key}: not an annotation of a spg document$"):
+        parse(json.dumps(doc))
+
+
+def test_transform_result_refuses_unknown_annotations():
+    result = build_exponential_spindle(1, TransformConfig(r=4, seed=2))
+    doc = json.loads(serialize(result))
+    doc["annotations"]["resample_log"] = []
+    with pytest.raises(
+            DocumentError,
+            match=r"^annotations\.resample_log: not an annotation of a "
+                  r"transform-result document$"):
         parse(json.dumps(doc))
 
 
