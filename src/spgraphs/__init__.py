@@ -14,9 +14,10 @@ _MODULE_OF = {
     name: module
     for module, names in {
         "core": (
-            "BudgetExceededError", "FacetSet", "InvalidSpgError",
-            "PropertyReport", "ResamplingExhaustedError", "Spg",
-            "SpgProperty", "Spindle", "SymbolTable", "TransformResult",
+            "BudgetExceededError", "ConstructionVerificationError",
+            "FacetSet", "InvalidSpgError", "PropertyReport",
+            "ResamplingExhaustedError", "Spg", "SpgProperty", "Spindle",
+            "SymbolTable", "TransformResult",
             "check_adjacency", "check_connectivity",
             "check_dimension_reduction", "check_endpoint_count",
             "check_partition", "check_singleton", "check_strong_adjacency",
@@ -37,8 +38,7 @@ _MODULE_OF = {
             "build_star_template", "sliding_window_path",
         ),
         "transform": (
-            "BadEvent", "BadEventEstimate", "ConstructionVerificationError",
-            "PermutationAssignment", "Strategy", "TransformConfig",
+            "BadEvent", "BadEventEstimate", "PermutationAssignment", "Strategy", "TransformConfig",
             "bad_event_occurs", "build_subdivision", "check_localization",
             "construct_with_resampling", "estimate_bad_event_probability",
             "find_bad_events", "lift_facet", "lift_product",

@@ -7,7 +7,8 @@ are always explicit arguments -- there is no environment fallback -- so
 identical invocations are byte-identical.
 
 Exit status: 0 success / property holds, 1 property violation (witnesses
-printed), 2 usage or I/O error, 3 resampling budget exhausted.
+printed), 2 usage or I/O error, 3 construction failed (resampling budget
+exhausted, or the result failed re-verification).
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import sys
 from . import core, document
 from .core import (
     BudgetExceededError,
+    ConstructionVerificationError,
     FacetSet,
     PropertyReport,
     ResamplingExhaustedError,
@@ -34,7 +36,7 @@ from .core import (
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
-EXIT_EXHAUSTED = 3
+EXIT_CONSTRUCTION_FAILED = 3
 
 WITNESS_LIMIT = 20
 
@@ -47,11 +49,7 @@ def _read_input(path: str | None) -> str:
 
 
 def _spg_of(obj) -> Spg:
-    if isinstance(obj, Spindle):
-        return obj.spg
-    if isinstance(obj, TransformResult):
-        return obj.spg
-    return obj
+    return obj if isinstance(obj, Spg) else obj.spg
 
 
 def _print_report(report: PropertyReport, table, all_witnesses: bool) -> None:
@@ -99,14 +97,7 @@ def cmd_transform(args) -> int:
     obj = document.parse(_read_input(args.input))
     if isinstance(obj, TransformResult):
         raise ValueError("input is already a transform result; expected a template")
-    template = _spg_of(obj)
-    result = transform.construct_with_resampling(template, _transform_config(args))
-    if isinstance(obj, Spindle):
-        lifted = (
-            transform.lift_facet(obj.apex1, args.r),
-            transform.lift_facet(obj.apex2, args.r),
-        )
-        result = dataclasses.replace(result, apices=lifted)
+    result = transform.construct_with_resampling(obj, _transform_config(args))
     print(f"rounds used: {result.rounds_used}", file=sys.stderr)
     document.dump(result, sys.stdout)
     return EXIT_OK
@@ -202,8 +193,6 @@ def cmd_estimate_bad_event(args) -> int:
     from . import transform
 
     d = args.dim
-    if d < 1:
-        raise ValueError("--dim must be at least 1")
     center = FacetSet(range(d))
     leaf1 = FacetSet(range(d, 2 * d))
     leaf2 = FacetSet(range(2 * d, 3 * d))
@@ -228,18 +217,19 @@ def _int(text: str) -> int:
             f"invalid int value: {text!r}") from None
 
 
-def _positive_int(text: str) -> int:
-    value = _int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
-    return value
+def _at_least(low: int, bound: str):
+    """The type of an int flag of at least ``low``, described as ``bound``."""
+    def parse_int(text: str) -> int:
+        value = _int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
+        return value
+    return parse_int
 
 
-def _non_negative(text: str) -> int:
-    value = _int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
-    return value
+_non_negative = _at_least(0, "non-negative")
+_positive_int = _at_least(1, "positive")
+_multiplier = _at_least(2, "at least 2")
 
 
 def _int_list(text: str) -> list[int]:
@@ -261,7 +251,7 @@ def _add_input(parser: argparse.ArgumentParser) -> None:
 
 def _add_transform_options(parser: argparse.ArgumentParser,
                            required: bool) -> None:
-    parser.add_argument("--r", type=int, required=required,
+    parser.add_argument("--r", type=_multiplier, required=required,
                         help="row multiplier (at least 2)")
     parser.add_argument("--seed", type=_non_negative, required=required,
                         help="random seed (explicit, for reproducibility)")
@@ -279,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build-spindle",
                        help="emit the all-subsets spindle template, or its "
                             "full randomized construction with --transform")
-    p.add_argument("--dim", type=int, required=True)
+    p.add_argument("--dim", type=_positive_int, required=True)
     p.add_argument("--transform", action="store_true",
                    help="run the randomized construction on the template")
     _add_transform_options(p, required=False)
@@ -326,8 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate-bad-event",
                        help="Monte-Carlo bad-event frequency on a "
                             "disjoint degree-2 star")
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--dim", type=_positive_int, required=True)
+    p.add_argument("--r", type=_multiplier, required=True)
     p.add_argument("--trials", type=_positive_int, required=True)
     p.add_argument("--seed", type=_non_negative, required=True)
     p.set_defaults(func=cmd_estimate_bad_event)
@@ -349,9 +339,9 @@ def main(argv: list[str] | None = None) -> int:
     gc.disable()
     try:
         return args.func(args)
-    except ResamplingExhaustedError as err:
+    except (ResamplingExhaustedError, ConstructionVerificationError) as err:
         print(f"error: {err}", file=sys.stderr)
-        return EXIT_EXHAUSTED
+        return EXIT_CONSTRUCTION_FAILED
     except BudgetExceededError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE

@@ -68,6 +68,17 @@ class ResamplingExhaustedError(RuntimeError):
             f"resampling rounds")
 
 
+class ConstructionVerificationError(RuntimeError):
+    """A bad-event-free assignment failed re-verification (possible only
+    below the localization regime r >= 4)."""
+
+    def __init__(self, failed: Iterable["PropertyReport"], resample_log=()):
+        self.failed = tuple(failed)
+        self.resample_log = tuple(resample_log)
+        names = ", ".join(rep.property.value for rep in self.failed)
+        super().__init__(f"constructed graph failed verification: {names}")
+
+
 _BIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
 
 
@@ -312,7 +323,9 @@ class Spindle:
         fam = set(self.spg.family())
         for apex in (self.apex1, self.apex2):
             if apex not in fam:
-                raise ValueError(f"apex {apex!r} is not a member of the family")
+                raise ValueError(
+                    f"apex {apex.render(self.spg.symbols)} is not a member "
+                    f"of the family")
 
     def apex_vertices(self) -> tuple[int, int]:
         v1 = v2 = -1
@@ -374,9 +387,6 @@ class PropertyReport:
     @property
     def holds(self) -> bool:
         return not self.witnesses
-
-    def describe(self, table: SymbolTable | None = None) -> list[str]:
-        return [witness_text(w, table) for w in self.witnesses]
 
 
 def witness_text(witness: tuple, table: SymbolTable | None = None) -> str:

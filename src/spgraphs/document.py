@@ -37,7 +37,10 @@ FORMAT_VERSION = 1
 
 Payload = Union[Spg, Spindle, TransformResult]
 
-# The annotations each document kind reads; parse refuses any other key.
+# The keys the writer emits, which parse reads; it refuses any other.
+_FIELDS = {"format_version", "kind", "symbols", "dimension", "vertices",
+           "edges", "flags", "annotations"}
+_FLAGS = {"is_restriction"}
 _ANNOTATIONS = {
     "spg": {"apices"},
     "transform-result": {"apices", "vertex_map", "edge_paths", "rounds_used"},
@@ -256,6 +259,13 @@ def _check_subdivision(spg: Spg, vertex_map: list[int],
             f"{len(spg.vertices)} vertices")
 
 
+def _refuse_stray(obj: dict, known: set[str], prefix: str, what: str) -> None:
+    # name the first stray key in sorted order
+    stray = sorted(set(obj) - known)
+    if stray:
+        raise DocumentError(f"{prefix}{stray[0]}: not {what}")
+
+
 def parse(text: str) -> Payload:
     """Parse and fully validate a document.
 
@@ -282,6 +292,7 @@ def parse(text: str) -> Payload:
     kind = _expect(doc, "kind", str)
     if kind not in ("spg", "transform-result"):
         raise DocumentError(f"kind: unknown document kind {kind!r}")
+    _refuse_stray(doc, _FIELDS, "", f"a field of a {kind} document")
 
     labels = _expect(doc, "symbols", list)
     if not all(isinstance(lbl, str) for lbl in labels):
@@ -317,6 +328,7 @@ def parse(text: str) -> Payload:
     flags = doc.get("flags", {})
     if not isinstance(flags, dict):
         raise DocumentError("flags: expected an object")
+    _refuse_stray(flags, _FLAGS, "flags.", "a flag")
     is_restriction = flags.get("is_restriction", False)
     if not isinstance(is_restriction, bool):
         raise DocumentError("flags.is_restriction: expected a boolean")
@@ -334,10 +346,8 @@ def parse(text: str) -> Payload:
     annotations = doc.get("annotations", {})
     if not isinstance(annotations, dict):
         raise DocumentError("annotations: expected an object")
-    stray = sorted(set(annotations) - _ANNOTATIONS[kind])
-    if stray:
-        raise DocumentError(
-            f"annotations.{stray[0]}: not an annotation of a {kind} document")
+    _refuse_stray(annotations, _ANNOTATIONS[kind], "annotations.",
+                  f"an annotation of a {kind} document")
 
     apices = None
     if "apices" in annotations:
@@ -347,12 +357,6 @@ def parse(text: str) -> Payload:
         apices = tuple(
             _parse_facet(raw, table.n, f"annotations.apices[{i}]")
             for i, raw in enumerate(raw_apices))
-        family = set(spg.family())
-        for i, apex in enumerate(apices):
-            if apex not in family:
-                raise DocumentError(
-                    f"annotations.apices[{i}]: {apex.render(table)} is not a "
-                    f"member of the family")
         try:
             spindle = Spindle(spg, apices[0], apices[1])
         except ValueError as err:

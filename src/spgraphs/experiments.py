@@ -26,6 +26,7 @@ from .transform import (
     ResamplingExhaustedError,
     Strategy,
     TransformConfig,
+    _require_multiplier,
     _require_seed,
     construct_with_resampling,
 )
@@ -91,8 +92,8 @@ def sweep_r(
     require_valid(template)
     if not r_values:
         raise ValueError("r_values must not be empty")
-    if any(r < 2 for r in r_values):
-        raise ValueError("all row multipliers must be at least 2")
+    for r in r_values:
+        _require_multiplier(r)
     if trials < 1:
         raise ValueError("trials must be positive")
     _require_seed(seed)

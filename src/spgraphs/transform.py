@@ -35,19 +35,22 @@ from typing import TYPE_CHECKING, Sequence
 if TYPE_CHECKING:
     import numpy as np  # imported where used: only the draws need it
 
-# TransformResult and ResamplingExhaustedError live in core, so that
+# TransformResult and the construction errors live in core, so that
 # reading a document does not load this module; they are re-exported here.
 from .core import (
+    ConstructionVerificationError,
     FacetSet,
     PropertyReport,
     ResamplingExhaustedError,
     Spg,
     SpgProperty,
+    Spindle,
     TransformResult,
     _mask_elements,
     _sorted_witnesses,
     near_pairs,
     require_singleton,
+    validate,
     verify_all,
 )
 
@@ -68,10 +71,7 @@ class TransformConfig:
     strategy: Strategy = Strategy.RESAMPLE
 
     def __post_init__(self):
-        if self.r < 2:
-            raise ValueError(
-                "row multiplier must be at least 2 for the lift to satisfy "
-                "the end-point count")
+        _require_multiplier(self.r)
         if self.max_rounds < 0:
             raise ValueError("max_rounds must be non-negative")
         _require_seed(self.seed)
@@ -94,10 +94,8 @@ class PermutationAssignment:
         if len(self.perms) != edge_count:
             raise ValueError(
                 f"assignment covers {len(self.perms)} edges, graph has {edge_count}")
-        expected = frozenset(range(1, r + 1))
-        for i, p in enumerate(self.perms):
-            if frozenset(p) != expected or len(p) != r:
-                raise ValueError(f"entry {i} is not a permutation of 1..{r}: {p}")
+        for perm in self.perms:
+            _require_permutation(perm, r)
 
     @classmethod
     def draw(cls, rng: np.random.Generator, edge_count: int, r: int
@@ -113,17 +111,6 @@ class BadEvent:
     vertex: int
     edges: tuple[int, int]
     witness: tuple[FacetSet, FacetSet]
-
-
-class ConstructionVerificationError(RuntimeError):
-    """A bad-event-free assignment failed re-verification (possible only
-    below the localization regime r >= 4)."""
-
-    def __init__(self, failed: Sequence[PropertyReport], resample_log=()):
-        self.failed = tuple(failed)
-        self.resample_log = tuple(resample_log)
-        names = ", ".join(rep.property.value for rep in self.failed)
-        super().__init__(f"constructed graph failed verification: {names}")
 
 
 def min_multiplier(delta: int) -> int:
@@ -148,6 +135,29 @@ def lll_sufficient(delta: int, r: int) -> bool:
     if r < 1:
         raise ValueError("row multiplier must be positive")
     return (4 * delta - 5) * (4.0 / r) * math.e < 1.0
+
+
+def _require_multiplier(r: int) -> None:
+    if r < 2:
+        raise ValueError(
+            "row multiplier must be at least 2 for the lift to satisfy "
+            "the end-point count")
+
+
+def _require_permutation(perm: Sequence[int], r: int) -> None:
+    # r entries covering 1..r: then they are 1..r, each once
+    if len(perm) != r or not set(perm).issuperset(range(1, r + 1)):
+        raise ValueError(
+            f"not a subdivision path: {perm} is not a permutation of 1..{r}")
+
+
+def _require_star(center: FacetSet, leaf1: FacetSet, leaf2: FacetSet) -> None:
+    if not len(center) == len(leaf1) == len(leaf2):
+        raise ValueError("star sets must have uniform size")
+    if leaf1 == leaf2:
+        raise ValueError("leaves must differ")
+    if center in (leaf1, leaf2):
+        raise ValueError("leaves must differ from the center")
 
 
 def _require_seed(seed: int) -> None:
@@ -196,8 +206,7 @@ def lift_product(spg: Spg, r: int) -> Spg:
     Graph structure is unchanged; dimension becomes r*d over the
     replicated symbol set.  Requires a singleton input and r >= 2.
     """
-    if r < 2:
-        raise ValueError("row multiplier must be at least 2")
+    _require_multiplier(r)
     require_singleton(spg)
     return Spg.build(
         spg.symbols.lifted(r),
@@ -272,8 +281,7 @@ def subdivision_path(
         raise ValueError("endpoint sets must differ")
     if r < 1:
         raise ValueError("row multiplier must be positive")
-    if sorted(perm) != list(range(1, r + 1)):
-        raise ValueError(f"not a permutation of 1..{r}: {perm}")
+    _require_permutation(perm, r)
     return [FacetSet.from_mask(m)
             for m in _walk(_lift_mask(a, r), _swaps(a, a2, r), perm)]
 
@@ -283,18 +291,14 @@ def build_subdivision(
 ) -> TransformResult:
     """Second construction step, deterministic given the permutations.
 
-    Every template edge is replaced by its subdivision path; interior
-    path sets become fresh singleton vertices.  Original vertices keep
-    their indices, so the vertex map is the identity embedding.
+    Every edge of the product lift is replaced by its subdivision path;
+    interior path sets become fresh singleton vertices.  Original
+    vertices keep their indices, so the vertex map is the identity.
     """
-    require_singleton(spg)
-    if r < 2:
-        raise ValueError("row multiplier must be at least 2")
+    lifted = lift_product(spg, r)
     perms.require_covers(len(spg.edges), r)
 
-    new_vertices: list[tuple[FacetSet, ...]] = [
-        (lift_facet(vertex[0], r),) for vertex in spg.vertices
-    ]
+    new_vertices = list(lifted.vertices)
     new_edges: list[tuple[int, int]] = []
     edge_paths: list[tuple[int, ...]] = []
 
@@ -311,7 +315,7 @@ def build_subdivision(
 
     return TransformResult(
         spg=Spg.build(
-            spg.symbols.lifted(r), r * spg.dimension, new_vertices, new_edges),
+            lifted.symbols, lifted.dimension, new_vertices, new_edges),
         vertex_map=tuple(range(len(spg.vertices))),
         edge_paths=tuple(edge_paths),
     )
@@ -430,9 +434,12 @@ def find_bad_events(result: TransformResult, original: Spg) -> tuple[BadEvent, .
                             [(path, path[::-1]) for path in paths])
 
 
-def construct_with_resampling(spg: Spg, config: TransformConfig) -> TransformResult:
+def construct_with_resampling(template: Spg | Spindle, config: TransformConfig
+                              ) -> TransformResult:
     """Full construction: draw row permutations, resample away bad
-    events until none remain, then build.
+    events until none remain, then build.  On a :class:`Spindle` the
+    result is one too: its apices are the lifted apex sets, and its
+    length, checked, is at least r times the template's.
 
     All randomness flows from one generator seeded with ``config.seed``;
     permutations are drawn in full per edge in canonical index order, and
@@ -445,8 +452,8 @@ def construct_with_resampling(spg: Spg, config: TransformConfig) -> TransformRes
     event are redrawn each round (and only their end masks recomputed);
     REJECT redraws all of them.  The graph is built once and re-verified
     (validity, singleton, adjacency, strong adjacency, end-point count)
-    before being returned; exhausting ``max_rounds`` raises with the
-    surviving bad events attached.
+    before being returned, or raises with the failed reports;
+    exhausting ``max_rounds`` raises with the bad events left.
 
     Under RESAMPLE, rounds after the first rescan only the pairs that
     hold a redrawn edge.  Every pair left out is clean: by induction,
@@ -457,6 +464,7 @@ def construct_with_resampling(spg: Spg, config: TransformConfig) -> TransformRes
     are those of a full rescan.  REJECT redraws every edge and rescans
     every pair.
     """
+    spg = template.spg if isinstance(template, Spindle) else template
     require_singleton(spg)
     r = config.r
     sets = [(spg.vertices[u][0], spg.vertices[w][0]) for u, w in spg.edges]
@@ -483,13 +491,23 @@ def construct_with_resampling(spg: Spg, config: TransformConfig) -> TransformRes
             ends[ei] = _end_masks(*sets[ei], r, perm)
         attempt += 1
 
-    result = replace(
-        build_subdivision(spg, r, PermutationAssignment(tuple(perms))),
-        rounds_used=attempt, resample_log=tuple(log))
-    failed = [rep for rep in verify_all(result.spg) if not rep.holds]
+    result = build_subdivision(spg, r, PermutationAssignment(tuple(perms)))
+    # the other checks refuse an invalid graph, so it is reported alone
+    validity = validate(result.spg)
+    failed = [validity] if not validity.holds else [
+        rep for rep in verify_all(result.spg) if not rep.holds]
     if failed:
-        raise ConstructionVerificationError(failed, result.resample_log)
-    return result
+        raise ConstructionVerificationError(failed, log)
+    apices = None
+    if isinstance(template, Spindle):
+        apices = (lift_facet(template.apex1, r), lift_facet(template.apex2, r))
+        length = Spindle(result.spg, *apices).length()
+        if length < r * template.length():
+            raise RuntimeError(
+                f"constructed spindle has length {length}, below "
+                f"r * {template.length()}")
+    return replace(result, rounds_used=attempt, resample_log=tuple(log),
+                   apices=apices)
 
 
 @dataclass(frozen=True)
@@ -517,16 +535,9 @@ def bad_event_occurs(
     the perms the cost does not grow with r.  The lemma needs leaves of
     the center's size, distinct from each other and from the center, and
     permutations of 1..r: anything else raises ValueError."""
-    if not len(center) == len(leaf1) == len(leaf2):
-        raise ValueError("star sets must have uniform size")
-    if leaf1 == leaf2:
-        raise ValueError("leaves must differ")
-    if center in (leaf1, leaf2):
-        raise ValueError("leaves must differ from the center")
-    for perm in (perm1, perm2):
-        if len(perm) != r or not set(perm).issuperset(range(1, r + 1)):
-            raise ValueError(
-                f"not a subdivision path: {perm} is not a permutation of 1..{r}")
+    _require_star(center, leaf1, leaf2)
+    _require_permutation(perm1, r)
+    _require_permutation(perm2, r)
     return _star_bad_event(_lift_mask(center, r), _swaps(center, leaf1, r),
                            _swaps(center, leaf2, r), perm1, perm2)
 
@@ -575,13 +586,9 @@ def estimate_bad_event_probability(
     """
     if trials < 1:
         raise ValueError("trials must be positive")
-    if r < 2:
-        raise ValueError("row multiplier must be at least 2")
+    _require_multiplier(r)
     _require_seed(seed)
-    if len({center, leaf1, leaf2}) != 3:
-        raise ValueError("star sets must be pairwise distinct")
-    if not (len(center) == len(leaf1) == len(leaf2)):
-        raise ValueError("star sets must have uniform size")
+    _require_star(center, leaf1, leaf2)
 
     import numpy as np
     rng = np.random.default_rng(seed)

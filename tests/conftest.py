@@ -28,6 +28,7 @@ from spgraphs import (
     TransformResult,
     build_subdivision,
     subdivision_path,
+    validate,
     verify_all,
 )
 from spgraphs import transform
@@ -258,6 +259,16 @@ def brute_force_bad_event_occurs(center, leaf1, leaf2, r, perm1, perm2) -> bool:
     return any(a.intersection_size(b) >= rd - 1 for a in path1 for b in path2)
 
 
+def failed_reports(spg: Spg) -> list[PropertyReport]:
+    """The reports a built construction fails: validity alone on an
+    invalid graph, which the other checks refuse, else every failed
+    report of verify_all."""
+    validity = validate(spg)
+    if not validity.holds:
+        return [validity]
+    return [rep for rep in verify_all(spg) if not rep.holds]
+
+
 def replay_construction(spg: Spg, config: TransformConfig):
     """construct_with_resampling round by round: build every round, scan
     with the oracle, redraw from the same stream.  Returns the result, or
@@ -270,7 +281,7 @@ def replay_construction(spg: Spg, config: TransformConfig):
             spg, config.r, PermutationAssignment(tuple(perms)))
         events = brute_force_bad_events(result, spg)
         if not events:
-            failed = [rep for rep in verify_all(result.spg) if not rep.holds]
+            failed = failed_reports(result.spg)
             if failed:
                 return ConstructionVerificationError(failed, tuple(log))
             return replace(result, rounds_used=attempt, resample_log=tuple(log))
@@ -301,7 +312,7 @@ def full_rescan_construction(spg: Spg, config: TransformConfig):
         if not events:
             result = build_subdivision(
                 spg, r, PermutationAssignment(tuple(perms)))
-            failed = [rep for rep in verify_all(result.spg) if not rep.holds]
+            failed = failed_reports(result.spg)
             if failed:
                 return ConstructionVerificationError(failed, tuple(log))
             return replace(result, rounds_used=attempt, resample_log=tuple(log))
@@ -428,3 +439,14 @@ def type_scan_parse_facet(elements, n: int, context: str) -> FacetSet:
 def json_dumps_canonical(value) -> str:
     """The canonical document text by the standard library's encoder."""
     return json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+def duplicating_tree() -> Spg:
+    """A singleton tree whose construction at r = 2 can put one set on
+    two vertices (at seed 0, on the paths of two edges that share no
+    endpoint, where no bad event looks): the result fails validation.
+    At r = 3 and seed 0 it fails adjacency and strong adjacency."""
+    sets = [(0, 2, 3), (1, 2, 3), (0, 2, 4), (1, 2, 4), (0, 1, 2)]
+    return Spg.build(SymbolTable.alphabetic(5), 3,
+                     [[FacetSet(s)] for s in sets],
+                     [(0, 3), (0, 4), (1, 2), (2, 3)])

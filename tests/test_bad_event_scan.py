@@ -8,7 +8,7 @@ from itertools import combinations
 import numpy as np
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spgraphs.transform as transform
@@ -16,15 +16,18 @@ from spgraphs import core
 from conftest import (
     brute_force_bad_event_occurs,
     brute_force_bad_events,
+    duplicating_tree,
     full_rescan_construction,
     loop_fisher_yates,
     replay_construction,
 )
 from spgraphs import (
+    ConstructionVerificationError,
     FacetSet,
     PermutationAssignment,
     ResamplingExhaustedError,
     Spg,
+    SpgProperty,
     Strategy,
     SymbolTable,
     TransformConfig,
@@ -35,8 +38,11 @@ from spgraphs import (
     construct_with_resampling,
     estimate_bad_event_probability,
     find_bad_events,
+    lift_product,
     parse,
     serialize,
+    subdivision_path,
+    sweep_r,
 )
 
 
@@ -350,6 +356,46 @@ def test_bad_event_occurs_refuses_the_center_as_first_leaf():
         bad_event_occurs(fs(0, 1), fs(0, 1), fs(2, 3), 4, (1, 2, 3, 4), (1, 2, 3, 4))
 
 
+# Each precondition has one check, so every caller refuses with one text.
+_MULTIPLIER = ("row multiplier must be at least 2 for the lift to satisfy "
+               "the end-point count")
+_NOT_A_PERMUTATION = r"not a subdivision path: \(1, 1\) is not a permutation of 1\.\.2"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: TransformConfig(r=1, seed=0), _MULTIPLIER),
+    (lambda: lift_product(SHARED_STAR, 1), _MULTIPLIER),
+    (lambda: build_subdivision(
+        SHARED_STAR, 1, PermutationAssignment(((1,), (1,)))), _MULTIPLIER),
+    (lambda: sweep_r(SHARED_STAR, [4, 1], 1, 0), _MULTIPLIER),
+    (lambda: estimate_bad_event_probability(
+        fs(0, 1), fs(2, 3), fs(2, 4), 1, 10, 0), _MULTIPLIER),
+    (lambda: PermutationAssignment(((1, 2), (1, 1))).require_covers(2, 2),
+     _NOT_A_PERMUTATION),
+    (lambda: build_subdivision(
+        SHARED_STAR, 2, PermutationAssignment(((1, 2), (1, 1)))),
+     _NOT_A_PERMUTATION),
+    (lambda: subdivision_path(fs(0, 1), fs(2, 3), 2, (1, 1)),
+     _NOT_A_PERMUTATION),
+    (lambda: bad_event_occurs(fs(0, 1), fs(2, 3), fs(2, 4), 2, (1, 2), (1, 1)),
+     _NOT_A_PERMUTATION),
+    (lambda: estimate_bad_event_probability(
+        fs(0, 1), fs(2, 3), fs(2, 3), 4, 10, 0), "leaves must differ"),
+    (lambda: estimate_bad_event_probability(
+        fs(0, 1), fs(0, 1), fs(2, 3), 4, 10, 0),
+     "leaves must differ from the center"),
+    (lambda: estimate_bad_event_probability(
+        fs(0, 1), fs(2, 3), fs(2, 3, 4), 4, 10, 0),
+     "star sets must have uniform size"),
+], ids=["config", "lift", "subdivision-r", "sweep", "estimator-r",
+        "assignment", "subdivision-perm", "path", "bad-event",
+        "estimator-equal-leaves", "estimator-centre-leaf",
+        "estimator-sizes"])
+def test_each_precondition_has_one_message(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 # Rounds after the first rescan only the pairs holding a redrawn edge,
 # and draw every redrawn permutation in one call: the outcome is that of
 # a full rescan with one scalar draw loop per edge.
@@ -371,12 +417,30 @@ def shared_symbol_trees(draw):
 @given(st.one_of(shared_symbol_templates(), shared_symbol_trees()),
        st.integers(2, 8), st.integers(0, 2**32 - 1), st.sampled_from(Strategy),
        st.integers(0, 4))
+@example(duplicating_tree(), 2, 0, Strategy.RESAMPLE, 3)
 @settings(max_examples=150, deadline=None)
 def test_construction_matches_full_rescans(template, r, seed, strategy,
                                            max_rounds):
     assert_same_outcome(template, TransformConfig(
         r=r, seed=seed, max_rounds=max_rounds, strategy=strategy),
         oracle=full_rescan_construction)
+
+
+@pytest.mark.parametrize("strategy", list(Strategy))
+@pytest.mark.parametrize("r, failed", [
+    (2, [SpgProperty.VALIDITY]),
+    (3, [SpgProperty.ADJACENCY, SpgProperty.STRONG_ADJACENCY]),
+])
+def test_a_result_that_fails_verification_raises_with_its_reports(
+        r, failed, strategy):
+    with pytest.raises(ConstructionVerificationError) as err:
+        construct_with_resampling(duplicating_tree(), TransformConfig(
+            r=r, seed=0, strategy=strategy))
+    assert [rep.property for rep in err.value.failed] == failed
+    if r == 2:
+        # the other checks refuse an invalid graph: validity comes alone
+        (report,) = err.value.failed
+        assert [w[0] for w in report.witnesses] == ["duplicate-set"]
 
 
 def test_rounds_after_the_first_examine_only_redrawn_pairs(monkeypatch):

@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+from conftest import duplicating_tree
 from spgraphs import (
     FacetSet, Spg, SymbolTable, TransformConfig, build_exponential_spindle,
     build_spindle_template, build_star_template, parse, restrict, serialize)
@@ -24,6 +25,7 @@ SHARED_STAR_DOC = serialize(build_star_template(
     SymbolTable.alphabetic(5), fs(0, 1), [fs(2, 3), fs(2, 4)]))
 NON_SINGLETON_DOC = serialize(Spg.build(
     SymbolTable.alphabetic(3), 2, [[fs(0, 1), fs(1, 2)]]))
+DUPLICATING_TREE_DOC = serialize(duplicating_tree())
 
 
 def run_cli(capsys, monkeypatch, argv, stdin=""):
@@ -237,6 +239,26 @@ class TestTransform:
         assert code == 3
         assert "bad events" in err
 
+    @pytest.mark.parametrize("r, failed", [
+        ("2", "validity"), ("3", "adjacency, strong-adjacency")])
+    def test_failed_verification_exit_code(self, capsys, monkeypatch, r,
+                                           failed):
+        code, out, err = run_cli(capsys, monkeypatch, [
+            "transform", "--r", r, "--seed", "0"], stdin=DUPLICATING_TREE_DOC)
+        assert (code, out) == (3, "")
+        assert err == f"error: constructed graph failed verification: {failed}\n"
+
+    def test_spindle_document_gets_the_built_spindle(self, capsys, monkeypatch):
+        argv = ["--r", "4", "--seed", "3"]
+        code, built, _ = run_cli(capsys, monkeypatch, [
+            "build-spindle", "--dim", "2", "--transform", *argv])
+        assert code == 0
+        code, piped, _ = run_cli(capsys, monkeypatch, ["transform", *argv],
+                                 stdin=build_template_doc(capsys, monkeypatch))
+        assert code == 0
+        assert piped == built
+        assert parse(piped).apices is not None
+
     def test_rejects_result_input(self, capsys, monkeypatch):
         code, out, _ = run_cli(capsys, monkeypatch, [
             "transform", "--r", "4", "--seed", "9"], stdin=SHARED_STAR_DOC)
@@ -347,6 +369,14 @@ class TestSweepAndEstimate:
         assert code == 2
         assert "non-singleton-vertex" in err
 
+    def test_sweep_counts_a_result_failing_validation(self, capsys,
+                                                      monkeypatch):
+        code, out, _ = run_cli(capsys, monkeypatch, [
+            "sweep", "--r-list", "2", "--trials", "1", "--seed", "0"],
+            stdin=DUPLICATING_TREE_DOC)
+        assert code == 0
+        assert out.splitlines()[-1].startswith("2\t1\t0\t-\t")
+
     def test_sweep_table(self, capsys, monkeypatch):
         code, out, _ = run_cli(capsys, monkeypatch, [
             "sweep", "--r-list", "4,6", "--trials", "2", "--seed", "3"],
@@ -413,12 +443,30 @@ class TestSweepAndEstimate:
          "argument --max-rounds: must be non-negative, got -1"),
         (["transform", "--r", "4", "--seed", "1", "--max-rounds", "x"],
          "argument --max-rounds: invalid int value: 'x'"),
+        (["build-spindle", "--dim", "-1"],
+         "argument --dim: must be positive, got -1"),
+        (["estimate-bad-event", "--dim", "0", "--r", "8", "--trials", "5",
+          "--seed", "4"],
+         "argument --dim: must be positive, got 0"),
+        (["transform", "--r", "1", "--seed", "0"],
+         "argument --r: must be at least 2, got 1"),
+        (["build-spindle", "--dim", "2", "--transform", "--r", "1",
+          "--seed", "0"],
+         "argument --r: must be at least 2, got 1"),
+        (["estimate-bad-event", "--dim", "2", "--r", "1", "--trials", "5",
+          "--seed", "4"],
+         "argument --r: must be at least 2, got 1"),
+        (["transform", "--r", "x", "--seed", "0"],
+         "argument --r: invalid int value: 'x'"),
     ], ids=["empty-r-list", "non-int-r-list", "sweep-zero-trials",
             "estimate-zero-trials", "sweep-negative-seed",
             "estimate-negative-seed", "transform-negative-seed",
             "build-spindle-negative-seed", "non-int-seed",
             "sweep-negative-max-rounds", "transform-negative-max-rounds",
-            "build-spindle-negative-max-rounds", "non-int-max-rounds"])
+            "build-spindle-negative-max-rounds", "non-int-max-rounds",
+            "build-spindle-negative-dim", "estimate-zero-dim",
+            "transform-r-1", "build-spindle-r-1", "estimate-r-1",
+            "non-int-r"])
     def test_argument_errors_name_the_flag(self, capsys, monkeypatch, argv,
                                            message):
         code, out, err = run_cli(capsys, monkeypatch, argv,

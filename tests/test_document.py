@@ -397,7 +397,10 @@ def test_bad_edge_shape():
 def test_apices_must_be_family_members():
     doc = _document_dict()
     doc["annotations"] = {"apices": [[0, 2], [1, 3]]}
-    with pytest.raises(DocumentError, match="apices"):
+    with pytest.raises(
+            DocumentError,
+            match=r"^annotations\.apices: apex \{a,c\} is not a member of "
+                  r"the family$"):
         parse(json.dumps(doc))
 
 
@@ -461,6 +464,19 @@ def test_spg_document_refuses_other_annotations(spg, key, value):
     with pytest.raises(
             DocumentError,
             match=rf"^annotations\.{key}: not an annotation of a spg document$"):
+        parse(json.dumps(doc))
+
+
+@pytest.mark.parametrize("where, keys, message", [
+    (None, ["extra"], r"^extra: not a field of a spg document$"),
+    (None, ["zeta", "alpha"], r"^alpha: not a field of a spg document$"),
+    ("flags", ["bogus"], r"^flags\.bogus: not a flag$"),
+])
+def test_unknown_fields_and_flags_are_refused(where, keys, message):
+    doc = _document_dict(build_spindle_template(2).spindle)
+    for key in keys:
+        (doc if where is None else doc[where])[key] = True
+    with pytest.raises(DocumentError, match=message):
         parse(json.dumps(doc))
 
 

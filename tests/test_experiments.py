@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+from conftest import duplicating_tree
 from spgraphs import (
     BudgetExceededError,
     FacetSet,
@@ -80,6 +81,10 @@ class TestSweep:
         # at r=2 with no resampling budget, some trial hits a bad event
         assert row.successes < row.trials
         assert row.mean_round0_bad_events > 0
+
+    def test_a_result_failing_validation_is_a_failed_trial(self):
+        (row,) = sweep_r(duplicating_tree(), [2], trials=1, seed=0).rows
+        assert (row.trials, row.successes, row.mean_rounds) == (1, 0, None)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
