@@ -240,7 +240,8 @@ def _int_list(text: str) -> list[int]:
     if not values:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated integers, got {text!r}")
-    return values
+    # each value is a row multiplier, checked and refused as --r is
+    return [_multiplier(str(value)) for value in values]
 
 
 def _add_input(parser: argparse.ArgumentParser) -> None:

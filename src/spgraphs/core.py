@@ -147,8 +147,7 @@ class SymbolTable:
         The copy of base symbol x in row j (1-based) is labelled
         ``"x@j"`` and encoded at index ``x*r + (j-1)``.
         """
-        if r < 1:
-            raise ValueError("row count must be at least 1")
+        _require_rows(r)
         return SymbolTable(
             tuple(f"{base}@{j}" for base in self.labels for j in range(1, r + 1))
         )
@@ -411,6 +410,13 @@ def _sorted_witnesses(witnesses: list[tuple]) -> tuple[tuple, ...]:
     return tuple(sorted(witnesses, key=lambda w: (w[0], str(w[1:]))))
 
 
+def _require_rows(r: int) -> None:
+    # r = 1 lifts nothing but is a valid row count; the construction
+    # needs r >= 2 (transform._require_multiplier)
+    if r < 1:
+        raise ValueError("row multiplier must be positive")
+
+
 def require_valid(spg: Spg) -> None:
     report = validate(spg)
     if not report.holds:
@@ -446,19 +452,25 @@ def _validate(spg: Spg) -> PropertyReport:
     if not spg.vertices:
         witnesses.append(("no-vertices",))
 
-    seen: dict[int, int] = {}
-    for vi, vertex in enumerate(spg.vertices):
-        if not vertex:
-            witnesses.append(("empty-vertex", vi))
-        for fs in vertex:
-            if len(fs) != d:
-                witnesses.append(("wrong-size-set", fs, vi))
-            if fs.mask.bit_length() > n:
-                witnesses.append(("symbol-out-of-range", fs, vi))
-            if fs.mask in seen:
-                witnesses.append(("duplicate-set", fs, seen[fs.mask], vi))
-            else:
-                seen[fs.mask] = vi
+    # Whole-family passes decide the partition checks; the per-set loop
+    # runs only to name the witnesses of a family that fails one.
+    masks = [fs.mask for vertex in spg.vertices for fs in vertex]
+    if not (all(spg.vertices) and len(set(masks)) == len(masks)
+            and set(map(int.bit_count, masks)) <= {d}
+            and max(masks, default=0).bit_length() <= n):
+        seen: dict[int, int] = {}
+        for vi, vertex in enumerate(spg.vertices):
+            if not vertex:
+                witnesses.append(("empty-vertex", vi))
+            for fs in vertex:
+                if len(fs) != d:
+                    witnesses.append(("wrong-size-set", fs, vi))
+                if fs.mask.bit_length() > n:
+                    witnesses.append(("symbol-out-of-range", fs, vi))
+                if fs.mask in seen:
+                    witnesses.append(("duplicate-set", fs, seen[fs.mask], vi))
+                else:
+                    seen[fs.mask] = vi
 
     edges_ok = True
     seen_edges: set[tuple[int, int]] = set()

@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import combinations
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 if TYPE_CHECKING:
     import numpy as np  # imported where used: only the draws need it
@@ -47,6 +47,7 @@ from .core import (
     Spindle,
     TransformResult,
     _mask_elements,
+    _require_rows,
     _sorted_witnesses,
     near_pairs,
     require_singleton,
@@ -132,8 +133,7 @@ def lll_sufficient(delta: int, r: int) -> bool:
     condition for a bad-event-free assignment to exist: each bad event
     has probability at most 4/r and depends on at most 4*delta - 6
     others."""
-    if r < 1:
-        raise ValueError("row multiplier must be positive")
+    _require_rows(r)
     return (4 * delta - 5) * (4.0 / r) * math.e < 1.0
 
 
@@ -188,10 +188,9 @@ def _fisher_yates(rng: np.random.Generator, r: int, count: int
     return perms
 
 
-def _lift_mask(fs: FacetSet, r: int, rows: int | None = None) -> int:
-    """Mask of A x [r], or of A x (the rows set in the bit mask ``rows``)."""
-    if rows is None:
-        rows = (1 << r) - 1
+def _lift_mask(fs: FacetSet, r: int) -> int:
+    """Mask of A x [r]."""
+    rows = (1 << r) - 1
     return sum(rows << (e * r) for e in fs.elements)
 
 
@@ -244,24 +243,47 @@ def _walk(mask: int, swaps: list[tuple[int, int]], rows: Sequence[int]
 _END_ROWS = 2
 
 
-def _end_masks(
-    a: FacetSet, a2: FacetSet, r: int, perm: Sequence[int]
-) -> tuple[list[int], list[int]]:
-    """The masks of the first min(2, r) rows walked out of each end of the
-    subdivision path from A x [r] to A2 x [r]: (out of A, out of A2).
+class _LiftTable(NamedTuple):
+    """What every walk of one construction starts from: each template
+    vertex's lift, each template edge's :func:`_swaps`, and ``every``,
+    the mask with row 1 of each base symbol set, so that
+    ``rows * every`` is the mask of the rows set in the bit mask
+    ``rows`` of every base symbol."""
 
-    The tail starts from A2's lift with the rows ``perm[-2:]`` put back
-    to A and steps forward through them; reversed, it walks out of A2.
-    By the two-row lemma (see :func:`_scan_bad_events`) every bad event
-    lies inside these lists.  For r <= 2 they are the whole path and its
-    reversal.
+    lifts: list[int]
+    swaps: list[list[tuple[int, int]]]
+    every: int
+
+
+def _lift_table(spg: Spg, r: int) -> _LiftTable:
+    sets = [vertex[0] for vertex in spg.vertices]
+    return _LiftTable(
+        [_lift_mask(fs, r) for fs in sets],
+        [_swaps(sets[u], sets[w], r) for u, w in spg.edges],
+        sum(1 << (x * r) for x in range(spg.symbols.n)))
+
+
+def _end_masks(table: _LiftTable, edge: tuple[int, int], ei: int,
+               perm: Sequence[int]) -> tuple[list[int], list[int]]:
+    """The masks of the first min(2, r) rows walked out of each end of the
+    subdivision path of ``edge``, the ``ei``-th template edge, from
+    the lift of its first vertex to that of its second: (out of the
+    first, out of the second).
+
+    The tail starts from the second lift with the rows ``perm[-2:]``
+    put back to the first and steps forward through them; reversed, it
+    walks out of the second.  By the two-row lemma (see
+    :func:`_scan_bad_events`) every bad event lies inside these lists.
+    For r <= 2 they are the whole path and its reversal.
     """
-    swaps = _swaps(a, a2, r)
+    lift, lift2 = table.lifts[edge[0]], table.lifts[edge[1]]
+    swaps = table.swaps[ei]
     last = perm[-_END_ROWS:]
-    undone = sum(1 << (row - 1) for row in last)
-    start = _lift_mask(a2, r, ((1 << r) - 1) ^ undone) | _lift_mask(a, r, undone)
-    return (_walk(_lift_mask(a, r), swaps, perm[:_END_ROWS]),
-            _walk(start, swaps, last)[::-1])
+    # undone < 2**r, so the product carries nothing from one symbol's
+    # rows into the next
+    undone = sum(1 << (row - 1) for row in last) * table.every
+    return (_walk(lift, swaps, perm[:_END_ROWS]),
+            _walk((lift2 & ~undone) | (lift & undone), swaps, last)[::-1])
 
 
 def subdivision_path(
@@ -279,8 +301,7 @@ def subdivision_path(
         raise ValueError("endpoint sets must have equal size")
     if a == a2:
         raise ValueError("endpoint sets must differ")
-    if r < 1:
-        raise ValueError("row multiplier must be positive")
+    _require_rows(r)
     _require_permutation(perm, r)
     return [FacetSet.from_mask(m)
             for m in _walk(_lift_mask(a, r), _swaps(a, a2, r), perm)]
@@ -295,27 +316,41 @@ def build_subdivision(
     interior path sets become fresh singleton vertices.  Original
     vertices keep their indices, so the vertex map is the identity.
     """
-    lifted = lift_product(spg, r)
+    _require_multiplier(r)
+    require_singleton(spg)
     perms.require_covers(len(spg.edges), r)
+    return _build_subdivision(spg, r, _lift_table(spg, r), perms.perms)
 
-    new_vertices = list(lifted.vertices)
-    new_edges: list[tuple[int, int]] = []
+
+def _build_subdivision(spg: Spg, r: int, table: _LiftTable,
+                       perms: Sequence[Sequence[int]]) -> TransformResult:
+    """build_subdivision from the walks' table, without its checks.
+
+    The graph comes out canonical as :meth:`Spg.build` would make it,
+    without its sorts.  Each path's interior vertices are numbered in
+    turn past the template's, and r >= 2 gives every path one, so an
+    edge's low end is a template vertex or the lower of two consecutive
+    interior vertices.  The edges at template vertex v, (v, x), come in
+    the order of their paths, which is the order of x; the interior
+    edges (k, k + 1) come after all of them, in the order of k.
+    """
+    vertices = [(FacetSet.from_mask(m),) for m in table.lifts]
+    at_template: list[list[int]] = [[] for _ in vertices]
+    interior: list[tuple[int, int]] = []
     edge_paths: list[tuple[int, ...]] = []
-
-    for ei, (u, w) in enumerate(spg.edges):
-        path_sets = subdivision_path(
-            spg.vertices[u][0], spg.vertices[w][0], r, perms.perms[ei])
-        path_idx = [u]
-        for fs in path_sets[1:-1]:
-            path_idx.append(len(new_vertices))
-            new_vertices.append((fs,))
-        path_idx.append(w)
-        new_edges.extend(zip(path_idx, path_idx[1:]))
-        edge_paths.append(tuple(path_idx))
-
+    for (u, w), swaps, perm in zip(spg.edges, table.swaps, perms):
+        masks = _walk(table.lifts[u], swaps, perm)
+        first = len(vertices)
+        vertices += [(FacetSet.from_mask(m),) for m in masks[1:-1]]
+        last = len(vertices) - 1
+        at_template[u].append(first)
+        at_template[w].append(last)
+        interior += zip(range(first, last), range(first + 1, last + 1))
+        edge_paths.append((u, *range(first, last + 1), w))
+    edges = [(v, x) for v, xs in enumerate(at_template) for x in xs]
     return TransformResult(
-        spg=Spg.build(
-            lifted.symbols, lifted.dimension, new_vertices, new_edges),
+        spg=Spg(spg.symbols.lifted(r), r * spg.dimension, tuple(vertices),
+                tuple(edges + interior)),
         vertex_map=tuple(range(len(spg.vertices))),
         edge_paths=tuple(edge_paths),
     )
@@ -450,10 +485,13 @@ def construct_with_resampling(template: Spg | Spindle, config: TransformConfig
     :func:`_scan_bad_events`), so its cost does not grow with r beyond
     the draws.  With strategy RESAMPLE only edges participating in a bad
     event are redrawn each round (and only their end masks recomputed);
-    REJECT redraws all of them.  The graph is built once and re-verified
-    (validity, singleton, adjacency, strong adjacency, end-point count)
-    before being returned, or raises with the failed reports;
-    exhausting ``max_rounds`` raises with the bad events left.
+    REJECT redraws all of them.  Every walk starts from one table made
+    per construction (each template vertex's lift, each edge's
+    :func:`_swaps`), so redraws and the build lift nothing again.  The
+    graph is built once, in canonical form, and re-verified (validity,
+    singleton, adjacency, strong adjacency, end-point count) before
+    being returned, or raises with the failed reports; exhausting
+    ``max_rounds`` raises with the bad events left.
 
     Under RESAMPLE, rounds after the first rescan only the pairs that
     hold a redrawn edge.  Every pair left out is clean: by induction,
@@ -467,11 +505,12 @@ def construct_with_resampling(template: Spg | Spindle, config: TransformConfig
     spg = template.spg if isinstance(template, Spindle) else template
     require_singleton(spg)
     r = config.r
-    sets = [(spg.vertices[u][0], spg.vertices[w][0]) for u, w in spg.edges]
+    table = _lift_table(spg, r)
     import numpy as np
     rng = np.random.default_rng(config.seed)
     perms = _fisher_yates(rng, r, len(spg.edges))
-    ends = [_end_masks(a, a2, r, p) for (a, a2), p in zip(sets, perms)]
+    ends = [_end_masks(table, edge, ei, perm)
+            for ei, (edge, perm) in enumerate(zip(spg.edges, perms))]
     log: list[tuple[int, tuple[BadEvent, ...]]] = []
 
     attempt = 0
@@ -488,10 +527,10 @@ def construct_with_resampling(template: Spg | Spindle, config: TransformConfig
             targets = range(len(spg.edges))
         for ei, perm in zip(targets, _fisher_yates(rng, r, len(targets))):
             perms[ei] = perm
-            ends[ei] = _end_masks(*sets[ei], r, perm)
+            ends[ei] = _end_masks(table, spg.edges[ei], ei, perm)
         attempt += 1
 
-    result = build_subdivision(spg, r, PermutationAssignment(tuple(perms)))
+    result = _build_subdivision(spg, r, table, perms)
     # the other checks refuse an invalid graph, so it is reported alone
     validity = validate(result.spg)
     failed = [validity] if not validity.holds else [
@@ -529,6 +568,13 @@ def bad_event_occurs(
     """Whether the two subdivision paths out of ``center`` (rows adjusted
     per ``perm1``/``perm2``) contain sets agreeing in rd - 1 or more
     lifted symbols, the center's own lift excluded.
+
+    This models an outward star: both edges leave the centre, and each
+    path adjusts the rows of its ``perm`` in order, starting from the
+    centre.  In a template, the path of an edge walked into the centre
+    leaves it through its last two rows, undoing each row's swaps in
+    reverse order; the construction's scan (:func:`_scan_bad_events`)
+    follows that orientation, this function does not.
 
     Only the first two rows out of each end are built and scanned (the
     two-row lemma of :func:`_scan_bad_events`), so past the checks of
@@ -569,6 +615,9 @@ def estimate_bad_event_probability(
 ) -> BadEventEstimate:
     """Monte-Carlo frequency of the bad event on a degree-2 star, next to
     the analytic bound 4/r it should respect once r >= 4.
+
+    The star is outward, as in :func:`bad_event_occurs`: both edges
+    leave the centre, and each trial walks both paths forward out of it.
 
     Each trial draws two permutations and is decided by the pattern of
     their first two rows.  Relabelling the rows by a permutation s of

@@ -296,18 +296,27 @@ def replay_construction(spg: Spg, config: TransformConfig):
             perms[ei] = PermutationAssignment.draw(rng, 1, config.r).perms[0]
 
 
+def path_ends(a: FacetSet, a2: FacetSet, r: int, perm) -> tuple[list[int], list[int]]:
+    """The masks of the first min(2, r) rows of the subdivision path from
+    A x [r] to A2 x [r], walked out of each end, cut from the whole
+    path."""
+    path = [fs.mask for fs in subdivision_path(a, a2, r, perm)]
+    steps = min(2, r) * (len(path) - 1) // r
+    return path[:steps + 1], path[::-1][:steps + 1]
+
+
 def full_rescan_construction(spg: Spg, config: TransformConfig):
-    """construct_with_resampling with every pair of end masks rescanned
-    each round and each permutation drawn by its own scalar loop.
-    Returns the result, or the exception the construction should raise."""
+    """construct_with_resampling with every pair of end masks, cut from
+    whole paths, rescanned each round and each permutation drawn by its
+    own scalar loop.  Returns the result, or the exception the
+    construction should raise."""
     r = config.r
     sets = [(spg.vertices[u][0], spg.vertices[w][0]) for u, w in spg.edges]
     rng = np.random.default_rng(config.seed)
     perms = [loop_fisher_yates(rng, r) for _ in spg.edges]
     log = []
     for attempt in range(config.max_rounds + 1):
-        ends = [transform._end_masks(a, a2, r, p)
-                for (a, a2), p in zip(sets, perms)]
+        ends = [path_ends(a, a2, r, p) for (a, a2), p in zip(sets, perms)]
         events = transform._scan_bad_events(spg.edges, len(spg.vertices), ends)
         if not events:
             result = build_subdivision(
@@ -325,6 +334,73 @@ def full_rescan_construction(spg: Spg, config: TransformConfig):
             targets = range(len(spg.edges))
         for ei in targets:
             perms[ei] = loop_fisher_yates(rng, r)
+
+
+@st.composite
+def arbitrary_spgs(draw):
+    """Spgs that may break every validity rule: duplicate sets, sets of
+    the wrong size or past the last symbol, empty vertices, no vertices,
+    edges out of range, self-loops, parallel edges, disconnection, a
+    dimension out of range, the restriction flag either way."""
+    n = draw(st.integers(0, 6))
+    d = draw(st.integers(0, 4))
+    sized = [sum(1 << e for e in c) for c in combinations(range(n), d)]
+    masks = st.integers(0, 2 ** (n + 2) - 1)
+    if sized:
+        masks = st.one_of(st.sampled_from(sized), masks)
+    vertices = draw(st.lists(st.lists(masks.map(FacetSet.from_mask),
+                                      max_size=3), max_size=5))
+    ends = st.integers(-1, len(vertices))
+    edges = draw(st.lists(st.tuples(ends, ends), max_size=6))
+    return Spg(SymbolTable.alphabetic(n), d,
+               tuple(tuple(vertex) for vertex in vertices), tuple(edges),
+               draw(st.booleans()))
+
+
+def loop_validate(spg: Spg) -> PropertyReport:
+    """validate with one pass over the sets, checking each in turn, and
+    the components found by dict-based searches."""
+    witnesses: list[tuple] = []
+    n = spg.symbols.n
+    d = spg.dimension
+    min_dim = 0 if spg.is_restriction else 1
+    if not (min_dim <= d <= n):
+        witnesses.append(("dimension-out-of-range", d, n))
+    if not spg.vertices:
+        witnesses.append(("no-vertices",))
+    seen: dict[int, int] = {}
+    for vi, vertex in enumerate(spg.vertices):
+        if not vertex:
+            witnesses.append(("empty-vertex", vi))
+        for fs in vertex:
+            if len(fs) != d:
+                witnesses.append(("wrong-size-set", fs, vi))
+            if fs.mask.bit_length() > n:
+                witnesses.append(("symbol-out-of-range", fs, vi))
+            if fs.mask in seen:
+                witnesses.append(("duplicate-set", fs, seen[fs.mask], vi))
+            else:
+                seen[fs.mask] = vi
+    edges_ok = True
+    seen_edges: set[tuple[int, int]] = set()
+    for u, w in spg.edges:
+        if not (0 <= u < len(spg.vertices) and 0 <= w < len(spg.vertices)):
+            witnesses.append(("edge-endpoint-out-of-range", u, w))
+            edges_ok = False
+            continue
+        if u == w:
+            witnesses.append(("self-loop", u))
+            continue
+        key = (min(u, w), max(u, w))
+        if key in seen_edges:
+            witnesses.append(("parallel-edge", *key))
+        seen_edges.add(key)
+    if not spg.is_restriction and edges_ok:
+        comps = brute_force_components(spg)
+        if len(comps) > 1:
+            witnesses.append(
+                ("disconnected", len(comps), tuple(min(c) for c in comps)))
+    return PropertyReport(SpgProperty.VALIDITY, _sorted_witnesses(witnesses))
 
 
 # Dict-based breadth-first search: the oracle for the BFS core.

@@ -39,6 +39,7 @@ from spgraphs import (
     estimate_bad_event_probability,
     find_bad_events,
     lift_product,
+    lll_sufficient,
     parse,
     serialize,
     subdivision_path,
@@ -186,8 +187,8 @@ def test_set_of_the_wrong_size_raises():
 
 def test_construction_builds_once(monkeypatch):
     calls = []
-    real = transform.build_subdivision
-    monkeypatch.setattr(transform, "build_subdivision",
+    real = transform._build_subdivision
+    monkeypatch.setattr(transform, "_build_subdivision",
                         lambda *args: calls.append(1) or real(*args))
     result = construct_with_resampling(SHARED_STAR, TransformConfig(r=4, seed=4))
     assert result.rounds_used == 2 and len(calls) == 1
@@ -195,6 +196,29 @@ def test_construction_builds_once(monkeypatch):
         construct_with_resampling(
             SHARED_STAR, TransformConfig(r=2, seed=0, max_rounds=0))
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("strategy", list(Strategy))
+@pytest.mark.parametrize("template, r, seed, max_rounds", [
+    (SHARED_STAR, 4, 4, 1000),  # two rounds, then built
+    (SHARED_STAR, 2, 0, 0),  # exhausted
+    (build_spindle_template(3).spindle.spg, 4, 3, 1000),
+], ids=["built", "exhausted", "spindle"])
+def test_construction_makes_each_edges_swaps_once(monkeypatch, template, r,
+                                                  seed, max_rounds, strategy):
+    calls = []
+    real = transform._swaps
+    monkeypatch.setattr(transform, "_swaps",
+                        lambda *args: calls.append(args) or real(*args))
+    config = TransformConfig(r=r, seed=seed, max_rounds=max_rounds,
+                             strategy=strategy)
+    try:
+        rounds = construct_with_resampling(template, config).rounds_used
+    except ResamplingExhaustedError as err:
+        rounds = len(err.resample_log)
+    assert rounds > 0
+    assert calls == [(template.vertices[u][0], template.vertices[w][0], r)
+                     for u, w in template.edges]
 
 
 def test_public_entry_points_validate_the_template_once(monkeypatch):
@@ -260,7 +284,10 @@ def test_oracle_witnesses_lie_in_the_first_three_rows(case):
 def test_end_masks_are_the_first_and_last_rows(case):
     a, a2, _, r, perm, _ = case
     full = path_masks(a, a2, r, perm)
-    head, tail = transform._end_masks(a, a2, r, perm)
+    edge = Spg.build(SymbolTable.alphabetic(len(a) + 3), len(a), [[a], [a2]],
+                     [(0, 1)])
+    head, tail = transform._end_masks(
+        transform._lift_table(edge, r), (0, 1), 0, perm)
     steps = min(2, r) * len(a.without(a2))
     assert head == full[:steps + 1]
     assert tail == full[::-1][:steps + 1]
@@ -302,8 +329,9 @@ def test_pinned_path_hit_in_the_second_row(sets, perms):
     template = Spg.build(SymbolTable.alphabetic(5), 2, [[s] for s in sets],
                          [(0, 1), (1, 2)])
     result = build_subdivision(template, 4, PermutationAssignment(perms))
-    ends = [transform._end_masks(sets[u], sets[w], 4, p)
-            for (u, w), p in zip(template.edges, perms)]
+    table = transform._lift_table(template, 4)
+    ends = [transform._end_masks(table, edge, ei, p)
+            for ei, (edge, p) in enumerate(zip(template.edges, perms))]
     events = transform._scan_bad_events(template.edges, 3, ends)
     assert events and events == find_bad_events(result, template)
 
@@ -360,6 +388,7 @@ def test_bad_event_occurs_refuses_the_center_as_first_leaf():
 _MULTIPLIER = ("row multiplier must be at least 2 for the lift to satisfy "
                "the end-point count")
 _NOT_A_PERMUTATION = r"not a subdivision path: \(1, 1\) is not a permutation of 1\.\.2"
+_ROWS = "row multiplier must be positive"
 
 
 @pytest.mark.parametrize("call, message", [
@@ -387,10 +416,13 @@ _NOT_A_PERMUTATION = r"not a subdivision path: \(1, 1\) is not a permutation of 
     (lambda: estimate_bad_event_probability(
         fs(0, 1), fs(2, 3), fs(2, 3, 4), 4, 10, 0),
      "star sets must have uniform size"),
+    (lambda: subdivision_path(fs(0, 1), fs(2, 3), 0, ()), _ROWS),
+    (lambda: lll_sufficient(3, 0), _ROWS),
+    (lambda: SymbolTable.alphabetic(2).lifted(0), _ROWS),
 ], ids=["config", "lift", "subdivision-r", "sweep", "estimator-r",
         "assignment", "subdivision-perm", "path", "bad-event",
         "estimator-equal-leaves", "estimator-centre-leaf",
-        "estimator-sizes"])
+        "estimator-sizes", "path-rows", "lll-rows", "table-rows"])
 def test_each_precondition_has_one_message(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()

@@ -458,6 +458,12 @@ class TestSweepAndEstimate:
          "argument --r: must be at least 2, got 1"),
         (["transform", "--r", "x", "--seed", "0"],
          "argument --r: invalid int value: 'x'"),
+        (["sweep", "--r-list", "4,1", "--trials", "1", "--seed", "0"],
+         "argument --r-list: must be at least 2, got 1"),
+        (["sweep", "--r-list", "0", "--trials", "1", "--seed", "0"],
+         "argument --r-list: must be at least 2, got 0"),
+        (["sweep", "--r-list", "4,-3,1", "--trials", "1", "--seed", "0"],
+         "argument --r-list: must be at least 2, got -3"),
     ], ids=["empty-r-list", "non-int-r-list", "sweep-zero-trials",
             "estimate-zero-trials", "sweep-negative-seed",
             "estimate-negative-seed", "transform-negative-seed",
@@ -466,7 +472,7 @@ class TestSweepAndEstimate:
             "build-spindle-negative-max-rounds", "non-int-max-rounds",
             "build-spindle-negative-dim", "estimate-zero-dim",
             "transform-r-1", "build-spindle-r-1", "estimate-r-1",
-            "non-int-r"])
+            "non-int-r", "r-list-1", "r-list-0", "r-list-negative"])
     def test_argument_errors_name_the_flag(self, capsys, monkeypatch, argv,
                                            message):
         code, out, err = run_cli(capsys, monkeypatch, argv,

@@ -6,9 +6,11 @@ from hypothesis import strategies as st
 
 from conftest import (
     TupleFacetSet,
+    arbitrary_spgs,
     brute_force_endpoint_violations,
     loop_facet_mask,
     loop_mask_elements,
+    loop_validate,
     spg_instances,
 )
 from spgraphs import (
@@ -18,6 +20,8 @@ from spgraphs import (
     Spg,
     Spindle,
     SymbolTable,
+    TransformConfig,
+    build_spindle_template,
     check_adjacency,
     check_connectivity,
     check_dimension_reduction,
@@ -25,6 +29,7 @@ from spgraphs import (
     check_partition,
     check_singleton,
     check_strong_adjacency,
+    construct_with_resampling,
     graph_distance,
     max_degree,
     restrict,
@@ -235,6 +240,22 @@ class TestValidate:
         spg = Spg(table, 3, ((fs(0, 1, 2),),), ())
         assert any(w[0] == "dimension-out-of-range"
                    for w in validate(spg).witnesses)
+
+    @given(arbitrary_spgs())
+    @example(Spg(SymbolTable.alphabetic(2), 1, (), ()))
+    @example(Spg(SymbolTable.alphabetic(2), 1, ((),), (), True))
+    @settings(max_examples=400)
+    def test_matches_the_per_set_loop(self, spg):
+        assert validate(spg) == loop_validate(spg)
+
+    @pytest.mark.parametrize("spg", [
+        GOOD_PATH, BAD_PATH,
+        build_spindle_template(3).spindle.spg,
+        construct_with_resampling(build_spindle_template(2).spindle,
+                                  TransformConfig(r=8, seed=1)).spg,
+    ], ids=["good-path", "bad-path", "spindle-3", "constructed"])
+    def test_valid_graphs_match_the_per_set_loop(self, spg):
+        assert validate(spg) == loop_validate(spg)
 
     @given(spg_instances())
     def test_generated_instances_valid(self, spg):
