@@ -42,8 +42,7 @@ _MODULE_OF = {
             "bad_event_occurs", "build_subdivision", "check_localization",
             "construct_with_resampling", "estimate_bad_event_probability",
             "find_bad_events", "lift_facet", "lift_product",
-            "lll_sufficient", "min_multiplier", "row_structure_violations",
-            "subdivision_path",
+            "lll_sufficient", "min_multiplier", "subdivision_path",
         ),
     }.items()
     for name in names

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
 from itertools import combinations, compress, count
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 if TYPE_CHECKING:
     from .transform import BadEvent
@@ -346,9 +346,12 @@ class TransformResult:
     """The constructed graph plus the bookkeeping tying it back to the
     template: where each original vertex went and which new vertices make
     up each subdivided edge.  ``resample_log`` is diagnostic only and
-    excluded from structural equality.  Defined here rather than in
-    :mod:`spgraphs.transform`, which builds it, so that reading a
-    document does not load the construction code."""
+    excluded from structural equality.
+
+    :func:`_certificate` reads its template, row multiplier and row
+    permutations off it and rebuilds it from them.  The type, the builder
+    and that check live here rather than in :mod:`spgraphs.transform`, so
+    that reading a document does not load the construction code."""
 
     spg: Spg
     vertex_map: tuple[int, ...]
@@ -357,6 +360,163 @@ class TransformResult:
     resample_log: tuple[tuple[int, tuple[BadEvent, ...]], ...] = field(
         default=(), compare=False)
     apices: tuple[FacetSet, FacetSet] | None = None
+
+
+def _require_permutation(perm: Sequence[int], r: int, context: str = "") -> None:
+    # r entries covering 1..r: then they are 1..r, each once
+    if len(perm) != r or not set(perm).issuperset(range(1, r + 1)):
+        raise ValueError(f"{context}not a subdivision path: {perm} is not a "
+                         f"permutation of 1..{r}")
+
+
+def _lift_mask(fs: FacetSet, r: int) -> int:
+    """Mask of A x [r]."""
+    rows = (1 << r) - 1
+    return sum(rows << (e * r) for e in fs.elements)
+
+
+def _swaps(a: FacetSet, a2: FacetSet, r: int) -> list[tuple[int, int]]:
+    """The steps of one row of the walk from A x [r] to A2 x [r]: the
+    row-1 bit of the lifted symbol each retires (of A minus A2) and of the
+    one it introduces (of A2 minus A), paired by ascending base-symbol
+    rank."""
+    return list(zip((e * r for e in _mask_elements(a.mask & ~a2.mask)),
+                    (e * r for e in _mask_elements(a2.mask & ~a.mask))))
+
+
+def _walk(mask: int, swaps: list[tuple[int, int]], rows: Sequence[int]
+          ) -> list[int]:
+    """``mask`` and the masks after each step of ``swaps`` (see
+    :func:`_swaps`) made in each of ``rows`` (1-based), in turn."""
+    seq = [mask]
+    for row in rows:
+        offset = row - 1
+        for gone, came in swaps:
+            mask &= ~(1 << (gone + offset))
+            mask |= 1 << (came + offset)
+            seq.append(mask)
+    return seq
+
+
+class _LiftTable(NamedTuple):
+    """What every walk of one construction starts from: each template
+    vertex's lift, each template edge's :func:`_swaps`, and ``every``,
+    the mask with row 1 of each base symbol set, so that
+    ``rows * every`` is the mask of the rows set in the bit mask
+    ``rows`` of every base symbol."""
+
+    lifts: list[int]
+    swaps: list[list[tuple[int, int]]]
+    every: int
+
+
+def _lift_table(spg: Spg, r: int) -> _LiftTable:
+    sets = [vertex[0] for vertex in spg.vertices]
+    return _LiftTable(
+        [_lift_mask(fs, r) for fs in sets],
+        [_swaps(sets[u], sets[w], r) for u, w in spg.edges],
+        sum(1 << (x * r) for x in range(spg.symbols.n)))
+
+
+def _build_subdivision(spg: Spg, r: int, table: _LiftTable,
+                       perms: Sequence[Sequence[int]]) -> TransformResult:
+    """build_subdivision from the walks' table, without its checks.
+
+    The graph comes out canonical as :meth:`Spg.build` would make it,
+    without its sorts.  Each path's interior vertices are numbered in
+    turn past the template's, and r >= 2 gives every path one, so an
+    edge's low end is a template vertex or the lower of two consecutive
+    interior vertices.  The edges at template vertex v, (v, x), come in
+    the order of their paths, which is the order of x; the interior
+    edges (k, k + 1) come after all of them, in the order of k.
+    """
+    vertices = [(FacetSet.from_mask(m),) for m in table.lifts]
+    at_template: list[list[int]] = [[] for _ in vertices]
+    interior: list[tuple[int, int]] = []
+    edge_paths: list[tuple[int, ...]] = []
+    for (u, w), swaps, perm in zip(spg.edges, table.swaps, perms):
+        masks = _walk(table.lifts[u], swaps, perm)
+        first = len(vertices)
+        vertices += [(FacetSet.from_mask(m),) for m in masks[1:-1]]
+        last = len(vertices) - 1
+        at_template[u].append(first)
+        at_template[w].append(last)
+        interior += zip(range(first, last), range(first + 1, last + 1))
+        edge_paths.append((u, *range(first, last + 1), w))
+    edges = [(v, x) for v, xs in enumerate(at_template) for x in xs]
+    return TransformResult(
+        spg=Spg(spg.symbols.lifted(r), r * spg.dimension, tuple(vertices),
+                tuple(edges + interior)),
+        vertex_map=tuple(range(len(spg.vertices))),
+        edge_paths=tuple(edge_paths),
+    )
+
+
+def _certificate(result: TransformResult
+                 ) -> tuple[Spg, int, list[tuple[int, ...]]]:
+    """The template, row multiplier r and row permutations (one per edge)
+    from which :func:`_build_subdivision` rebuilds ``result`` exactly,
+    its certificate (McConnell, Mehlhorn, Näher & Schweitzer, Comput.
+    Sci. Rev. 2011): the template's sets are the vertex map's images, its
+    edges join each path's ends, and each permutation lists the row of
+    the first step of each segment.  The graph must be singleton, not
+    valid; apices must be images.  Anything else raises ValueError
+    naming the document field at fault."""
+    spg = result.spg
+    if any(len(vertex) != 1 for vertex in spg.vertices):
+        raise ValueError("vertices: a transform result is a singleton graph")
+    labels = spg.symbols.labels
+    # distinct, as the labels are
+    table = SymbolTable(tuple(lbl[:-2] for lbl in labels if lbl.endswith("@1")))
+    r = len(labels) // max(table.n, 1)
+    if r < 2 or spg.dimension % r or table.lifted(r).labels != labels:
+        raise ValueError("symbols: not the base@row labels of a lift by a "
+                         "row multiplier of at least 2 dividing the dimension")
+
+    masks = [vertex[0].mask for vertex in spg.vertices]
+    images = result.vertex_map
+    sets = [FacetSet(e // r for e in _mask_elements(masks[v])[::r])
+            for v in images]
+    if len(set(images)) != len(images) or any(
+            _lift_mask(a, r) != masks[v] for v, a in zip(images, sets)):
+        raise ValueError(
+            "annotations.vertex_map: entries must be distinct lifted sets")
+    template_of = {v: i for i, v in enumerate(images)}
+    for pi, path in enumerate(result.edge_paths):
+        if path[0] not in template_of or path[-1] not in template_of:
+            raise ValueError(f"annotations.edge_paths[{pi}]: endpoints {path[0]} "
+                             f"and {path[-1]} must both be in vertex_map")
+    edges = [(template_of[p[0]], template_of[p[-1]]) for p in result.edge_paths]
+    template = Spg.build(table, spg.dimension // r, [[a] for a in sets], edges)
+    try:
+        require_singleton(template)
+    except InvalidSpgError as err:
+        raise ValueError(f"annotations.edge_paths: joining vertex_map's sets "
+                         f"makes no template: {err}") from None
+
+    perms = []
+    for pi, ((u, w), path) in enumerate(zip(edges, result.edge_paths)):
+        m = len(sets[u].without(sets[w]))
+        # a segment's first step retires a bit of its row; none reads as r
+        gone = [masks[path[s]] & ~masks[path[s + 1]]
+                for s in range(0, len(path) - 1, m)]
+        perms.append(tuple(((g & -g).bit_length() - 1) % r + 1 for g in gone))
+        _require_permutation(perms[-1], r, f"annotations.edge_paths[{pi}]: ")
+
+    rebuilt = _build_subdivision(template, r, _lift_table(template, r), perms)
+    for name, given, again in (
+            ("annotations.vertex_map", images, rebuilt.vertex_map),
+            ("annotations.edge_paths", result.edge_paths, rebuilt.edge_paths),
+            ("vertices", masks, [v[0].mask for v in rebuilt.spg.vertices]),
+            ("edges", spg.edges, rebuilt.spg.edges)):
+        if given != again:
+            at = next((i for i, pair in enumerate(zip(given, again))
+                       if pair[0] != pair[1]), min(len(given), len(again)))
+            raise ValueError(f"{name}[{at}]: not as rebuilt from the "
+                             f"template, r = {r} and the permutations")
+    if not set(result.apices or ()) <= {spg.vertices[v][0] for v in images}:
+        raise ValueError("annotations.apices: not lifts of template sets")
+    return template, r, perms
 
 
 class SpgProperty(Enum):

@@ -12,7 +12,9 @@ encoder that ``indent`` would otherwise force; :func:`dump` writes the
 same text to a stream as it goes.
 Parsing validates everything: structural errors and invariant violations
 are reported as :class:`DocumentError` with field context, never as a
-silently repaired object.
+silently repaired object.  A transform result is checked as a
+certificate: its template, row multiplier and row permutations are read
+off it, and it is refused unless rebuilding from them gives it back.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .core import (
     Spindle,
     SymbolTable,
     TransformResult,
+    _certificate,
     _mask_digits,
     _sorted_mask,
     validate,
@@ -222,43 +225,6 @@ def _facet_fault(elements, n: int) -> str:
     return f"symbol index {elems[-1]} out of range (n={n})"
 
 
-def _check_subdivision(spg: Spg, vertex_map: list[int],
-                       paths: list[tuple[int, ...]]) -> None:
-    """The annotations must describe a subdivision of the graph: distinct
-    template images, paths that walk graph edges between images and use
-    every edge exactly once, and one vertex per image or interior path
-    vertex.  Costs O(|V| + |E|)."""
-    if len(set(vertex_map)) != len(vertex_map):
-        raise DocumentError("annotations.vertex_map: entries must be distinct")
-    images = set(vertex_map)
-    edge_set = spg.edge_set()
-    walked: set[tuple[int, int]] = set()
-    for pi, path in enumerate(paths):
-        context = f"annotations.edge_paths[{pi}]"
-        if path[0] not in images or path[-1] not in images:
-            raise DocumentError(
-                f"{context}: endpoints {path[0]} and {path[-1]} must both be "
-                f"in vertex_map")
-        for u, w in zip(path, path[1:]):
-            key = (u, w) if u < w else (w, u)
-            if key not in edge_set:
-                raise DocumentError(f"{context}: {u}-{w} is not a graph edge")
-            if key in walked:
-                raise DocumentError(
-                    f"{context}: edge {u}-{w} lies on more than one path step")
-            walked.add(key)
-    if len(walked) != len(edge_set):
-        raise DocumentError(
-            f"annotations.edge_paths: cover {len(walked)} of "
-            f"{len(edge_set)} graph edges")
-    interior = sum(len(path) - 2 for path in paths)
-    if len(vertex_map) + interior != len(spg.vertices):
-        raise DocumentError(
-            f"annotations.vertex_map: {len(vertex_map)} entries plus "
-            f"{interior} interior path vertices, but the graph has "
-            f"{len(spg.vertices)} vertices")
-
-
 def _refuse_stray(obj: dict, known: set[str], prefix: str, what: str) -> None:
     # name the first stray key in sorted order
     stray = sorted(set(obj) - known)
@@ -272,7 +238,8 @@ def parse(text: str) -> Payload:
     Returns a plain graph, a spindle (when an apices annotation is
     present on an "spg" document), or a transform result.  Any invariant
     violation -- duplicate sets, disconnected non-restriction, bad
-    indices, unknown version -- raises with the offending field named.
+    indices, unknown version, a transform result that its certificate
+    does not rebuild -- raises with the offending field named.
     """
     try:
         doc = json.loads(text)
@@ -374,23 +341,19 @@ def parse(text: str) -> Payload:
             "annotations.vertex_map: expected a list of vertex indices")
     if not isinstance(edge_paths, list):
         raise DocumentError("annotations.edge_paths: expected a list of paths")
-    parsed_paths = []
     for pi, path in enumerate(edge_paths):
         if (not isinstance(path, list) or len(path) < 2 or not all(
                 type(v) is int and 0 <= v < len(vertices) for v in path)):
             raise DocumentError(
                 f"annotations.edge_paths[{pi}]: expected a list of at least "
                 f"two vertex indices")
-        parsed_paths.append(tuple(path))
     if type(rounds_used) is not int or rounds_used < 0:
         raise DocumentError(
             "annotations.rounds_used: expected a non-negative integer")
-    _check_subdivision(spg, vertex_map, parsed_paths)
-
-    return TransformResult(
-        spg=spg,
-        vertex_map=tuple(vertex_map),
-        edge_paths=tuple(parsed_paths),
-        rounds_used=rounds_used,
-        apices=apices,
-    )
+    result = TransformResult(spg, tuple(vertex_map), tuple(map(tuple, edge_paths)),
+                             rounds_used, apices=apices)
+    try:
+        _certificate(result)
+    except ValueError as err:
+        raise DocumentError(str(err)) from None
+    return result

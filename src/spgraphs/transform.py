@@ -30,13 +30,13 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import combinations
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:
     import numpy as np  # imported where used: only the draws need it
 
-# TransformResult and the construction errors live in core, so that
-# reading a document does not load this module; they are re-exported here.
+# TransformResult, its builder and the construction errors live in core,
+# so that reading a document does not load this module; re-exported here.
 from .core import (
     ConstructionVerificationError,
     FacetSet,
@@ -46,9 +46,16 @@ from .core import (
     SpgProperty,
     Spindle,
     TransformResult,
-    _mask_elements,
+    _build_subdivision,
+    _certificate,
+    _lift_mask,
+    _lift_table,
+    _LiftTable,
+    _require_permutation,
     _require_rows,
     _sorted_witnesses,
+    _swaps,
+    _walk,
     near_pairs,
     require_singleton,
     validate,
@@ -144,13 +151,6 @@ def _require_multiplier(r: int) -> None:
             "the end-point count")
 
 
-def _require_permutation(perm: Sequence[int], r: int) -> None:
-    # r entries covering 1..r: then they are 1..r, each once
-    if len(perm) != r or not set(perm).issuperset(range(1, r + 1)):
-        raise ValueError(
-            f"not a subdivision path: {perm} is not a permutation of 1..{r}")
-
-
 def _require_star(center: FacetSet, leaf1: FacetSet, leaf2: FacetSet) -> None:
     if not len(center) == len(leaf1) == len(leaf2):
         raise ValueError("star sets must have uniform size")
@@ -188,12 +188,6 @@ def _fisher_yates(rng: np.random.Generator, r: int, count: int
     return perms
 
 
-def _lift_mask(fs: FacetSet, r: int) -> int:
-    """Mask of A x [r]."""
-    rows = (1 << r) - 1
-    return sum(rows << (e * r) for e in fs.elements)
-
-
 def lift_facet(fs: FacetSet, r: int) -> FacetSet:
     """A x [r]: the copy of base symbol x in row j sits at index x*r + (j-1)."""
     return FacetSet.from_mask(_lift_mask(fs, r))
@@ -215,52 +209,9 @@ def lift_product(spg: Spg, r: int) -> Spg:
     )
 
 
-def _swaps(a: FacetSet, a2: FacetSet, r: int) -> list[tuple[int, int]]:
-    """The steps of one row of the walk from A x [r] to A2 x [r]: the
-    row-1 bit of the lifted symbol each retires (of A minus A2) and of the
-    one it introduces (of A2 minus A), paired by ascending base-symbol
-    rank."""
-    return list(zip((e * r for e in _mask_elements(a.mask & ~a2.mask)),
-                    (e * r for e in _mask_elements(a2.mask & ~a.mask))))
-
-
-def _walk(mask: int, swaps: list[tuple[int, int]], rows: Sequence[int]
-          ) -> list[int]:
-    """``mask`` and the masks after each step of ``swaps`` (see
-    :func:`_swaps`) made in each of ``rows`` (1-based), in turn."""
-    seq = [mask]
-    for row in rows:
-        offset = row - 1
-        for gone, came in swaps:
-            mask &= ~(1 << (gone + offset))
-            mask |= 1 << (came + offset)
-            seq.append(mask)
-    return seq
-
-
 # Rows read out of each end of a subdivision path by the bad-event scan:
 # by the two-row lemma (see _scan_bad_events) they hold every hit.
 _END_ROWS = 2
-
-
-class _LiftTable(NamedTuple):
-    """What every walk of one construction starts from: each template
-    vertex's lift, each template edge's :func:`_swaps`, and ``every``,
-    the mask with row 1 of each base symbol set, so that
-    ``rows * every`` is the mask of the rows set in the bit mask
-    ``rows`` of every base symbol."""
-
-    lifts: list[int]
-    swaps: list[list[tuple[int, int]]]
-    every: int
-
-
-def _lift_table(spg: Spg, r: int) -> _LiftTable:
-    sets = [vertex[0] for vertex in spg.vertices]
-    return _LiftTable(
-        [_lift_mask(fs, r) for fs in sets],
-        [_swaps(sets[u], sets[w], r) for u, w in spg.edges],
-        sum(1 << (x * r) for x in range(spg.symbols.n)))
 
 
 def _end_masks(table: _LiftTable, edge: tuple[int, int], ei: int,
@@ -320,40 +271,6 @@ def build_subdivision(
     require_singleton(spg)
     perms.require_covers(len(spg.edges), r)
     return _build_subdivision(spg, r, _lift_table(spg, r), perms.perms)
-
-
-def _build_subdivision(spg: Spg, r: int, table: _LiftTable,
-                       perms: Sequence[Sequence[int]]) -> TransformResult:
-    """build_subdivision from the walks' table, without its checks.
-
-    The graph comes out canonical as :meth:`Spg.build` would make it,
-    without its sorts.  Each path's interior vertices are numbered in
-    turn past the template's, and r >= 2 gives every path one, so an
-    edge's low end is a template vertex or the lower of two consecutive
-    interior vertices.  The edges at template vertex v, (v, x), come in
-    the order of their paths, which is the order of x; the interior
-    edges (k, k + 1) come after all of them, in the order of k.
-    """
-    vertices = [(FacetSet.from_mask(m),) for m in table.lifts]
-    at_template: list[list[int]] = [[] for _ in vertices]
-    interior: list[tuple[int, int]] = []
-    edge_paths: list[tuple[int, ...]] = []
-    for (u, w), swaps, perm in zip(spg.edges, table.swaps, perms):
-        masks = _walk(table.lifts[u], swaps, perm)
-        first = len(vertices)
-        vertices += [(FacetSet.from_mask(m),) for m in masks[1:-1]]
-        last = len(vertices) - 1
-        at_template[u].append(first)
-        at_template[w].append(last)
-        interior += zip(range(first, last), range(first + 1, last + 1))
-        edge_paths.append((u, *range(first, last + 1), w))
-    edges = [(v, x) for v, xs in enumerate(at_template) for x in xs]
-    return TransformResult(
-        spg=Spg(spg.symbols.lifted(r), r * spg.dimension, tuple(vertices),
-                tuple(edges + interior)),
-        vertex_map=tuple(range(len(spg.vertices))),
-        edge_paths=tuple(edge_paths),
-    )
 
 
 def _band_hits(out1: list[int], out2: list[int]) -> list[tuple[int, int]]:
@@ -450,8 +367,13 @@ def find_bad_events(result: TransformResult, original: Spg) -> tuple[BadEvent, .
     more lifted symbols.  Using >= rather than exact equality also
     catches outright duplicates, which would break the partition
     property.  At most one witness pair, the first in path order, is
-    recorded per edge pair.  Raises ValueError on paths that are not
-    subdivision paths from the image of an edge's lower endpoint.
+    recorded per edge pair.
+
+    ``original`` is taken to be the result's template.  A parsed document
+    is rebuilt from its certificate, but a result made in memory need not
+    come from the construction, so the scan gets whole paths and raises
+    ValueError on paths that are not subdivision paths from the image of
+    an edge's lower endpoint.
     """
     mask_of = [vertex[0].mask for vertex in result.spg.vertices]
     paths = []
@@ -668,74 +590,28 @@ def estimate_bad_event_probability(
     )
 
 
-def check_localization(result: TransformResult, original: Spg) -> PropertyReport:
+def check_localization(result: TransformResult) -> PropertyReport:
     """Exhaustive check that near-coincidences stay local: every pair of
     constructed sets agreeing in exactly rd - 1 lifted symbols must lie
     on a single subdivided edge or on two edges sharing a template
-    endpoint.  Refuses (ValueError) below r = 4, where the guarantee does
-    not apply, on a result graph that is not singleton, and when a set
-    does not hold rd symbols.
+    endpoint.  The template and r are the result's own, read off it by
+    :func:`~spgraphs.core._certificate`.  Refuses (ValueError) a result
+    that its certificate does not rebuild, a non-singleton one included,
+    and r below 4, where the guarantee does not apply.
     """
-    if original.dimension == 0 or result.spg.dimension % original.dimension:
-        raise ValueError("result dimension is not a multiple of the template's")
-    r = result.spg.dimension // original.dimension
+    template, r, _ = _certificate(result)
     if r < 4:
         raise ValueError(f"localization is only guaranteed for r >= 4, got r={r}")
-    if any(len(vertex) != 1 for vertex in result.spg.vertices):
-        raise ValueError("localization needs a singleton result graph")
 
-    on_edges: list[set[int]] = [set() for _ in result.spg.vertices]
-    for ei, path in enumerate(result.edge_paths):
+    # edges e1, e2 share an endpoint when their endpoint pairs meet, so a
+    # pair is local when the endpoints of the edges through each meet
+    ends: list[set[int]] = [set() for _ in result.spg.vertices]
+    for edge, path in zip(template.edges, result.edge_paths):
         for idx in path:
-            on_edges[idx].add(ei)
-
-    def share_endpoint(e1: int, e2: int) -> bool:
-        if e1 == e2:
-            return True
-        u1, w1 = original.edges[e1]
-        u2, w2 = original.edges[e2]
-        return u1 in (u2, w2) or w1 in (u2, w2)
+            ends[idx].update(edge)
 
     facet_of = [vertex[0] for vertex in result.spg.vertices]
-    witnesses: list[tuple] = []
     # on a singleton graph, family order is vertex order
-    for i, j in near_pairs(result.spg):
-        if not any(
-            share_endpoint(e1, e2)
-            for e1 in on_edges[i]
-            for e2 in on_edges[j]
-        ):
-            witnesses.append(
-                ("delocalized-pair", facet_of[i], facet_of[j], i, j))
+    witnesses = [("delocalized-pair", facet_of[i], facet_of[j], i, j)
+                 for i, j in near_pairs(result.spg) if not ends[i] & ends[j]]
     return PropertyReport(SpgProperty.LOCALIZATION, _sorted_witnesses(witnesses))
-
-
-def facet_rows(fs: FacetSet, r: int) -> dict[int, frozenset[int]]:
-    """Split a lifted set into its per-row base-symbol sets, keyed by the
-    1-based row index."""
-    rows: dict[int, set[int]] = {j: set() for j in range(1, r + 1)}
-    for e in fs.elements:
-        rows[e % r + 1].add(e // r)
-    return {j: frozenset(s) for j, s in rows.items()}
-
-
-def row_structure_violations(
-    result: TransformResult, original: Spg
-) -> tuple[tuple, ...]:
-    """Constructed sets must agree row-wise with one endpoint or the other
-    of their edge, in all but at most one row.  Returns one violation
-    tuple per offending set (empty when the structural law holds)."""
-    r = result.spg.dimension // original.dimension
-    facet_of = [vertex[0] for vertex in result.spg.vertices]
-    violations: list[tuple] = []
-    for ei, (u, w) in enumerate(original.edges):
-        end_u = frozenset(original.vertices[u][0].elements)
-        end_w = frozenset(original.vertices[w][0].elements)
-        for idx in result.edge_paths[ei]:
-            rows = facet_rows(facet_of[idx], r)
-            differing = sum(
-                1 for row_set in rows.values()
-                if row_set != end_u and row_set != end_w)
-            if differing > 1:
-                violations.append(("row-structure", idx, ei, differing))
-    return tuple(sorted(violations, key=str))

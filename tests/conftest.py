@@ -96,6 +96,25 @@ def random_singleton_spg(rng: random.Random, max_vertices: int = 6,
     return Spg.build(SymbolTable.alphabetic(n), d, [[fs] for fs in sets], edges)
 
 
+@st.composite
+def subdivision_cases(draw, min_r=2, max_r=5):
+    """Small lifted constructions: a random singleton template, a row
+    multiplier, one random row permutation per edge (bad events and all,
+    so the results need not satisfy any property) and the result built
+    from them, as (template, r, perms, result)."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    template = random_singleton_spg(random.Random(seed), max_vertices=5)
+    r = draw(st.integers(min_r, max_r))
+    perms = PermutationAssignment.draw(
+        np.random.default_rng(seed), len(template.edges), r)
+    return template, r, perms, build_subdivision(template, r, perms)
+
+
+def subdivisions(min_r=2, max_r=5):
+    """:func:`subdivision_cases` as (template, result)."""
+    return subdivision_cases(min_r, max_r).map(lambda case: (case[0], case[3]))
+
+
 def random_general_spg(rng: random.Random, max_sets: int = 200) -> Spg:
     """Plain-random (non-singleton) valid SPG with up to max_sets members."""
     d = rng.randint(1, 4)
@@ -221,6 +240,38 @@ def brute_force_localization(result: TransformResult, original: Spg) -> Property
                 witnesses.append(
                     ("delocalized-pair", facet_of[i], facet_of[j], i, j))
     return PropertyReport(SpgProperty.LOCALIZATION, _sorted_witnesses(witnesses))
+
+
+def facet_rows(fs: FacetSet, r: int) -> dict[int, frozenset[int]]:
+    """Split a lifted set into its per-row base-symbol sets, keyed by the
+    1-based row index."""
+    rows: dict[int, set[int]] = {j: set() for j in range(1, r + 1)}
+    for e in fs.elements:
+        rows[e % r + 1].add(e // r)
+    return {j: frozenset(s) for j, s in rows.items()}
+
+
+def row_structure_violations(
+    result: TransformResult, original: Spg
+) -> tuple[tuple, ...]:
+    """The row-structure law, the oracle of the certificate check that
+    parse runs: constructed sets must agree row-wise with one endpoint
+    or the other of their edge, in all but at most one row.  Returns one
+    violation tuple per offending set (empty when the law holds)."""
+    r = result.spg.dimension // original.dimension
+    facet_of = [vertex[0] for vertex in result.spg.vertices]
+    violations: list[tuple] = []
+    for ei, (u, w) in enumerate(original.edges):
+        end_u = frozenset(original.vertices[u][0].elements)
+        end_w = frozenset(original.vertices[w][0].elements)
+        for idx in result.edge_paths[ei]:
+            rows = facet_rows(facet_of[idx], r)
+            differing = sum(
+                1 for row_set in rows.values()
+                if row_set != end_u and row_set != end_w)
+            if differing > 1:
+                violations.append(("row-structure", idx, ei, differing))
+    return tuple(sorted(violations, key=str))
 
 
 # Brute-force oracles for the bad-event scan: every pair of sets on two

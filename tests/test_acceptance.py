@@ -20,6 +20,7 @@ from conftest import (
     brute_force_endpoint_violations,
     random_general_spg,
     random_singleton_spg,
+    row_structure_violations,
 )
 from spgraphs import (
     FacetSet,
@@ -42,7 +43,6 @@ from spgraphs import (
     min_multiplier,
     parse,
     restrict,
-    row_structure_violations,
     serialize,
     sliding_window_path,
     subdivision_path,
@@ -158,7 +158,7 @@ def test_criterion_04_bad_event_frequency_bound():
 def test_criterion_05_localization(localization_cases):
     failures = []
     for idx, (template, result) in enumerate(localization_cases):
-        report = check_localization(result, template)
+        report = check_localization(result)
         if not report.holds:
             failures.append(idx)
     _criterion(5, "50 random subdivisions with r in 4..8 localize every "

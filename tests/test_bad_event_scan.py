@@ -23,6 +23,7 @@ from conftest import (
 )
 from spgraphs import (
     ConstructionVerificationError,
+    DocumentError,
     FacetSet,
     PermutationAssignment,
     ResamplingExhaustedError,
@@ -44,6 +45,7 @@ from spgraphs import (
     serialize,
     subdivision_path,
     sweep_r,
+    validate,
 )
 
 
@@ -155,14 +157,18 @@ def test_non_permutation_raises():
 def test_parsed_result_with_scrambled_path_raises():
     result = build_subdivision(
         SHARED_STAR, 2, PermutationAssignment(((1, 2), (2, 1))))
-    doc = json.loads(serialize(result))
     # swap the sets one and two steps out along edge 0's path: still a
-    # valid document, no longer a subdivision path
+    # valid graph, no longer a subdivision path
     a, b = result.edge_paths[0][1:3]
-    doc["vertices"][a], doc["vertices"][b] = doc["vertices"][b], doc["vertices"][a]
-    scrambled = parse(json.dumps(doc))
+    vertices = list(result.spg.vertices)
+    vertices[a], vertices[b] = vertices[b], vertices[a]
+    scrambled = replace(result, spg=replace(result.spg, vertices=tuple(vertices)))
+    assert validate(scrambled.spg).holds
     with pytest.raises(ValueError, match="not a subdivision path"):
         find_bad_events(scrambled, SHARED_STAR)
+    # no construction makes it, so its document does not parse
+    with pytest.raises(DocumentError, match=rf"^vertices\[{a}\]: "):
+        parse(serialize(scrambled))
 
 
 def test_path_running_the_wrong_way_raises():
@@ -207,8 +213,8 @@ def test_construction_builds_once(monkeypatch):
 def test_construction_makes_each_edges_swaps_once(monkeypatch, template, r,
                                                   seed, max_rounds, strategy):
     calls = []
-    real = transform._swaps
-    monkeypatch.setattr(transform, "_swaps",
+    real = core._swaps
+    monkeypatch.setattr(core, "_swaps",
                         lambda *args: calls.append(args) or real(*args))
     config = TransformConfig(r=r, seed=seed, max_rounds=max_rounds,
                              strategy=strategy)

@@ -351,6 +351,41 @@ class TestStats:
         assert "diameter: unreachable" in out
 
 
+def relabelled_template_doc(capsys, monkeypatch):
+    """The d = 2 template document relabelled a transform result, with
+    the identity vertex map and one path per edge: no lift makes it."""
+    doc = json.loads(build_template_doc(capsys, monkeypatch))
+    doc["kind"] = "transform-result"
+    doc["annotations"].update(
+        vertex_map=list(range(len(doc["vertices"]))), edge_paths=doc["edges"])
+    return json.dumps(doc)
+
+
+def interior_apices_doc():
+    """A transformed d = 2 spindle whose apices are two interior path
+    sets: they cover the symbols, but are not lifts of template sets."""
+    result = build_exponential_spindle(2, TransformConfig(r=4, seed=2))
+    doc = json.loads(serialize(result))
+    doc["annotations"]["apices"] = [
+        list(result.spg.vertices[v][0].elements) for v in (7, 23)]
+    return json.dumps(doc)
+
+
+class TestTransformResultCertificate:
+    @pytest.mark.parametrize("argv", [["verify"], ["stats"]])
+    def test_relabelled_template_is_refused(self, capsys, monkeypatch, argv):
+        code, out, err = run_cli(capsys, monkeypatch, argv,
+                                 stdin=relabelled_template_doc(capsys, monkeypatch))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: symbols: not the base@row labels")
+
+    def test_interior_apices_are_refused(self, capsys, monkeypatch):
+        code, out, err = run_cli(capsys, monkeypatch, ["stats"],
+                                 stdin=interior_apices_doc())
+        assert (code, out) == (2, "")
+        assert err == "error: annotations.apices: not lifts of template sets\n"
+
+
 class TestSweepAndEstimate:
     def test_sweep_validates_once(self, capsys, monkeypatch):
         doc = build_template_doc(capsys, monkeypatch, dim=2)
@@ -636,8 +671,15 @@ _READER = {"spgraphs", "spgraphs.__main__", "spgraphs.cli", "spgraphs.core",
 _BUILDER = _READER | {"spgraphs.spindle", "spgraphs.transform"}
 
 
-def _command(argv, code, modules, loads_numpy):
-    return pytest.param(argv, code, modules, loads_numpy, id=" ".join(argv))
+# The documents the commands read: the d = 2 template, and its
+# transform at r = 4.
+_TEMPLATE = ["build-spindle", "--dim", "2"]
+_RESULT = [*_TEMPLATE, "--transform", "--r", "4", "--seed", "1"]
+
+
+def _command(argv, code, modules, loads_numpy, source=_TEMPLATE):
+    name = " ".join(argv) + (" < result" if source is _RESULT else "")
+    return pytest.param(argv, code, modules, loads_numpy, source, id=name)
 
 
 class TestNumpyLoadedWhereUsed:
@@ -675,8 +717,14 @@ class TestNumpyLoadedWhereUsed:
         assert done.returncode == 0
         assert done.stdout.split() == ["spgraphs"]
 
-    @pytest.mark.parametrize("argv, code, modules, loads_numpy", [
+    @pytest.mark.parametrize("argv, code, modules, loads_numpy, source", [
         _command(["stats"], 0, _READER, False),
+        # checking a transform result's certificate loads no construction
+        _command(["stats"], 0, _READER, False, _RESULT),
+        _command(["verify", "--property", "singleton"], 0, _READER, False,
+                 _RESULT),
+        _command(["verify", "--property", "adjacency"], 0, _READER, False,
+                 _RESULT),
         *[_command(["verify", "--property", name], code, _READER, False)
           for name, code in [
               ("adjacency", 1), ("strong-adjacency", 1),
@@ -695,10 +743,12 @@ class TestNumpyLoadedWhereUsed:
                  _READER | {"spgraphs.transform"}, True),
     ])
     def test_modules_loaded(self, capsys, monkeypatch, argv, code, modules,
-                            loads_numpy):
+                            loads_numpy, source):
+        code_in, doc, _ = run_cli(capsys, monkeypatch, source)
+        assert code_in == 0
         done = subprocess.run(
             [sys.executable, "-c", _REPORT_MODULES, *argv],
-            input=build_template_doc(capsys, monkeypatch),
+            input=doc,
             capture_output=True, text=True, timeout=60)
         assert done.returncode == code
         numpy, *loaded = done.stderr.splitlines()[-1].split()

@@ -5,12 +5,14 @@ import json
 from dataclasses import replace
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
     json_dumps_canonical,
+    row_structure_violations,
     spg_instances,
+    subdivision_cases,
     type_scan_parse_facet,
     wide_spg_instances,
 )
@@ -33,7 +35,9 @@ from spgraphs import (
     restrict,
     serialize,
     sliding_window_path,
+    validate,
 )
+from spgraphs.core import _certificate
 from spgraphs.document import _parse_facet, _write_canonical, canonical_json
 
 
@@ -414,13 +418,19 @@ def test_apices_on_wrong_symbol_count():
         parse(json.dumps(doc))
 
 
-@pytest.mark.parametrize("case", ["uncovered", "not-2d"])
+@pytest.mark.parametrize("case", ["uncovered", "not-2d", "interior"])
 def test_transform_result_apices_must_make_a_spindle(case):
     if case == "uncovered":
         # the first apex and its neighbour on the path: both members, but
         # together they miss symbols
         result = build_exponential_spindle(1, TransformConfig(r=4, seed=2))
         apices = [result.apices[0], result.spg.vertices[result.edge_paths[0][1]][0]]
+    elif case == "interior":
+        # two interior path sets that cover the symbols, so they make a
+        # spindle of the graph, but not lifts of template sets
+        result = build_exponential_spindle(2, TransformConfig(r=4, seed=2))
+        apices = [result.spg.vertices[7][0], result.spg.vertices[23][0]]
+        Spindle(result.spg, *apices)
     else:
         # 10 symbols at lifted dimension 4
         template = Spg.build(SymbolTable.alphabetic(5), 2,
@@ -502,20 +512,37 @@ def _two_edge_result_doc():
     return doc
 
 
+_NO_TEMPLATE = r"^annotations\.edge_paths: joining vertex_map's sets makes no template"
+
+
+# Each id names the fault in the document.
 @pytest.mark.parametrize("field, value, message", [
-    ("edge_paths", [[0, 4, 1], [1, 3, 2]], "not a graph edge"),
+    # 0-4 is not a graph edge; read as a path, path 1 takes row 2 twice
+    pytest.param(
+        "edge_paths", [[0, 4, 1], [1, 3, 2]],
+        r"^annotations\.edge_paths\[1\]: not a subdivision path: \(2, 2\)",
+        id="edge_paths-value0-not a graph edge"),
     ("edge_paths", [[3, 1], [1, 4, 2]], "must both be in vertex_map"),
     ("vertex_map", [0, 0, 2], "distinct"),
-    ("edge_paths", [[0, 3, 1], [0, 3, 1]], "more than one path step"),
-    ("edge_paths", [[0, 3, 1]], "cover 2 of 4"),
-    ("vertex_map", [0, 1, 2, 3], "interior path vertices"),
+    # two paths for one template edge, so vertex 2 is cut off
+    pytest.param("edge_paths", [[0, 3, 1], [0, 3, 1]], _NO_TEMPLATE,
+                 id="edge_paths-value3-more than one path step"),
+    # the paths cover 2 of the 4 graph edges: vertex 2 is cut off
+    pytest.param("edge_paths", [[0, 3, 1]], _NO_TEMPLATE,
+                 id="edge_paths-value4-cover 2 of 4"),
+    # vertex 3 is an interior path vertex, half of its rows swapped
+    pytest.param(
+        "vertex_map", [0, 1, 2, 3],
+        r"^annotations\.vertex_map: entries must be distinct lifted sets$",
+        id="vertex_map-value5-interior path vertices"),
 ])
 def test_transform_result_must_describe_a_subdivision(field, value, message):
     doc = _two_edge_result_doc()
     parse(json.dumps(doc))
     doc["annotations"][field] = value
-    with pytest.raises(DocumentError, match=message):
+    with pytest.raises(DocumentError, match=message) as err:
         parse(json.dumps(doc))
+    assert str(err.value).startswith(f"annotations.{field}")
 
 
 @pytest.mark.parametrize("path, value", [
@@ -540,3 +567,53 @@ def test_booleans_rejected_where_integers_are_required(path, value):
     field = [key for key in path if isinstance(key, str)][-1]
     with pytest.raises(DocumentError, match=field):
         parse(json.dumps(doc))
+
+
+# A transform result is its certificate: the template, r and one row
+# permutation per edge, read off the result and rebuilt.
+
+@given(subdivision_cases())
+@settings(max_examples=150, deadline=None)
+def test_certificate_recovers_the_construction(case):
+    # bad events and invalid graphs included
+    template, r, perms, result = case
+    assert _certificate(result) == (template, r, list(perms.perms))
+
+
+@given(subdivision_cases())
+@settings(max_examples=100, deadline=None)
+def test_parsed_results_keep_the_row_structure(case):
+    _, _, _, result = case
+    assume(validate(result.spg).holds)
+    parsed = parse(serialize(result))
+    assert parsed == result
+    assert row_structure_violations(parsed, _certificate(parsed)[0]) == ()
+
+
+@st.composite
+def _mutated_documents(draw):
+    """The document of a valid construction with one element of one
+    set, one path entry or one vertex_map entry changed."""
+    _, _, _, result = draw(subdivision_cases())
+    assume(validate(result.spg).holds)
+    doc = json.loads(serialize(result))
+    where = draw(st.sampled_from(["set", "path", "vertex_map"]))
+    if where == "set":
+        elements = draw(st.sampled_from(doc["vertices"]))[0]
+        outside = sorted(set(range(len(doc["symbols"]))) - set(elements))
+        elements[draw(st.integers(0, len(elements) - 1))] = draw(
+            st.sampled_from(outside))
+    else:
+        target = (draw(st.sampled_from(doc["annotations"]["edge_paths"]))
+                  if where == "path" else doc["annotations"]["vertex_map"])
+        k = draw(st.integers(0, len(target) - 1))
+        target[k] = draw(st.integers(0, len(doc["vertices"]) - 1).filter(
+            lambda v: v != target[k]))
+    return json.dumps(doc)
+
+
+@given(_mutated_documents())
+@settings(max_examples=200, deadline=None)
+def test_one_changed_element_is_refused(text):
+    with pytest.raises(DocumentError):
+        parse(text)

@@ -1,9 +1,6 @@
 """The near-pair join and the verifiers built on it, against the
 brute-force oracles in conftest."""
 
-import random
-
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,18 +11,16 @@ from conftest import (
     brute_force_localization,
     brute_force_near_pairs,
     brute_force_strong_adjacency,
-    random_singleton_spg,
     spg_instances,
+    subdivisions,
     wide_spg_instances,
 )
 from spgraphs import (
     FacetSet,
     InvalidSpgError,
-    PermutationAssignment,
     Spg,
     SymbolTable,
     build_spindle_template,
-    build_subdivision,
     check_adjacency,
     check_endpoint_count,
     check_localization,
@@ -36,19 +31,6 @@ from spgraphs import (
     validate,
     verify_all,
 )
-
-
-@st.composite
-def subdivisions(draw, min_r=2, max_r=5):
-    """Small lifted constructions: a random singleton template, a row
-    multiplier and one random row permutation per edge (bad events and
-    all, so the results need not satisfy any property)."""
-    seed = draw(st.integers(0, 2**32 - 1))
-    template = random_singleton_spg(random.Random(seed), max_vertices=5)
-    r = draw(st.integers(min_r, max_r))
-    perms = PermutationAssignment.draw(
-        np.random.default_rng(seed), len(template.edges), r)
-    return template, build_subdivision(template, r, perms)
 
 
 @st.composite
@@ -114,7 +96,7 @@ def test_lifted_constructions_match_oracles(case):
 @settings(max_examples=40, deadline=None)
 def test_localization_matches_oracle(case):
     template, result = case
-    assert (check_localization(result, template)
+    assert (check_localization(result)
             == brute_force_localization(result, template))
 
 

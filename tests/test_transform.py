@@ -9,7 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spgraphs.transform as transform
-from conftest import brute_force_localization, loop_fisher_yates, spg_instances
+from conftest import (
+    brute_force_localization,
+    loop_fisher_yates,
+    row_structure_violations,
+    spg_instances,
+)
 from spgraphs import (
     ConstructionVerificationError,
     FacetSet,
@@ -36,7 +41,6 @@ from spgraphs import (
     lift_product,
     lll_sufficient,
     min_multiplier,
-    row_structure_violations,
     sliding_window_path,
     subdivision_path,
     validate,
@@ -424,7 +428,7 @@ class TestCheckLocalization:
         result = build_subdivision(
             SHARED_STAR, 2, PermutationAssignment(((1, 2), (1, 2))))
         with pytest.raises(ValueError):
-            check_localization(result, SHARED_STAR)
+            check_localization(result)
 
     def test_holds_on_any_r4_build(self):
         for seed in range(5):
@@ -432,12 +436,12 @@ class TestCheckLocalization:
             rng = np.random.default_rng(seed)
             perms = PermutationAssignment.draw(rng, len(SHARED_STAR.edges), 4)
             result = build_subdivision(SHARED_STAR, 4, perms)
-            assert check_localization(result, SHARED_STAR).holds
+            assert check_localization(result).holds
 
     def test_holds_on_path_template(self):
         path = sliding_window_path(2)
         result = construct_with_resampling(path, TransformConfig(r=5, seed=3))
-        assert check_localization(result, path).holds
+        assert check_localization(result).holds
 
     def test_refuses_a_non_singleton_result(self):
         # A second set on the first vertex: the image of the last template
@@ -458,9 +462,10 @@ class TestCheckLocalization:
         assert document.parse(document.serialize(grown)) == grown
         assert len(check_adjacency(grown).witnesses) == 1
         grown_result = TransformResult(grown, result.vertex_map, result.edge_paths)
-        for check in (check_localization, brute_force_localization):
-            with pytest.raises(ValueError, match="singleton"):
-                check(grown_result, path)
+        with pytest.raises(ValueError, match="singleton"):
+            check_localization(grown_result)
+        with pytest.raises(ValueError, match="singleton"):
+            brute_force_localization(grown_result, path)
 
 
 class TestRowStructureViolations:
@@ -482,3 +487,8 @@ class TestRowStructureViolations:
         violations = row_structure_violations(broken, SINGLE_EDGE)
         assert violations
         assert violations[0][0] == "row-structure"
+        # the certificate check refuses its document: vertex 3 opens the
+        # path's second segment, in row 1 again
+        with pytest.raises(document.DocumentError,
+                           match=r"^annotations\.edge_paths\[0\]: not a subdivision"):
+            document.parse(document.serialize(broken))
