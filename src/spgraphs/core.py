@@ -458,10 +458,12 @@ def _certificate(result: TransformResult
     from which :func:`_build_subdivision` rebuilds ``result`` exactly,
     its certificate (McConnell, Mehlhorn, Näher & Schweitzer, Comput.
     Sci. Rev. 2011): the template's sets are the vertex map's images, its
-    edges join each path's ends, and each permutation lists the row of
-    the first step of each segment.  The graph must be singleton, not
-    valid; apices must be images.  Anything else raises ValueError
-    naming the document field at fault."""
+    edges join each path's ends, in the paths' order and direction (as
+    the template gave them; :meth:`Spg.build` would sort them), and each
+    permutation lists the row of the first step of each segment.  The
+    graph must be singleton, not valid; apices must be images.  Anything
+    else raises ValueError naming the document field at fault, and an
+    invalid template by up to three of its witnesses."""
     spg = result.spg
     if any(len(vertex) != 1 for vertex in spg.vertices):
         raise ValueError("vertices: a transform result is a singleton graph")
@@ -486,13 +488,15 @@ def _certificate(result: TransformResult
         if path[0] not in template_of or path[-1] not in template_of:
             raise ValueError(f"annotations.edge_paths[{pi}]: endpoints {path[0]} "
                              f"and {path[-1]} must both be in vertex_map")
-    edges = [(template_of[p[0]], template_of[p[-1]]) for p in result.edge_paths]
-    template = Spg.build(table, spg.dimension // r, [[a] for a in sets], edges)
-    try:
-        require_singleton(template)
-    except InvalidSpgError as err:
+    edges = tuple((template_of[p[0]], template_of[p[-1]])
+                  for p in result.edge_paths)
+    template = Spg(table, spg.dimension // r, tuple((a,) for a in sets), edges)
+    report = validate(template)
+    if not report.holds:
+        shown = "; ".join(witness_text(w, table) for w in report.witnesses[:3])
         raise ValueError(f"annotations.edge_paths: joining vertex_map's sets "
-                         f"makes no template: {err}") from None
+                         f"makes no template ({len(report.witnesses)} "
+                         f"violations): {shown}")
 
     perms = []
     for pi, ((u, w), path) in enumerate(zip(edges, result.edge_paths)):

@@ -53,10 +53,8 @@ from .core import (
     _LiftTable,
     _require_permutation,
     _require_rows,
-    _sorted_witnesses,
     _swaps,
     _walk,
-    near_pairs,
     require_singleton,
     validate,
     verify_all,
@@ -89,11 +87,11 @@ class TransformConfig:
 class PermutationAssignment:
     """One row permutation per template edge.
 
-    ``perms[i]`` belongs to ``edges[i]`` and is read from the
-    lower-indexed endpoint: its j-th entry is the (1-based) row adjusted
-    by the j-th segment when walking from the lower endpoint to the
-    higher.  The view from the opposite endpoint is the reversal of the
-    segment order, computed where needed rather than stored twice.
+    ``perms[i]`` belongs to ``edges[i]`` = (u, w) and is read from u,
+    the lower-indexed endpoint in a canonical graph: its j-th entry is
+    the (1-based) row adjusted by the j-th segment when walking from u
+    to w.  The view from w is the reversal of the segment order,
+    computed where needed rather than stored twice.
     """
 
     perms: tuple[tuple[int, ...], ...]
@@ -293,18 +291,18 @@ def _scan_bad_events(
 ) -> tuple[BadEvent, ...]:
     """The bad events of the subdivision paths of ``edges``, given for
     ``edges[ei]`` = (u, w) as ``ends[ei]`` = (the masks walked out of u,
-    the masks walked out of w): the whole path and its reversal, or the
-    first two rows out of each end.  With ``redrawn`` given, only the
-    pairs holding at least one of those edges are examined, and only
-    their ends are checked against the distance law; the events come in
-    the order of a full scan.
+    the masks walked out of w): the first two rows out of each end, as
+    :func:`_end_masks` walks them.  With ``redrawn`` given, only the
+    pairs holding at least one of those edges are examined; the events
+    come in the order of a full scan.
 
     Each step out of a template vertex V retires one of V's lifted
     symbols and introduces one from outside, so the set k steps out lies
     at Hamming distance exactly 2k from V's lift; by the triangle
     inequality two sets within distance 2 (sharing rd - 1 of their rd
-    symbols) then lie in the band |k - l| <= 1.  The law is checked, one
-    popcount per given mask, and a list breaking it raises ValueError.
+    symbols) then lie in the band |k - l| <= 1.  Every caller walks its
+    masks with :func:`~spgraphs.core._walk` from a checked template or
+    star, so the law holds and is not checked here.
 
     Two-row lemma: take paths out of V toward distinct sets L1 and L2
     of V's size, and let m1 = |V minus L1| and m2 = |V minus L2|.  In
@@ -331,19 +329,6 @@ def _scan_bad_events(
 
     events: list[BadEvent] = []
     for v, incident in enumerate(outward):
-        if len(incident) < 2:
-            continue
-        fresh = incident if redrawn is None else [
-            item for item in incident if item[0] in redrawn]
-        if not fresh:
-            continue
-        centre = incident[0][1][0]
-        for ei, out, _ in fresh:
-            if [(m ^ centre).bit_count() for m in out] != list(
-                    range(0, 2 * len(out), 2)):
-                raise ValueError(
-                    f"the path of edge {ei} is not a subdivision path out of "
-                    f"template vertex {v}")
         for (e1, out1, back1), (e2, out2, back2) in combinations(incident, 2):
             if redrawn is not None and e1 not in redrawn and e2 not in redrawn:
                 continue
@@ -369,26 +354,21 @@ def find_bad_events(result: TransformResult, original: Spg) -> tuple[BadEvent, .
     property.  At most one witness pair, the first in path order, is
     recorded per edge pair.
 
-    ``original`` is taken to be the result's template.  A parsed document
-    is rebuilt from its certificate, but a result made in memory need not
-    come from the construction, so the scan gets whole paths and raises
-    ValueError on paths that are not subdivision paths from the image of
-    an edge's lower endpoint.
+    The scan reads the result through its certificate
+    (:func:`~spgraphs.core._certificate`): a result that the template, r
+    and permutations read off it do not rebuild raises ValueError naming
+    the field at fault, and so does an ``original`` other than that
+    template.  It then scans the first two rows out of each end of every
+    path, walked from the certificate as the construction walks them
+    (the two-row lemma of :func:`_scan_bad_events`).
     """
-    mask_of = [vertex[0].mask for vertex in result.spg.vertices]
-    paths = []
-    for ei, ((u, w), path) in enumerate(
-            zip(original.edges, result.edge_paths, strict=True)):
-        if (path[0], path[-1]) != (result.vertex_map[u], result.vertex_map[w]):
-            raise ValueError(
-                f"edge path {ei} does not run from the image of vertex {u} "
-                f"to the image of vertex {w}")
-        paths.append([mask_of[idx] for idx in path])
-    rd = result.spg.dimension
-    if any(m.bit_count() != rd for path in paths for m in path):
-        raise ValueError(f"subdivision sets must hold {rd} symbols")
-    return _scan_bad_events(original.edges, len(original.vertices),
-                            [(path, path[::-1]) for path in paths])
+    template, r, perms = _certificate(result)
+    if original != template:
+        raise ValueError("original: not the template the result was built from")
+    table = _lift_table(template, r)
+    return _scan_bad_events(template.edges, len(template.vertices), [
+        _end_masks(table, edge, ei, perm)
+        for ei, (edge, perm) in enumerate(zip(template.edges, perms))])
 
 
 def construct_with_resampling(template: Spg | Spindle, config: TransformConfig
@@ -598,6 +578,11 @@ def check_localization(result: TransformResult) -> PropertyReport:
     :func:`~spgraphs.core._certificate`.  Refuses (ValueError) a result
     that its certificate does not rebuild, a non-singleton one included,
     and r below 4, where the guarantee does not apply.
+
+    Every edge of a certified result is a step of one path, so a near
+    pair on adjacent vertices is local: the delocalized pairs are the
+    graph's kept adjacency witnesses (read without refusing an invalid
+    graph) whose edges share no endpoint, in the same sorted order.
     """
     template, r, _ = _certificate(result)
     if r < 4:
@@ -609,9 +594,7 @@ def check_localization(result: TransformResult) -> PropertyReport:
     for edge, path in zip(template.edges, result.edge_paths):
         for idx in path:
             ends[idx].update(edge)
-
-    facet_of = [vertex[0] for vertex in result.spg.vertices]
-    # on a singleton graph, family order is vertex order
-    witnesses = [("delocalized-pair", facet_of[i], facet_of[j], i, j)
-                 for i, j in near_pairs(result.spg) if not ends[i] & ends[j]]
-    return PropertyReport(SpgProperty.LOCALIZATION, _sorted_witnesses(witnesses))
+    return PropertyReport(SpgProperty.LOCALIZATION, tuple(
+        ("delocalized-pair", a, b, i, j)
+        for _, a, b, i, j in result.spg._pair_verdicts[0].witnesses
+        if not ends[i] & ends[j]))

@@ -164,9 +164,10 @@ def test_parsed_result_with_scrambled_path_raises():
     vertices[a], vertices[b] = vertices[b], vertices[a]
     scrambled = replace(result, spg=replace(result.spg, vertices=tuple(vertices)))
     assert validate(scrambled.spg).holds
-    with pytest.raises(ValueError, match="not a subdivision path"):
+    # no construction makes it: its certificate refuses it, in memory
+    # and as a document
+    with pytest.raises(ValueError, match=rf"^vertices\[{a}\]: not as rebuilt"):
         find_bad_events(scrambled, SHARED_STAR)
-    # no construction makes it, so its document does not parse
     with pytest.raises(DocumentError, match=rf"^vertices\[{a}\]: "):
         parse(serialize(scrambled))
 
@@ -176,7 +177,8 @@ def test_path_running_the_wrong_way_raises():
         SHARED_STAR, 2, PermutationAssignment(((1, 2), (2, 1))))
     reversed_path = replace(result, edge_paths=(
         result.edge_paths[0][::-1], result.edge_paths[1]))
-    with pytest.raises(ValueError, match="does not run from"):
+    with pytest.raises(
+            ValueError, match=r"^annotations\.edge_paths\[0\]: not as rebuilt"):
         find_bad_events(reversed_path, SHARED_STAR)
 
 
@@ -187,8 +189,22 @@ def test_set_of_the_wrong_size_raises():
     idx = result.edge_paths[1][2]
     vertices[idx] = (FacetSet(vertices[idx][0].elements[1:]),)
     shrunk = replace(result, spg=replace(result.spg, vertices=tuple(vertices)))
-    with pytest.raises(ValueError, match="must hold 4 symbols"):
+    # the shrunk set makes path 1's second segment read as row 2 again
+    with pytest.raises(ValueError, match=r"^annotations\.edge_paths\[1\]: "
+                                         r"not a subdivision path: \(2, 2\)"):
         find_bad_events(shrunk, SHARED_STAR)
+
+
+@pytest.mark.parametrize("other", [
+    build_star_template(SymbolTable.alphabetic(5), fs(0, 1), [fs(2, 3), fs(3, 4)]),
+    # the result's own template with its edges in the other order
+    Spg(SHARED_STAR.symbols, 2, SHARED_STAR.vertices, SHARED_STAR.edges[::-1]),
+], ids=["other-sets", "other-edge-order"])
+def test_another_template_as_original_raises(other):
+    result = build_subdivision(
+        SHARED_STAR, 2, PermutationAssignment(((1, 2), (2, 1))))
+    with pytest.raises(ValueError, match="^original: "):
+        find_bad_events(result, other)
 
 
 def test_construction_builds_once(monkeypatch):

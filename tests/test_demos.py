@@ -1,8 +1,10 @@
 """Smoke test: the demos run and print exactly what they printed when
 their digests were pinned (with numpy 2.4.6; 04_empirical_probes.py
-prints numbers drawn with numpy's generator)."""
+prints numbers drawn with numpy's generator), and the README's library
+quickstart runs."""
 
 import hashlib
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +12,7 @@ from pathlib import Path
 import pytest
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
+README = DEMOS.parent / "README.md"
 
 STDOUT_SHA256 = {
     "01_properties_and_verifiers.py":
@@ -29,3 +32,11 @@ def test_demo_stdout(name):
                           capture_output=True, timeout=120)
     assert done.returncode == 0, done.stderr.decode()
     assert hashlib.sha256(done.stdout).hexdigest() == STDOUT_SHA256[name]
+
+
+def test_readme_quickstart_runs():
+    # the README's one python block, its library quickstart, asserts
+    # what it shows
+    (block,) = re.findall(r"^```python\n(.*?)^```$", README.read_text(),
+                          re.DOTALL | re.MULTILINE)
+    exec(compile(block, str(README), "exec"), {})

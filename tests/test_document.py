@@ -2,14 +2,19 @@
 
 import io
 import json
+import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    brute_force_bad_events,
+    brute_force_localization,
     json_dumps_canonical,
+    random_singleton_spg,
     row_structure_violations,
     spg_instances,
     subdivision_cases,
@@ -29,8 +34,10 @@ from spgraphs import (
     build_exponential_spindle,
     build_spindle_template,
     build_subdivision,
+    check_localization,
     construct_with_resampling,
     dump,
+    find_bad_events,
     parse,
     restrict,
     serialize,
@@ -524,8 +531,11 @@ _NO_TEMPLATE = r"^annotations\.edge_paths: joining vertex_map's sets makes no te
         id="edge_paths-value0-not a graph edge"),
     ("edge_paths", [[3, 1], [1, 4, 2]], "must both be in vertex_map"),
     ("vertex_map", [0, 0, 2], "distinct"),
-    # two paths for one template edge, so vertex 2 is cut off
-    pytest.param("edge_paths", [[0, 3, 1], [0, 3, 1]], _NO_TEMPLATE,
+    # two paths for one template edge: a parallel edge, and vertex 2 is
+    # cut off
+    pytest.param("edge_paths", [[0, 3, 1], [0, 3, 1]],
+                 _NO_TEMPLATE + r" \(2 violations\): disconnected: 2 \(0, 2\); "
+                                r"parallel-edge: 0 1$",
                  id="edge_paths-value3-more than one path step"),
     # the paths cover 2 of the 4 graph edges: vertex 2 is cut off
     pytest.param("edge_paths", [[0, 3, 1]], _NO_TEMPLATE,
@@ -588,6 +598,39 @@ def test_parsed_results_keep_the_row_structure(case):
     parsed = parse(serialize(result))
     assert parsed == result
     assert row_structure_violations(parsed, _certificate(parsed)[0]) == ()
+
+
+@st.composite
+def _unsorted_templates(draw):
+    """Random singleton templates made with the plain Spg constructor,
+    their edges shuffled and each drawn either way round, so not in the
+    canonical form Spg.build gives."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    template = random_singleton_spg(random.Random(seed), max_vertices=5)
+    edges = tuple((w, u) if draw(st.booleans()) else (u, w)
+                  for u, w in draw(st.permutations(template.edges)))
+    return Spg(template.symbols, template.dimension, template.vertices, edges)
+
+
+_ABCD_SETS = ((fs(0, 1),), (fs(1, 2),), (fs(2, 3),))
+
+
+@given(_unsorted_templates(), st.integers(4, 6), st.integers(0, 2**32 - 1))
+@example(Spg(SymbolTable.alphabetic(4), 2, _ABCD_SETS, ((1, 2), (0, 1))), 5, 1)
+@example(Spg(SymbolTable.alphabetic(4), 2, _ABCD_SETS, ((1, 0), (1, 2))), 5, 1)
+@settings(max_examples=60, deadline=None)
+def test_results_of_templates_with_unsorted_edges_read_back(template, r, seed):
+    perms = PermutationAssignment.draw(
+        np.random.default_rng(seed), len(template.edges), r)
+    config = TransformConfig(r=r, seed=seed)
+    for result in (build_subdivision(template, r, perms),
+                   construct_with_resampling(template, config)):
+        if validate(result.spg).holds:  # a bad event may repeat a set
+            assert parse(serialize(result)) == result
+        assert check_localization(result) == brute_force_localization(
+            result, template)
+        assert find_bad_events(result, template) == brute_force_bad_events(
+            result, template)
 
 
 @st.composite

@@ -21,6 +21,7 @@ from spgraphs import (
     check_connectivity,
     check_dimension_reduction,
     check_endpoint_count,
+    check_localization,
     check_partition,
     check_singleton,
     check_strong_adjacency,
@@ -105,6 +106,16 @@ def test_a_constructed_graph_keeps_verdicts_and_no_near_pairs(monkeypatch):
     calls = count_joins(monkeypatch)
     assert check_strong_adjacency(result.spg).holds
     assert calls == []
+
+
+def test_localization_after_the_construction_runs_no_join(monkeypatch):
+    # the construction's verify_all ran the join; localization filters
+    # the kept adjacency report
+    calls = count_joins(monkeypatch)
+    result = construct_with_resampling(sliding_window_path(3),
+                                       TransformConfig(r=8, seed=1))
+    assert check_localization(result).holds
+    assert calls == [result.spg]
 
 
 def test_every_public_check_shares_one_validation(monkeypatch):
