@@ -20,7 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
-from itertools import combinations, compress, count
+from itertools import combinations, compress, count, repeat
+from operator import and_, lt
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 if TYPE_CHECKING:
@@ -636,20 +637,27 @@ def _validate(spg: Spg) -> PropertyReport:
                 else:
                     seen[fs.mask] = vi
 
+    # Whole-edge passes decide the edge checks the same way: the canonical
+    # form's edges are distinct (low, high) pairs in range.
+    nv = len(spg.vertices)
+    lo, hi = zip(*spg.edges) if spg.edges else ((), ())
     edges_ok = True
-    seen_edges: set[tuple[int, int]] = set()
-    for u, w in spg.edges:
-        if not (0 <= u < len(spg.vertices) and 0 <= w < len(spg.vertices)):
-            witnesses.append(("edge-endpoint-out-of-range", u, w))
-            edges_ok = False
-            continue
-        if u == w:
-            witnesses.append(("self-loop", u))
-            continue
-        key = (u, w) if u < w else (w, u)
-        if key in seen_edges:
-            witnesses.append(("parallel-edge", key[0], key[1]))
-        seen_edges.add(key)
+    if not (all(map(lt, lo, hi)) and min(lo, default=0) >= 0
+            and max(hi, default=-1) < nv
+            and len(set(spg.edges)) == len(spg.edges)):
+        seen_edges: set[tuple[int, int]] = set()
+        for u, w in spg.edges:
+            if not (0 <= u < nv and 0 <= w < nv):
+                witnesses.append(("edge-endpoint-out-of-range", u, w))
+                edges_ok = False
+                continue
+            if u == w:
+                witnesses.append(("self-loop", u))
+                continue
+            key = (u, w) if u < w else (w, u)
+            if key in seen_edges:
+                witnesses.append(("parallel-edge", key[0], key[1]))
+            seen_edges.add(key)
 
     if not spg.is_restriction and edges_ok:
         witnesses += _disconnected(spg.neighbors())
@@ -716,61 +724,91 @@ def near_pairs(spg: Spg) -> list[tuple[int, int]]:
     ``(i, j)`` tuples in ascending order on each call.
 
     Exact and exhaustive; the graph must pass :func:`validate` (sets of
-    a size other than d raise ValueError).
+    a size other than d raise ValueError).  Each set is paired, as it
+    joins a block's grouping, with the earlier sets of its group; a pair
+    is coded as the int i*N + j (N sets) until the codes are sorted, and
+    only then made a tuple.
     """
     masks = [fs.mask for fs in spg.family()]
     d = spg.dimension
-    if any(m.bit_count() != d for m in masks):
+    if not set(map(int.bit_count, masks)) <= {d}:
         raise ValueError(f"near pairs need every set to hold {d} symbols")
-    width = max((m.bit_length() for m in masks), default=0)
+    n = len(masks)
+    width = max(masks, default=0).bit_length()
     every_third = int("001" * (width // 3 + 1), 2)  # bits 0, 3, 6, ...
-    found: set[tuple[int, int]] = set()
+    found: set[int] = set()
     for block in (every_third, every_third << 1, every_third << 2):
         groups: dict[int, list[int]] = {}
-        for i, m in enumerate(masks):
-            groups.setdefault(m & block, []).append(i)
-        for members in groups.values():
-            if len(members) > 1:
-                found.update((i, j) for i, j in combinations(members, 2)
-                             if (masks[i] ^ masks[j]).bit_count() == 2)
-    return sorted(found)
+        for j, m in enumerate(masks):
+            key = m & block
+            earlier = groups.get(key)
+            if earlier is None:
+                groups[key] = [j]
+                continue
+            for i in earlier:
+                if (masks[i] ^ m).bit_count() == 2:
+                    found.add(i * n + j)
+            earlier.append(j)
+    return list(map(divmod, sorted(found), repeat(n)))
 
 
 def _pair_reports(spg: Spg) -> tuple[PropertyReport, ...]:
     """The adjacency, strong-adjacency and end-point-count reports, from
     one run of the near-pair join; run once per graph by
-    ``Spg._pair_verdicts``."""
-    pairs = near_pairs(spg)
-    located = spg.facets_with_vertex()
-    edge_set = spg.edge_set()
-    carried: set[tuple[int, int]] = set()
-    non_adjacent: list[tuple] = []
-    for i, j in pairs:
-        vi, a = located[i]
-        vj, b = located[j]
-        if vi == vj:
-            continue
-        # i < j in vertex order, hence vi < vj
-        if (vi, vj) in edge_set:
-            carried.add((vi, vj))
-        else:
-            non_adjacent.append(("non-adjacent-pair", a, b, vi, vj))
-    unwitnessed = [("unwitnessed-edge", u, w) for u, w in spg.edges
-                   if ((u, w) if u < w else (w, u)) not in carried]
-    del located, edge_set, carried  # freed before the grouping: a lower peak
+    ``Spg._pair_verdicts``.
 
-    # A (d-1)-face held by k >= 2 members makes those k pairwise near with
-    # that face as their intersection, so grouping near pairs by X & Y
-    # recovers every face's full list of holders.
-    family = spg.family()
-    holders: dict[int, set[int]] = {}
-    for i, j in pairs:
-        holders.setdefault(family[i].mask & family[j].mask, set()).update((i, j))
-    over_counted = [
-        ("over-counted-face", FacetSet.from_mask(face),
-         tuple(sorted(family[k] for k in members)))
-        for face, members in holders.items() if len(members) > 2
-    ]
+    Whole-family passes decide the three verdicts.  ``across``, the
+    vertex pairs holding a near pair across two distinct vertices, is
+    the edge set exactly when adjacency and strong adjacency hold; the
+    end-point count holds exactly when the near pairs' faces X & Y are
+    pairwise distinct, since a face with k >= 3 holders is the face of
+    C(k, 2) >= 3 near pairs.  Each witness list is built, by a loop over
+    the pairs, only when its test finds something.
+    """
+    pairs = near_pairs(spg)
+    masks = [fs.mask for fs in spg.family()]
+    first, second = zip(*pairs) if pairs else ((), ())
+    if set(map(len, spg.vertices)) == {1}:
+        across = set(pairs)
+    else:
+        owner = [vi for vi, vertex in enumerate(spg.vertices) for _ in vertex]
+        across = set(zip(map(owner.__getitem__, first),
+                         map(owner.__getitem__, second)))
+        nv = len(spg.vertices)
+        across.difference_update(zip(range(nv), range(nv)))
+    edge_set = spg.edge_set()
+
+    non_adjacent: list[tuple] = []
+    if not across <= edge_set:
+        located = spg.facets_with_vertex()
+        for i, j in pairs:
+            vi, a = located[i]
+            vj, b = located[j]
+            # i < j in vertex order, hence vi <= vj
+            if vi != vj and (vi, vj) not in edge_set:
+                non_adjacent.append(("non-adjacent-pair", a, b, vi, vj))
+    unwitnessed: list[tuple] = []
+    if not edge_set <= across:
+        unwitnessed = [("unwitnessed-edge", u, w) for u, w in spg.edges
+                       if ((u, w) if u < w else (w, u)) not in across]
+    del across, edge_set  # freed before the faces: a lower peak
+
+    faces = list(map(and_, map(masks.__getitem__, first),
+                     map(masks.__getitem__, second)))
+    over_counted: list[tuple] = []
+    if len(set(faces)) != len(faces):
+        # A (d-1)-face held by k >= 2 members makes those k pairwise near
+        # with that face as their intersection, so grouping near pairs by
+        # X & Y recovers every face's full list of holders.
+        family = spg.family()
+        holders: dict[int, set[int]] = {}
+        for (i, j), face in zip(pairs, faces):
+            holders.setdefault(face, set()).update((i, j))
+        over_counted = [
+            ("over-counted-face", FacetSet.from_mask(face),
+             tuple(sorted(family[k] for k in members)))
+            for face, members in holders.items() if len(members) > 2
+        ]
     return (
         PropertyReport(SpgProperty.ADJACENCY, _sorted_witnesses(non_adjacent)),
         PropertyReport(SpgProperty.STRONG_ADJACENCY,
@@ -803,6 +841,8 @@ def check_endpoint_count(spg: Spg) -> PropertyReport:
 def check_singleton(spg: Spg) -> PropertyReport:
     """Every vertex holds exactly one facet set."""
     require_valid(spg)
+    if set(map(len, spg.vertices)) == {1}:
+        return PropertyReport(SpgProperty.SINGLETON)
     witnesses = [
         ("non-singleton-vertex", vi, len(vertex))
         for vi, vertex in enumerate(spg.vertices)
@@ -819,7 +859,10 @@ def verify_all(spg: Spg) -> tuple[PropertyReport, ...]:
     checks one by one; like them it raises :class:`InvalidSpgError` on a
     graph that fails validation.  Validity and the three reports built
     on near pairs are the ones kept on the graph object, so they are
-    computed at most once whichever of these runs first.
+    computed at most once whichever of these runs first.  Every verdict
+    is decided by passes over the whole family, its near pairs and its
+    edges; the per-item loops that name witnesses run only for a graph
+    that fails.
     """
     return (validate(spg), check_singleton(spg), *spg._pair_verdicts)
 

@@ -406,8 +406,16 @@ def construct_with_resampling(template: Spg | Spindle, config: TransformConfig
     """
     spg = template.spg if isinstance(template, Spindle) else template
     require_singleton(spg)
+    return _construct(template, config, _lift_table(spg, config.r))
+
+
+def _construct(template: Spg | Spindle, config: TransformConfig,
+               table: _LiftTable) -> TransformResult:
+    """:func:`construct_with_resampling` from ``table``, the lift table
+    of its singleton template at ``config.r``, so that a caller running
+    many constructions of one template at one r makes the table once."""
+    spg = template.spg if isinstance(template, Spindle) else template
     r = config.r
-    table = _lift_table(spg, r)
     import numpy as np
     rng = np.random.default_rng(config.seed)
     perms = _fisher_yates(rng, r, len(spg.edges))

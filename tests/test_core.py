@@ -257,6 +257,22 @@ class TestValidate:
     def test_valid_graphs_match_the_per_set_loop(self, spg):
         assert validate(spg) == loop_validate(spg)
 
+    @given(spg_instances(max_sets=6), st.data())
+    @settings(max_examples=200)
+    def test_one_edge_fault_matches_the_per_set_loop(self, spg, data):
+        # each guard of the whole-edge passes alone: a reversed edge (which
+        # is valid), a self-loop, a parallel edge, an end out of range
+        nv = len(spg.vertices)
+        edges = list(spg.edges)
+        u, w = data.draw(st.sampled_from(edges)) if edges else (0, 0)
+        fault = data.draw(st.sampled_from(
+            [(w, u), (u, u), (u, w), (-1, u), (u, nv), (nv, nv + 1)]))
+        if edges and fault == (w, u):
+            edges.remove((u, w))
+        edges.insert(data.draw(st.integers(0, len(edges))), fault)
+        faulty = Spg(spg.symbols, spg.dimension, spg.vertices, tuple(edges))
+        assert validate(faulty) == loop_validate(faulty)
+
     @given(spg_instances())
     def test_generated_instances_valid(self, spg):
         assert validate(spg).holds

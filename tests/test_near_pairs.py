@@ -20,12 +20,14 @@ from spgraphs import (
     InvalidSpgError,
     Spg,
     SymbolTable,
+    TransformConfig,
     build_spindle_template,
     check_adjacency,
     check_endpoint_count,
     check_localization,
     check_singleton,
     check_strong_adjacency,
+    construct_with_resampling,
     near_pairs,
     restrict,
     validate,
@@ -163,8 +165,10 @@ def test_every_block_pair_and_word_boundary_found_once():
 def test_spindle_templates_match_oracle(d):
     # All C(2d, d) d-subsets of 2d symbols: few symbols per block, so the
     # groups are large and the join does most of its confirming here.
+    # Every pair check fails, so every witness loop runs.
     spg = build_spindle_template(d).spindle.spg
-    assert near_pairs(spg) == brute_force_near_pairs(spg)
+    assert_matches_oracles(spg)
+    assert not any(check(spg).holds for check in PAIR_CHECKS)
 
 
 def test_wrong_size_sets_refused():
@@ -179,3 +183,76 @@ def test_verify_all_refuses_invalid_graph():
                        [[FacetSet([0, 1])], [FacetSet([2, 3])]])
     with pytest.raises(InvalidSpgError):
         verify_all(broken)
+
+
+# Each guard of the whole-pass verdicts on its own: the witness loops run
+# only for the test that finds something, and give the oracles' reports.
+
+def test_edge_without_a_near_pair_fails_strong_adjacency_only():
+    # {a,b}-{b,c}-{c,d} plus the edge {a,b}-{c,d}, whose sets share nothing
+    spg = Spg.build(SymbolTable.alphabetic(4), 2,
+                    [[FacetSet([0, 1])], [FacetSet([1, 2])], [FacetSet([2, 3])]],
+                    [(0, 1), (1, 2), (0, 2)])
+    assert_matches_oracles(spg)
+    adjacency, strong, endpoint = (check_adjacency(spg),
+                                   check_strong_adjacency(spg),
+                                   check_endpoint_count(spg))
+    assert adjacency.holds and endpoint.holds
+    assert strong.witnesses == (("unwitnessed-edge", 0, 2),)
+
+
+def test_three_holders_of_one_face_fail_the_endpoint_count_only():
+    # a triangle on {a,b}, {a,c}, {a,d}: every pair is near and joined,
+    # and all three hold the face {a}
+    sets = [FacetSet([0, 1]), FacetSet([0, 2]), FacetSet([0, 3])]
+    spg = Spg.build(SymbolTable.alphabetic(4), 2, [[fs] for fs in sets],
+                    [(0, 1), (0, 2), (1, 2)])
+    assert_matches_oracles(spg)
+    assert check_adjacency(spg).holds and check_strong_adjacency(spg).holds
+    assert check_endpoint_count(spg).witnesses == (
+        ("over-counted-face", FacetSet([0]), tuple(sets)),)
+
+
+def count_witness_loops(monkeypatch):
+    """The graphs whose non-adjacent pairs are named, in order, into the
+    list: Spg.facets_with_vertex feeds only that loop."""
+    calls = []
+    real = Spg.facets_with_vertex
+    monkeypatch.setattr(Spg, "facets_with_vertex",
+                        lambda spg: calls.append(spg) or real(spg))
+    return calls
+
+
+def test_near_pairs_inside_one_vertex_only(monkeypatch):
+    # {a,b} and {b,c} share a vertex; {d,e} shares no symbol with either
+    alone = Spg.build(SymbolTable.alphabetic(3), 2,
+                      [[FacetSet([0, 1]), FacetSet([1, 2])]])
+    joined = Spg.build(SymbolTable.alphabetic(5), 2,
+                       [[FacetSet([0, 1]), FacetSet([1, 2])],
+                        [FacetSet([3, 4])]], [(0, 1)])
+    calls = count_witness_loops(monkeypatch)
+    for spg in (alone, joined):
+        assert near_pairs(spg) == [(0, 1)]
+        assert check_adjacency(spg).holds and check_endpoint_count(spg).holds
+    assert check_strong_adjacency(alone).holds
+    assert check_strong_adjacency(joined).witnesses == (
+        ("unwitnessed-edge", 0, 1),)
+    # a pair inside a vertex is no pair across an edge to name
+    assert calls == []
+    monkeypatch.undo()  # the oracles call it
+    for spg in (alone, joined):
+        assert_matches_oracles(spg)
+
+
+def test_clean_construction_names_no_witnesses(monkeypatch):
+    spindle = build_spindle_template(2).spindle
+    calls = count_witness_loops(monkeypatch)
+    result = construct_with_resampling(spindle, TransformConfig(r=8, seed=1))
+    assert all(report.holds for report in verify_all(result.spg))
+    assert calls == []
+    # a graph that fails adjacency does call it
+    broken = Spg.build(SymbolTable.alphabetic(3), 2,
+                       [[FacetSet([0, 1])], [FacetSet([1, 2])],
+                        [FacetSet([0, 2])]], [(0, 1), (1, 2)])
+    assert not check_adjacency(broken).holds
+    assert calls == [broken]
