@@ -13,6 +13,10 @@ dimension reduction under restriction).  Verifiers never raise on a
 violation: they return a :class:`PropertyReport` whose witnesses name
 every offending set, vertex, or restriction, so callers can localize
 failures.  Only malformed *calls* (precondition breaches) raise.
+
+The construction's output, a :class:`TransformResult` kept as its
+certificate with the graph this module's builder derives from it, is
+defined here too, so that reading a document loads no construction code.
 """
 
 from __future__ import annotations
@@ -248,9 +252,9 @@ class Spg:
 
     The fields never change, so the verdicts the checks derive from them
     (the validity report, and the three reports built on the near pairs)
-    are computed on first use and kept on the object; the near pairs
-    themselves are not kept.  :func:`dataclasses.replace` builds a new
-    object that derives its own.
+    are computed on first use and kept on the object, and so are a
+    template's lift tables; the near pairs themselves are not kept.
+    :func:`dataclasses.replace` builds a new object that derives its own.
     """
 
     symbols: SymbolTable
@@ -304,6 +308,10 @@ class Spg:
     def _pair_verdicts(self) -> tuple["PropertyReport", ...]:
         return _pair_reports(self)
 
+    @cached_property
+    def _lift_tables(self) -> dict[int, "_LiftTable"]:
+        return {}  # by r, filled by _lift_table
+
 
 @dataclass(frozen=True)
 class Spindle:
@@ -344,23 +352,43 @@ class Spindle:
 
 @dataclass(frozen=True)
 class TransformResult:
-    """The constructed graph plus the bookkeeping tying it back to the
-    template: where each original vertex went and which new vertices make
-    up each subdivided edge.  ``resample_log`` is diagnostic only and
-    excluded from structural equality.
+    """A construction's output, kept as its certificate (McConnell,
+    Mehlhorn, Näher & Schweitzer, Comput. Sci. Rev. 2011): the singleton
+    template, the row multiplier r >= 2 and one row permutation of 1..r
+    per template edge, as the constructor checks.  From them it derives
+    the graph ``spg``, ``vertex_map`` (template vertices keep their
+    indices) and ``edge_paths``, the vertices of each subdivided edge.
+    ``resample_log`` is diagnostic only.  The type lives here rather
+    than in :mod:`spgraphs.transform`, so that reading a document does
+    not load the construction code."""
 
-    :func:`_certificate` reads its template, row multiplier and row
-    permutations off it and rebuilds it from them.  The type, the builder
-    and that check live here rather than in :mod:`spgraphs.transform`, so
-    that reading a document does not load the construction code."""
-
-    spg: Spg
-    vertex_map: tuple[int, ...]
-    edge_paths: tuple[tuple[int, ...], ...]
+    template: Spg
+    r: int
+    perms: tuple[tuple[int, ...], ...]
     rounds_used: int = 0
     resample_log: tuple[tuple[int, tuple[BadEvent, ...]], ...] = field(
         default=(), compare=False)
     apices: tuple[FacetSet, FacetSet] | None = None
+    spg: Spg = field(init=False, repr=False, compare=False)
+    vertex_map: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    edge_paths: tuple[tuple[int, ...], ...] = field(
+        init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        _require_multiplier(self.r)
+        require_singleton(self.template)
+        _require_covers(self.perms, len(self.template.edges), self.r)
+        for name, value in zip(("spg", "vertex_map", "edge_paths"),
+                               _build_subdivision(self.template, self.r,
+                                                  self.perms)):
+            object.__setattr__(self, name, value)
+
+
+def _require_multiplier(r: int) -> None:
+    if r < 2:
+        raise ValueError(
+            "row multiplier must be at least 2 for the lift to satisfy "
+            "the end-point count")
 
 
 def _require_permutation(perm: Sequence[int], r: int, context: str = "") -> None:
@@ -368,6 +396,15 @@ def _require_permutation(perm: Sequence[int], r: int, context: str = "") -> None
     if len(perm) != r or not set(perm).issuperset(range(1, r + 1)):
         raise ValueError(f"{context}not a subdivision path: {perm} is not a "
                          f"permutation of 1..{r}")
+
+
+def _require_covers(perms: Sequence[Sequence[int]], edge_count: int, r: int
+                    ) -> None:
+    if len(perms) != edge_count:
+        raise ValueError(
+            f"assignment covers {len(perms)} edges, graph has {edge_count}")
+    for perm in perms:
+        _require_permutation(perm, r)
 
 
 def _lift_mask(fs: FacetSet, r: int) -> int:
@@ -412,16 +449,22 @@ class _LiftTable(NamedTuple):
 
 
 def _lift_table(spg: Spg, r: int) -> _LiftTable:
-    sets = [vertex[0] for vertex in spg.vertices]
-    return _LiftTable(
-        [_lift_mask(fs, r) for fs in sets],
-        [_swaps(sets[u], sets[w], r) for u, w in spg.edges],
-        sum(1 << (x * r) for x in range(spg.symbols.n)))
+    """The lift table of the singleton template ``spg`` at ``r``, made on
+    first use and kept on the graph, so that every construction, build
+    and scan of one template at one r walks from one table."""
+    if r not in spg._lift_tables:
+        sets = [vertex[0] for vertex in spg.vertices]
+        spg._lift_tables[r] = _LiftTable(
+            [_lift_mask(fs, r) for fs in sets],
+            [_swaps(sets[u], sets[w], r) for u, w in spg.edges],
+            sum(1 << (x * r) for x in range(spg.symbols.n)))
+    return spg._lift_tables[r]
 
 
-def _build_subdivision(spg: Spg, r: int, table: _LiftTable,
-                       perms: Sequence[Sequence[int]]) -> TransformResult:
-    """build_subdivision from the walks' table, without its checks.
+def _build_subdivision(spg: Spg, r: int, perms: Sequence[Sequence[int]]
+                       ) -> tuple[Spg, tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """The graph, vertex map and edge paths of :class:`TransformResult`,
+    without its checks.
 
     The graph comes out canonical as :meth:`Spg.build` would make it,
     without its sorts.  Each path's interior vertices are numbered in
@@ -431,6 +474,7 @@ def _build_subdivision(spg: Spg, r: int, table: _LiftTable,
     the order of their paths, which is the order of x; the interior
     edges (k, k + 1) come after all of them, in the order of k.
     """
+    table = _lift_table(spg, r)
     vertices = [(FacetSet.from_mask(m),) for m in table.lifts]
     at_template: list[list[int]] = [[] for _ in vertices]
     interior: list[tuple[int, int]] = []
@@ -445,83 +489,9 @@ def _build_subdivision(spg: Spg, r: int, table: _LiftTable,
         interior += zip(range(first, last), range(first + 1, last + 1))
         edge_paths.append((u, *range(first, last + 1), w))
     edges = [(v, x) for v, xs in enumerate(at_template) for x in xs]
-    return TransformResult(
-        spg=Spg(spg.symbols.lifted(r), r * spg.dimension, tuple(vertices),
+    return (Spg(spg.symbols.lifted(r), r * spg.dimension, tuple(vertices),
                 tuple(edges + interior)),
-        vertex_map=tuple(range(len(spg.vertices))),
-        edge_paths=tuple(edge_paths),
-    )
-
-
-def _certificate(result: TransformResult
-                 ) -> tuple[Spg, int, list[tuple[int, ...]]]:
-    """The template, row multiplier r and row permutations (one per edge)
-    from which :func:`_build_subdivision` rebuilds ``result`` exactly,
-    its certificate (McConnell, Mehlhorn, Näher & Schweitzer, Comput.
-    Sci. Rev. 2011): the template's sets are the vertex map's images, its
-    edges join each path's ends, in the paths' order and direction (as
-    the template gave them; :meth:`Spg.build` would sort them), and each
-    permutation lists the row of the first step of each segment.  The
-    graph must be singleton, not valid; apices must be images.  Anything
-    else raises ValueError naming the document field at fault, and an
-    invalid template by up to three of its witnesses."""
-    spg = result.spg
-    if any(len(vertex) != 1 for vertex in spg.vertices):
-        raise ValueError("vertices: a transform result is a singleton graph")
-    labels = spg.symbols.labels
-    # distinct, as the labels are
-    table = SymbolTable(tuple(lbl[:-2] for lbl in labels if lbl.endswith("@1")))
-    r = len(labels) // max(table.n, 1)
-    if r < 2 or spg.dimension % r or table.lifted(r).labels != labels:
-        raise ValueError("symbols: not the base@row labels of a lift by a "
-                         "row multiplier of at least 2 dividing the dimension")
-
-    masks = [vertex[0].mask for vertex in spg.vertices]
-    images = result.vertex_map
-    sets = [FacetSet(e // r for e in _mask_elements(masks[v])[::r])
-            for v in images]
-    if len(set(images)) != len(images) or any(
-            _lift_mask(a, r) != masks[v] for v, a in zip(images, sets)):
-        raise ValueError(
-            "annotations.vertex_map: entries must be distinct lifted sets")
-    template_of = {v: i for i, v in enumerate(images)}
-    for pi, path in enumerate(result.edge_paths):
-        if path[0] not in template_of or path[-1] not in template_of:
-            raise ValueError(f"annotations.edge_paths[{pi}]: endpoints {path[0]} "
-                             f"and {path[-1]} must both be in vertex_map")
-    edges = tuple((template_of[p[0]], template_of[p[-1]])
-                  for p in result.edge_paths)
-    template = Spg(table, spg.dimension // r, tuple((a,) for a in sets), edges)
-    report = validate(template)
-    if not report.holds:
-        shown = "; ".join(witness_text(w, table) for w in report.witnesses[:3])
-        raise ValueError(f"annotations.edge_paths: joining vertex_map's sets "
-                         f"makes no template ({len(report.witnesses)} "
-                         f"violations): {shown}")
-
-    perms = []
-    for pi, ((u, w), path) in enumerate(zip(edges, result.edge_paths)):
-        m = len(sets[u].without(sets[w]))
-        # a segment's first step retires a bit of its row; none reads as r
-        gone = [masks[path[s]] & ~masks[path[s + 1]]
-                for s in range(0, len(path) - 1, m)]
-        perms.append(tuple(((g & -g).bit_length() - 1) % r + 1 for g in gone))
-        _require_permutation(perms[-1], r, f"annotations.edge_paths[{pi}]: ")
-
-    rebuilt = _build_subdivision(template, r, _lift_table(template, r), perms)
-    for name, given, again in (
-            ("annotations.vertex_map", images, rebuilt.vertex_map),
-            ("annotations.edge_paths", result.edge_paths, rebuilt.edge_paths),
-            ("vertices", masks, [v[0].mask for v in rebuilt.spg.vertices]),
-            ("edges", spg.edges, rebuilt.spg.edges)):
-        if given != again:
-            at = next((i for i, pair in enumerate(zip(given, again))
-                       if pair[0] != pair[1]), min(len(given), len(again)))
-            raise ValueError(f"{name}[{at}]: not as rebuilt from the "
-                             f"template, r = {r} and the permutations")
-    if not set(result.apices or ()) <= {spg.vertices[v][0] for v in images}:
-        raise ValueError("annotations.apices: not lifts of template sets")
-    return template, r, perms
+            tuple(range(len(spg.vertices))), tuple(edge_paths))
 
 
 class SpgProperty(Enum):
@@ -577,7 +547,7 @@ def _sorted_witnesses(witnesses: list[tuple]) -> tuple[tuple, ...]:
 
 def _require_rows(r: int) -> None:
     # r = 1 lifts nothing but is a valid row count; the construction
-    # needs r >= 2 (transform._require_multiplier)
+    # needs r >= 2 (_require_multiplier)
     if r < 1:
         raise ValueError("row multiplier must be positive")
 

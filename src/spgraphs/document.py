@@ -12,9 +12,11 @@ encoder that ``indent`` would otherwise force; :func:`dump` writes the
 same text to a stream as it goes.
 Parsing validates everything: structural errors and invariant violations
 are reported as :class:`DocumentError` with field context, never as a
-silently repaired object.  A transform result is checked as a
-certificate: its template, row multiplier and row permutations are read
-off it, and it is refused unless rebuilding from them gives it back.
+silently repaired object.  A transform result is written as its
+derived graph with the vertex map and edge paths; :func:`parse` reads
+its certificate, the template, row multiplier and row permutations, off
+them (the only place a certificate is read) and refuses the document
+unless the result made from that certificate gives it back.
 """
 
 from __future__ import annotations
@@ -29,8 +31,10 @@ from .core import (
     Spindle,
     SymbolTable,
     TransformResult,
-    _certificate,
+    _lift_mask,
     _mask_digits,
+    _mask_elements,
+    _require_permutation,
     _sorted_mask,
     validate,
     witness_text,
@@ -350,10 +354,84 @@ def parse(text: str) -> Payload:
     if type(rounds_used) is not int or rounds_used < 0:
         raise DocumentError(
             "annotations.rounds_used: expected a non-negative integer")
-    result = TransformResult(spg, tuple(vertex_map), tuple(map(tuple, edge_paths)),
-                             rounds_used, apices=apices)
     try:
-        _certificate(result)
+        return _certificate(spg, tuple(vertex_map), tuple(map(tuple, edge_paths)),
+                            rounds_used, apices)
     except ValueError as err:
         raise DocumentError(str(err)) from None
+
+
+def _certificate(spg: Spg, images: tuple[int, ...],
+                 edge_paths: tuple[tuple[int, ...], ...], rounds_used: int,
+                 apices: tuple[FacetSet, FacetSet] | None) -> TransformResult:
+    """The transform result that a document's valid graph ``spg`` and its
+    annotations describe, read as its certificate: the template, row
+    multiplier r and row permutations (one per edge) from which the
+    result is rebuilt, and must give the document back exactly.
+
+    The template's sets are the vertex map's images, its edges join each
+    path's ends, in the paths' order and direction (as the template gave
+    them; :meth:`Spg.build` would sort them), and each permutation lists
+    the row of the first step of each segment.  The graph must be
+    singleton and not flagged a restriction; apices must be images.
+    Anything else raises ValueError naming the document field at fault,
+    and an invalid template by up to three of its witnesses."""
+    if any(len(vertex) != 1 for vertex in spg.vertices):
+        raise ValueError("vertices: a transform result is a singleton graph")
+    if spg.is_restriction:
+        raise ValueError("flags.is_restriction: must be false for a transform result")
+    labels = spg.symbols.labels
+    # distinct, as the labels are
+    table = SymbolTable(tuple(lbl[:-2] for lbl in labels if lbl.endswith("@1")))
+    r = len(labels) // max(table.n, 1)
+    if r < 2 or spg.dimension % r or table.lifted(r).labels != labels:
+        raise ValueError("symbols: not the base@row labels of a lift by a "
+                         "row multiplier of at least 2 dividing the dimension")
+
+    masks = [vertex[0].mask for vertex in spg.vertices]
+    sets = [FacetSet(e // r for e in _mask_elements(masks[v])[::r])
+            for v in images]
+    if len(set(images)) != len(images) or any(
+            _lift_mask(a, r) != masks[v] for v, a in zip(images, sets)):
+        raise ValueError(
+            "annotations.vertex_map: entries must be distinct lifted sets")
+    template_of = {v: i for i, v in enumerate(images)}
+    for pi, path in enumerate(edge_paths):
+        if path[0] not in template_of or path[-1] not in template_of:
+            raise ValueError(f"annotations.edge_paths[{pi}]: endpoints {path[0]} "
+                             f"and {path[-1]} must both be in vertex_map")
+    edges = tuple((template_of[p[0]], template_of[p[-1]]) for p in edge_paths)
+    template = Spg(table, spg.dimension // r, tuple((a,) for a in sets), edges)
+    report = validate(template)
+    if not report.holds:
+        shown = "; ".join(witness_text(w, table) for w in report.witnesses[:3])
+        raise ValueError(f"annotations.edge_paths: joining vertex_map's sets "
+                         f"makes no template ({len(report.witnesses)} "
+                         f"violations): {shown}")
+
+    perms = []
+    for pi, ((u, w), path) in enumerate(zip(edges, edge_paths)):
+        m = len(sets[u].without(sets[w]))
+        # a segment's first step retires a bit of its row; none reads as r
+        gone = [masks[path[s]] & ~masks[path[s + 1]]
+                for s in range(0, len(path) - 1, m)]
+        perms.append(tuple(((g & -g).bit_length() - 1) % r + 1 for g in gone))
+        _require_permutation(perms[-1], r, f"annotations.edge_paths[{pi}]: ")
+
+    result = TransformResult(template, r, tuple(perms), rounds_used,
+                             apices=apices)
+    for name, given, again in (
+            ("annotations.vertex_map", images, result.vertex_map),
+            ("annotations.edge_paths", edge_paths, result.edge_paths),
+            ("vertices", masks, [v[0].mask for v in result.spg.vertices]),
+            ("edges", spg.edges, result.spg.edges)):
+        if given != again:
+            at = next((i for i, pair in enumerate(zip(given, again))
+                       if pair[0] != pair[1]), min(len(given), len(again)))
+            raise ValueError(f"{name}[{at}]: not as rebuilt from the "
+                             f"template, r = {r} and the permutations")
+    if not set(apices or ()) <= {spg.vertices[v][0] for v in images}:
+        raise ValueError("annotations.apices: not lifts of template sets")
+    # spg, equal to the rebuilt graph, is validated: checks read its report
+    object.__setattr__(result, "spg", spg)
     return result

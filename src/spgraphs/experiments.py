@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .core import (
     Spg,
-    _lift_table,
+    _require_multiplier,
     check_dimension_reduction,
     max_degree,
     require_singleton,
@@ -27,8 +27,6 @@ from .transform import (
     ResamplingExhaustedError,
     Strategy,
     TransformConfig,
-    _construct,
-    _require_multiplier,
     _require_seed,
     construct_with_resampling,
 )
@@ -103,7 +101,6 @@ def sweep_r(
 
     rows = []
     for r in r_values:
-        table = _lift_table(template, r)  # the same for every trial
         successes = 0
         rounds_used: list[int] = []
         round0_counts: list[int] = []
@@ -112,7 +109,7 @@ def sweep_r(
                 r=r, seed=trial_seed(seed, t), max_rounds=max_rounds,
                 strategy=strategy)
             try:
-                result = _construct(template, config, table)
+                result = construct_with_resampling(template, config)
             except (ResamplingExhaustedError, ConstructionVerificationError) as err:
                 round0_counts.append(_round0_events(err.resample_log))
             else:

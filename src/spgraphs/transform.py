@@ -22,12 +22,16 @@ detected exhaustively and resampled away by redrawing the row
 permutations of the participating edges; for r >= ceil(16 * e * delta)
 (delta the template's maximum degree) an assignment without bad events
 exists and the resampling loop finds one quickly in practice.
+
+The output, a :class:`~spgraphs.core.TransformResult`, keeps the template,
+r and the final permutations and derives its graph; the bad-event scan
+and the localization check read those, so they rebuild nothing.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
 from typing import TYPE_CHECKING, Sequence
@@ -46,11 +50,11 @@ from .core import (
     SpgProperty,
     Spindle,
     TransformResult,
-    _build_subdivision,
-    _certificate,
     _lift_mask,
     _lift_table,
     _LiftTable,
+    _require_covers,
+    _require_multiplier,
     _require_permutation,
     _require_rows,
     _swaps,
@@ -97,11 +101,7 @@ class PermutationAssignment:
     perms: tuple[tuple[int, ...], ...]
 
     def require_covers(self, edge_count: int, r: int) -> None:
-        if len(self.perms) != edge_count:
-            raise ValueError(
-                f"assignment covers {len(self.perms)} edges, graph has {edge_count}")
-        for perm in self.perms:
-            _require_permutation(perm, r)
+        _require_covers(self.perms, edge_count, r)
 
     @classmethod
     def draw(cls, rng: np.random.Generator, edge_count: int, r: int
@@ -140,13 +140,6 @@ def lll_sufficient(delta: int, r: int) -> bool:
     others."""
     _require_rows(r)
     return (4 * delta - 5) * (4.0 / r) * math.e < 1.0
-
-
-def _require_multiplier(r: int) -> None:
-    if r < 2:
-        raise ValueError(
-            "row multiplier must be at least 2 for the lift to satisfy "
-            "the end-point count")
 
 
 def _require_star(center: FacetSet, leaf1: FacetSet, leaf2: FacetSet) -> None:
@@ -264,11 +257,9 @@ def build_subdivision(
     Every edge of the product lift is replaced by its subdivision path;
     interior path sets become fresh singleton vertices.  Original
     vertices keep their indices, so the vertex map is the identity.
+    :class:`TransformResult`'s constructor checks the arguments.
     """
-    _require_multiplier(r)
-    require_singleton(spg)
-    perms.require_covers(len(spg.edges), r)
-    return _build_subdivision(spg, r, _lift_table(spg, r), perms.perms)
+    return TransformResult(spg, r, perms.perms)
 
 
 def _band_hits(out1: list[int], out2: list[int]) -> list[tuple[int, int]]:
@@ -354,21 +345,18 @@ def find_bad_events(result: TransformResult, original: Spg) -> tuple[BadEvent, .
     property.  At most one witness pair, the first in path order, is
     recorded per edge pair.
 
-    The scan reads the result through its certificate
-    (:func:`~spgraphs.core._certificate`): a result that the template, r
-    and permutations read off it do not rebuild raises ValueError naming
-    the field at fault, and so does an ``original`` other than that
-    template.  It then scans the first two rows out of each end of every
-    path, walked from the certificate as the construction walks them
-    (the two-row lemma of :func:`_scan_bad_events`).
+    An ``original`` other than the result's template raises ValueError.
+    The scan walks the first two rows out of each end of every path from
+    the template's lift table, as the construction does (the two-row
+    lemma of :func:`_scan_bad_events`), so it builds no graph.
     """
-    template, r, perms = _certificate(result)
+    template = result.template
     if original != template:
         raise ValueError("original: not the template the result was built from")
-    table = _lift_table(template, r)
+    table = _lift_table(template, result.r)
     return _scan_bad_events(template.edges, len(template.vertices), [
         _end_masks(table, edge, ei, perm)
-        for ei, (edge, perm) in enumerate(zip(template.edges, perms))])
+        for ei, (edge, perm) in enumerate(zip(template.edges, result.perms))])
 
 
 def construct_with_resampling(template: Spg | Spindle, config: TransformConfig
@@ -387,13 +375,13 @@ def construct_with_resampling(template: Spg | Spindle, config: TransformConfig
     :func:`_scan_bad_events`), so its cost does not grow with r beyond
     the draws.  With strategy RESAMPLE only edges participating in a bad
     event are redrawn each round (and only their end masks recomputed);
-    REJECT redraws all of them.  Every walk starts from one table made
-    per construction (each template vertex's lift, each edge's
-    :func:`_swaps`), so redraws and the build lift nothing again.  The
-    graph is built once, in canonical form, and re-verified (validity,
-    singleton, adjacency, strong adjacency, end-point count) before
-    being returned, or raises with the failed reports; exhausting
-    ``max_rounds`` raises with the bad events left.
+    REJECT redraws all of them.  Every walk starts from the template's
+    table for r (each template vertex's lift, each edge's :func:`_swaps`),
+    kept on the template, so redraws and the build lift nothing again.  The result is made once, after the last round,
+    its graph in canonical form, and re-verified (validity, singleton,
+    adjacency, strong adjacency, end-point count) before being returned,
+    or raises with the failed reports; exhausting ``max_rounds`` raises
+    with the bad events left.
 
     Under RESAMPLE, rounds after the first rescan only the pairs that
     hold a redrawn edge.  Every pair left out is clean: by induction,
@@ -406,16 +394,8 @@ def construct_with_resampling(template: Spg | Spindle, config: TransformConfig
     """
     spg = template.spg if isinstance(template, Spindle) else template
     require_singleton(spg)
-    return _construct(template, config, _lift_table(spg, config.r))
-
-
-def _construct(template: Spg | Spindle, config: TransformConfig,
-               table: _LiftTable) -> TransformResult:
-    """:func:`construct_with_resampling` from ``table``, the lift table
-    of its singleton template at ``config.r``, so that a caller running
-    many constructions of one template at one r makes the table once."""
-    spg = template.spg if isinstance(template, Spindle) else template
     r = config.r
+    table = _lift_table(spg, r)
     import numpy as np
     rng = np.random.default_rng(config.seed)
     perms = _fisher_yates(rng, r, len(spg.edges))
@@ -440,23 +420,23 @@ def _construct(template: Spg | Spindle, config: TransformConfig,
             ends[ei] = _end_masks(table, spg.edges[ei], ei, perm)
         attempt += 1
 
-    result = _build_subdivision(spg, r, table, perms)
+    apices = None
+    if isinstance(template, Spindle):
+        apices = (lift_facet(template.apex1, r), lift_facet(template.apex2, r))
+    result = TransformResult(spg, r, tuple(perms), attempt, tuple(log), apices)
     # the other checks refuse an invalid graph, so it is reported alone
     validity = validate(result.spg)
     failed = [validity] if not validity.holds else [
         rep for rep in verify_all(result.spg) if not rep.holds]
     if failed:
         raise ConstructionVerificationError(failed, log)
-    apices = None
-    if isinstance(template, Spindle):
-        apices = (lift_facet(template.apex1, r), lift_facet(template.apex2, r))
+    if apices is not None:
         length = Spindle(result.spg, *apices).length()
         if length < r * template.length():
             raise RuntimeError(
                 f"constructed spindle has length {length}, below "
                 f"r * {template.length()}")
-    return replace(result, rounds_used=attempt, resample_log=tuple(log),
-                   apices=apices)
+    return result
 
 
 @dataclass(frozen=True)
@@ -582,24 +562,22 @@ def check_localization(result: TransformResult) -> PropertyReport:
     """Exhaustive check that near-coincidences stay local: every pair of
     constructed sets agreeing in exactly rd - 1 lifted symbols must lie
     on a single subdivided edge or on two edges sharing a template
-    endpoint.  The template and r are the result's own, read off it by
-    :func:`~spgraphs.core._certificate`.  Refuses (ValueError) a result
-    that its certificate does not rebuild, a non-singleton one included,
-    and r below 4, where the guarantee does not apply.
+    endpoint.  The template and r are the result's own.  Refuses
+    (ValueError) r below 4, where the guarantee does not apply.
 
-    Every edge of a certified result is a step of one path, so a near
+    Every edge of the result's graph is a step of one path, so a near
     pair on adjacent vertices is local: the delocalized pairs are the
     graph's kept adjacency witnesses (read without refusing an invalid
     graph) whose edges share no endpoint, in the same sorted order.
     """
-    template, r, _ = _certificate(result)
-    if r < 4:
-        raise ValueError(f"localization is only guaranteed for r >= 4, got r={r}")
+    if result.r < 4:
+        raise ValueError(
+            f"localization is only guaranteed for r >= 4, got r={result.r}")
 
     # edges e1, e2 share an endpoint when their endpoint pairs meet, so a
     # pair is local when the endpoints of the edges through each meet
     ends: list[set[int]] = [set() for _ in result.spg.vertices]
-    for edge, path in zip(template.edges, result.edge_paths):
+    for edge, path in zip(result.template.edges, result.edge_paths):
         for idx in path:
             ends[idx].update(edge)
     return PropertyReport(SpgProperty.LOCALIZATION, tuple(

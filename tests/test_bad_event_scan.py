@@ -32,10 +32,12 @@ from spgraphs import (
     Strategy,
     SymbolTable,
     TransformConfig,
+    TransformResult,
     bad_event_occurs,
     build_spindle_template,
     build_star_template,
     build_subdivision,
+    check_localization,
     construct_with_resampling,
     estimate_bad_event_probability,
     find_bad_events,
@@ -154,45 +156,53 @@ def test_non_permutation_raises():
         bad_event_occurs(fs(0, 1), fs(2, 3), fs(2, 4), 2, (1, 1), (1, 2))
 
 
-def test_parsed_result_with_scrambled_path_raises():
+# A result is its certificate, so no construction makes the graphs
+# below: each is a tampered document, which parse refuses.
+
+def _shared_star_doc():
     result = build_subdivision(
         SHARED_STAR, 2, PermutationAssignment(((1, 2), (2, 1))))
+    return result, json.loads(serialize(result))
+
+
+def test_parsed_result_with_scrambled_path_raises():
+    result, doc = _shared_star_doc()
     # swap the sets one and two steps out along edge 0's path: still a
     # valid graph, no longer a subdivision path
     a, b = result.edge_paths[0][1:3]
-    vertices = list(result.spg.vertices)
+    vertices = doc["vertices"]
     vertices[a], vertices[b] = vertices[b], vertices[a]
-    scrambled = replace(result, spg=replace(result.spg, vertices=tuple(vertices)))
-    assert validate(scrambled.spg).holds
-    # no construction makes it: its certificate refuses it, in memory
-    # and as a document
-    with pytest.raises(ValueError, match=rf"^vertices\[{a}\]: not as rebuilt"):
-        find_bad_events(scrambled, SHARED_STAR)
-    with pytest.raises(DocumentError, match=rf"^vertices\[{a}\]: "):
-        parse(serialize(scrambled))
+    # still a valid graph: parse reads it as a plain one
+    parse(json.dumps({**doc, "kind": "spg", "annotations": {}}))
+    with pytest.raises(DocumentError,
+                       match=rf"^vertices\[{a}\]: not as rebuilt"):
+        parse(json.dumps(doc))
 
 
 def test_path_running_the_wrong_way_raises():
-    result = build_subdivision(
-        SHARED_STAR, 2, PermutationAssignment(((1, 2), (2, 1))))
-    reversed_path = replace(result, edge_paths=(
-        result.edge_paths[0][::-1], result.edge_paths[1]))
+    _, doc = _shared_star_doc()
+    doc["annotations"]["edge_paths"][0].reverse()
     with pytest.raises(
-            ValueError, match=r"^annotations\.edge_paths\[0\]: not as rebuilt"):
-        find_bad_events(reversed_path, SHARED_STAR)
+            DocumentError,
+            match=r"^annotations\.edge_paths\[0\]: not as rebuilt"):
+        parse(json.dumps(doc))
 
 
 def test_set_of_the_wrong_size_raises():
-    result = build_subdivision(
-        SHARED_STAR, 2, PermutationAssignment(((1, 2), (2, 1))))
-    vertices = list(result.spg.vertices)
-    idx = result.edge_paths[1][2]
-    vertices[idx] = (FacetSet(vertices[idx][0].elements[1:]),)
-    shrunk = replace(result, spg=replace(result.spg, vertices=tuple(vertices)))
-    # the shrunk set makes path 1's second segment read as row 2 again
-    with pytest.raises(ValueError, match=r"^annotations\.edge_paths\[1\]: "
-                                         r"not a subdivision path: \(2, 2\)"):
-        find_bad_events(shrunk, SHARED_STAR)
+    result, doc = _shared_star_doc()
+    elements = doc["vertices"][result.edge_paths[1][2]][0]
+    assert elements[0] == 0  # a@1
+    # without a@1 the set is the wrong size, and the graph invalid
+    shrunk = json.loads(json.dumps(doc))
+    del shrunk["vertices"][result.edge_paths[1][2]][0][0]
+    with pytest.raises(DocumentError, match="^document violates graph "
+                                            "invariants.*wrong-size-set"):
+        parse(json.dumps(shrunk))
+    # with a@2 in its place, path 1's second segment reads as row 2 again
+    elements[0] = 1
+    with pytest.raises(DocumentError, match=r"^annotations\.edge_paths\[1\]: "
+                                            r"not a subdivision path: \(2, 2\)"):
+        parse(json.dumps(doc))
 
 
 @pytest.mark.parametrize("other", [
@@ -209,8 +219,8 @@ def test_another_template_as_original_raises(other):
 
 def test_construction_builds_once(monkeypatch):
     calls = []
-    real = transform._build_subdivision
-    monkeypatch.setattr(transform, "_build_subdivision",
+    real = core._build_subdivision
+    monkeypatch.setattr(core, "_build_subdivision",
                         lambda *args: calls.append(1) or real(*args))
     result = construct_with_resampling(SHARED_STAR, TransformConfig(r=4, seed=4))
     assert result.rounds_used == 2 and len(calls) == 1
@@ -218,6 +228,21 @@ def test_construction_builds_once(monkeypatch):
         construct_with_resampling(
             SHARED_STAR, TransformConfig(r=2, seed=0, max_rounds=0))
     assert len(calls) == 1
+
+
+def test_checks_of_a_built_result_build_nothing(monkeypatch):
+    built = construct_with_resampling(replace(SHARED_STAR),
+                                      TransformConfig(r=4, seed=4))
+    for result in (built, parse(serialize(built))):
+        calls = []
+        for name in ("_build_subdivision", "_swaps"):
+            real = getattr(core, name)
+            monkeypatch.setattr(core, name, lambda *args, real=real, name=name:
+                                calls.append(name) or real(*args))
+        assert find_bad_events(result, result.template) == ()
+        assert check_localization(result).holds
+        assert calls == []
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("strategy", list(Strategy))
@@ -232,6 +257,8 @@ def test_construction_makes_each_edges_swaps_once(monkeypatch, template, r,
     real = core._swaps
     monkeypatch.setattr(core, "_swaps",
                         lambda *args: calls.append(args) or real(*args))
+    # a fresh copy: the module constant may keep a lift table from earlier
+    template = replace(template)
     config = TransformConfig(r=r, seed=seed, max_rounds=max_rounds,
                              strategy=strategy)
     try:
@@ -423,6 +450,11 @@ _ROWS = "row multiplier must be positive"
         fs(0, 1), fs(2, 3), fs(2, 4), 1, 10, 0), _MULTIPLIER),
     (lambda: PermutationAssignment(((1, 2), (1, 1))).require_covers(2, 2),
      _NOT_A_PERMUTATION),
+    (lambda: PermutationAssignment(((1, 2),)).require_covers(2, 2),
+     "assignment covers 1 edges, graph has 2"),
+    (lambda: TransformResult(SHARED_STAR, 2, ((1, 2),)),
+     "assignment covers 1 edges, graph has 2"),
+    (lambda: TransformResult(SHARED_STAR, 1, ((1,), (1,))), _MULTIPLIER),
     (lambda: build_subdivision(
         SHARED_STAR, 2, PermutationAssignment(((1, 2), (1, 1)))),
      _NOT_A_PERMUTATION),
@@ -442,7 +474,8 @@ _ROWS = "row multiplier must be positive"
     (lambda: lll_sufficient(3, 0), _ROWS),
     (lambda: SymbolTable.alphabetic(2).lifted(0), _ROWS),
 ], ids=["config", "lift", "subdivision-r", "sweep", "estimator-r",
-        "assignment", "subdivision-perm", "path", "bad-event",
+        "assignment", "assignment-count", "result-count", "result-r",
+        "subdivision-perm", "path", "bad-event",
         "estimator-equal-leaves", "estimator-centre-leaf",
         "estimator-sizes", "path-rows", "lll-rows", "table-rows"])
 def test_each_precondition_has_one_message(call, message):

@@ -44,7 +44,6 @@ from spgraphs import (
     sliding_window_path,
     validate,
 )
-from spgraphs.core import _certificate
 from spgraphs.document import _parse_facet, _write_canonical, canonical_json
 
 
@@ -555,6 +554,16 @@ def test_transform_result_must_describe_a_subdivision(field, value, message):
     assert str(err.value).startswith(f"annotations.{field}")
 
 
+def test_transform_result_flagged_a_restriction_is_refused():
+    # no construction makes a restriction, and a result made from the
+    # certificate would drop the flag
+    doc = _two_edge_result_doc()
+    doc["flags"]["is_restriction"] = True
+    with pytest.raises(DocumentError,
+                       match=r"^flags\.is_restriction: must be false"):
+        parse(json.dumps(doc))
+
+
 @pytest.mark.parametrize("path, value", [
     (("format_version",), True),
     (("dimension",), True),
@@ -580,14 +589,17 @@ def test_booleans_rejected_where_integers_are_required(path, value):
 
 
 # A transform result is its certificate: the template, r and one row
-# permutation per edge, read off the result and rebuilt.
+# permutation per edge, which parse reads off the document.
 
 @given(subdivision_cases())
 @settings(max_examples=150, deadline=None)
 def test_certificate_recovers_the_construction(case):
-    # bad events and invalid graphs included
     template, r, perms, result = case
-    assert _certificate(result) == (template, r, list(perms.perms))
+    assume(validate(result.spg).holds)  # parse refuses an invalid graph
+    parsed = parse(serialize(result))
+    assert (parsed.template, parsed.r, parsed.perms) == (
+        template, r, perms.perms)
+    assert parsed.spg == result.spg and parsed.edge_paths == result.edge_paths
 
 
 @given(subdivision_cases())
@@ -597,7 +609,7 @@ def test_parsed_results_keep_the_row_structure(case):
     assume(validate(result.spg).holds)
     parsed = parse(serialize(result))
     assert parsed == result
-    assert row_structure_violations(parsed, _certificate(parsed)[0]) == ()
+    assert row_structure_violations(parsed, parsed.template) == ()
 
 
 @st.composite

@@ -113,6 +113,17 @@ class TestSweep:
         assert calls[0] is template
         assert len(calls) == 3
 
+    def test_makes_one_lift_table_per_r(self, monkeypatch):
+        calls = []
+        swaps = core._swaps
+        monkeypatch.setattr(core, "_swaps",
+                            lambda *args: calls.append(args[2]) or swaps(*args))
+        # a fresh copy: the module constant may keep its tables from earlier
+        template = replace(SHARED_STAR)
+        sweep_r(template, [4, 5], trials=3, seed=1)
+        # a table runs _swaps once per template edge
+        assert calls == [4, 4, 5, 5]
+
     def test_reject_strategy_runs(self):
         report = sweep_r(SHARED_STAR, [4], trials=3, seed=2,
                          strategy=Strategy.REJECT)

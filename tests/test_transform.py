@@ -1,7 +1,9 @@
 """Tests for the lift, subdivision, bad-event machinery, and resampling."""
 
+import json
 import math
 from itertools import permutations
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from conftest import (
     loop_fisher_yates,
     row_structure_violations,
     spg_instances,
+    subdivision_cases,
 )
 from spgraphs import (
     ConstructionVerificationError,
@@ -227,6 +230,27 @@ class TestBuildSubdivision:
     def test_non_bijection_rejected(self):
         with pytest.raises(ValueError):
             build_subdivision(SINGLE_EDGE, 2, PermutationAssignment(((1, 1),)))
+
+    @given(subdivision_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_lift_and_path_oracle(self, case):
+        template, r, perms, _ = case
+        result = TransformResult(template, r, perms.perms)
+        # the lift, then each edge's path, its interior numbered in turn
+        vertices = list(lift_product(template, r).vertices)
+        edges, paths = [], []
+        for (u, w), perm in zip(template.edges, perms.perms):
+            path = subdivision_path(
+                template.vertices[u][0], template.vertices[w][0], r, perm)
+            first = len(vertices)
+            vertices += [(entry,) for entry in path[1:-1]]
+            paths.append((u, *range(first, len(vertices)), w))
+            edges += zip(paths[-1], paths[-1][1:])
+        assert result.spg == Spg.build(template.symbols.lifted(r),
+                                       r * template.dimension, vertices, edges)
+        assert result.edge_paths == tuple(paths)
+        assert result.vertex_map == tuple(range(len(template.vertices)))
+        assert row_structure_violations(result, template) == ()
 
     def test_vertex_map_images_are_lifts(self):
         result = build_subdivision(
@@ -448,7 +472,8 @@ class TestCheckLocalization:
         # vertex with one symbol swapped.  The graph is valid and a
         # document round-trips it, but that set is near the last vertex's
         # set across edges 0 and 2, which share no endpoint; a check that
-        # read only each vertex's first set would pass it.
+        # read only each vertex's first set would pass it.  No result
+        # holds that graph, so its transform-result document is refused.
         path = sliding_window_path(3)
         result = construct_with_resampling(path, TransformConfig(r=4, seed=1))
         spg = result.spg
@@ -461,11 +486,14 @@ class TestCheckLocalization:
         assert validate(grown).holds
         assert document.parse(document.serialize(grown)) == grown
         assert len(check_adjacency(grown).witnesses) == 1
-        grown_result = TransformResult(grown, result.vertex_map, result.edge_paths)
+        doc = json.loads(document.serialize(result))
+        doc["vertices"][result.vertex_map[0]].append(list(swapped.elements))
+        with pytest.raises(document.DocumentError,
+                           match="^vertices: a transform result is a singleton"):
+            document.parse(json.dumps(doc))
+        stand_in = SimpleNamespace(spg=grown, edge_paths=result.edge_paths)
         with pytest.raises(ValueError, match="singleton"):
-            check_localization(grown_result)
-        with pytest.raises(ValueError, match="singleton"):
-            brute_force_localization(grown_result, path)
+            brute_force_localization(stand_in, path)
 
 
 class TestRowStructureViolations:
@@ -478,17 +506,17 @@ class TestRowStructureViolations:
         corrupt = FacetSet.from_labels(table, ["c@1", "b@1", "c@2", "b@2"])
         vertices = list(result.spg.vertices)
         vertices[3] = (corrupt,)
-        broken = TransformResult(
-            spg=Spg.build(result.spg.symbols, result.spg.dimension,
-                          vertices, result.spg.edges),
-            vertex_map=result.vertex_map,
-            edge_paths=result.edge_paths,
-        )
+        broken = SimpleNamespace(
+            spg=Spg.build(table, result.spg.dimension, vertices,
+                          result.spg.edges),
+            edge_paths=result.edge_paths)
         violations = row_structure_violations(broken, SINGLE_EDGE)
         assert violations
         assert violations[0][0] == "row-structure"
-        # the certificate check refuses its document: vertex 3 opens the
-        # path's second segment, in row 1 again
+        # no result holds that graph, and parse refuses its document:
+        # vertex 3 opens the path's second segment, in row 1 again
+        doc = json.loads(document.serialize(result))
+        doc["vertices"][3] = [list(corrupt.elements)]
         with pytest.raises(document.DocumentError,
                            match=r"^annotations\.edge_paths\[0\]: not a subdivision"):
-            document.parse(document.serialize(broken))
+            document.parse(json.dumps(doc))

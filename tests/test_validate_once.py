@@ -27,7 +27,9 @@ from spgraphs import (
     check_strong_adjacency,
     construct_with_resampling,
     near_pairs,
+    parse,
     restrict,
+    serialize,
     sliding_window_path,
     validate,
     verify_all,
@@ -116,6 +118,18 @@ def test_localization_after_the_construction_runs_no_join(monkeypatch):
                                        TransformConfig(r=8, seed=1))
     assert check_localization(result).holds
     assert calls == [result.spg]
+
+
+def test_a_parsed_result_keeps_the_validated_graph(monkeypatch):
+    text = serialize(construct_with_resampling(sliding_window_path(2),
+                                               TransformConfig(r=5, seed=3)))
+    calls = count_validations(monkeypatch)
+    result = parse(text)
+    assert all(report.holds for report in verify_all(result.spg))
+    # the document's graph, then the template read off it: the graph
+    # rebuilt from the template is not kept, so it is never validated
+    assert len(calls) == 2
+    assert calls[0] is result.spg and calls[1] is result.template
 
 
 def test_every_public_check_shares_one_validation(monkeypatch):
