@@ -14,7 +14,7 @@ _MODULE_OF = {
     name: module
     for module, names in {
         "core": (
-            "BudgetExceededError", "ConstructionVerificationError",
+            "BadEvent", "BudgetExceededError", "ConstructionVerificationError",
             "FacetSet", "InvalidSpgError", "PropertyReport",
             "ResamplingExhaustedError", "Spg", "SpgProperty", "Spindle",
             "SymbolTable", "TransformResult",
@@ -38,7 +38,8 @@ _MODULE_OF = {
             "build_star_template", "sliding_window_path",
         ),
         "transform": (
-            "BadEvent", "BadEventEstimate", "PermutationAssignment", "Strategy", "TransformConfig",
+            "BadEventEstimate", "PermutationAssignment", "Strategy",
+            "TransformConfig",
             "bad_event_occurs", "build_subdivision", "check_localization",
             "construct_with_resampling", "estimate_bad_event_probability",
             "find_bad_events", "lift_facet", "lift_product",

@@ -26,10 +26,7 @@ from enum import Enum
 from functools import cached_property
 from itertools import combinations, compress, count, repeat
 from operator import and_, lt
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
-
-if TYPE_CHECKING:
-    from .transform import BadEvent
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 
 class InvalidSpgError(ValueError):
@@ -279,10 +276,6 @@ class Spg:
         edg = tuple(sorted((u, w) if u < w else (w, u) for u, w in edges))
         return cls(symbols, dimension, vtx, edg, is_restriction)
 
-    @property
-    def num_vertices(self) -> int:
-        return len(self.vertices)
-
     def family(self) -> list[FacetSet]:
         """All facet sets in vertex order (the family the vertices partition)."""
         return [fs for vertex in self.vertices for fs in vertex]
@@ -351,16 +344,28 @@ class Spindle:
 
 
 @dataclass(frozen=True)
+class BadEvent:
+    """Two subdivision sets on distinct edges at a common template vertex
+    that agree in all but at most one lifted symbol."""
+
+    vertex: int
+    edges: tuple[int, int]
+    witness: tuple[FacetSet, FacetSet]
+
+
+@dataclass(frozen=True)
 class TransformResult:
     """A construction's output, kept as its certificate (McConnell,
     Mehlhorn, Näher & Schweitzer, Comput. Sci. Rev. 2011): the singleton
     template, the row multiplier r >= 2 and one row permutation of 1..r
     per template edge, as the constructor checks.  From them it derives
     the graph ``spg``, ``vertex_map`` (template vertices keep their
-    indices) and ``edge_paths``, the vertices of each subdivided edge.
-    ``resample_log`` is diagnostic only.  The type lives here rather
-    than in :mod:`spgraphs.transform`, so that reading a document does
-    not load the construction code."""
+    indices) and ``edge_paths``, the vertices of each subdivided edge;
+    the graph would drop an ``is_restriction`` flag, so a flagged
+    template is refused.  ``resample_log`` is diagnostic only.  This
+    type and :class:`BadEvent` live here rather than in
+    :mod:`spgraphs.transform`, so that reading a document does not load
+    the construction code."""
 
     template: Spg
     r: int
@@ -376,8 +381,15 @@ class TransformResult:
 
     def __post_init__(self):
         _require_multiplier(self.r)
+        if self.template.is_restriction:
+            raise ValueError("template is flagged is_restriction: a "
+                             "restriction cannot be transformed")
         require_singleton(self.template)
-        _require_covers(self.perms, len(self.template.edges), self.r)
+        if len(self.perms) != len(self.template.edges):
+            raise ValueError(f"assignment covers {len(self.perms)} edges, "
+                             f"graph has {len(self.template.edges)}")
+        for perm in self.perms:
+            _require_permutation(perm, self.r)
         for name, value in zip(("spg", "vertex_map", "edge_paths"),
                                _build_subdivision(self.template, self.r,
                                                   self.perms)):
@@ -396,15 +408,6 @@ def _require_permutation(perm: Sequence[int], r: int, context: str = "") -> None
     if len(perm) != r or not set(perm).issuperset(range(1, r + 1)):
         raise ValueError(f"{context}not a subdivision path: {perm} is not a "
                          f"permutation of 1..{r}")
-
-
-def _require_covers(perms: Sequence[Sequence[int]], edge_count: int, r: int
-                    ) -> None:
-    if len(perms) != edge_count:
-        raise ValueError(
-            f"assignment covers {len(perms)} edges, graph has {edge_count}")
-    for perm in perms:
-        _require_permutation(perm, r)
 
 
 def _lift_mask(fs: FacetSet, r: int) -> int:

@@ -66,10 +66,21 @@ def describe_template(spg: Spg) -> str:
     )
 
 
-def _round0_events(resample_log) -> int:
-    if resample_log and resample_log[0][0] == 0:
-        return len(resample_log[0][1])
-    return 0
+def _trials(template: Spg, r: int, trials: int, seed: int, max_rounds: int,
+            strategy: Strategy):
+    """Each trial's construction result, or None where it failed, with
+    its resample log, in trial order; trial t is seeded by
+    :func:`trial_seed`."""
+    for t in range(trials):
+        config = TransformConfig(
+            r=r, seed=trial_seed(seed, t), max_rounds=max_rounds,
+            strategy=strategy)
+        try:
+            result = construct_with_resampling(template, config)
+        except (ResamplingExhaustedError, ConstructionVerificationError) as err:
+            yield None, err.resample_log
+        else:
+            yield result, result.resample_log
 
 
 def sweep_r(
@@ -101,27 +112,20 @@ def sweep_r(
 
     rows = []
     for r in r_values:
-        successes = 0
         rounds_used: list[int] = []
-        round0_counts: list[int] = []
-        for t in range(trials):
-            config = TransformConfig(
-                r=r, seed=trial_seed(seed, t), max_rounds=max_rounds,
-                strategy=strategy)
-            try:
-                result = construct_with_resampling(template, config)
-            except (ResamplingExhaustedError, ConstructionVerificationError) as err:
-                round0_counts.append(_round0_events(err.resample_log))
-            else:
-                successes += 1
+        round0_events = 0
+        for result, log in _trials(template, r, trials, seed, max_rounds,
+                                   strategy):
+            if result is not None:
                 rounds_used.append(result.rounds_used)
-                round0_counts.append(_round0_events(result.resample_log))
+            # a log is empty or opens with round 0
+            round0_events += len(log[0][1]) if log else 0
         rows.append(SweepRow(
             r=r,
             trials=trials,
-            successes=successes,
+            successes=len(rounds_used),
             mean_rounds=sum(rounds_used) / len(rounds_used) if rounds_used else None,
-            mean_round0_bad_events=sum(round0_counts) / trials,
+            mean_round0_bad_events=round0_events / trials,
         ))
     return SweepReport(template=describe_template(template), rows=tuple(rows))
 
@@ -165,12 +169,9 @@ def verify_dimension_reduction_on_paths(
     constructions = 0
     holds_count = 0
     failures: list[tuple[int, tuple[tuple, ...]]] = []
-    for t in range(trials):
-        config = TransformConfig(
-            r=r, seed=trial_seed(seed, t), max_rounds=max_rounds)
-        try:
-            result = construct_with_resampling(template, config)
-        except (ResamplingExhaustedError, ConstructionVerificationError):
+    for t, (result, _) in enumerate(_trials(
+            template, r, trials, seed, max_rounds, Strategy.RESAMPLE)):
+        if result is None:
             continue
         constructions += 1
         report = check_dimension_reduction(result.spg, budget)

@@ -1,5 +1,5 @@
 """Template builders: the exponential-length abstract spindle and the
-path/star fixtures used by the experiment harness.
+path/star fixtures used by the experiment harness, made by one builder.
 
 An abstract spindle lives on n = 2d symbols and distinguishes two apex
 sets whose union is the whole symbol set; its length is the graph
@@ -83,13 +83,7 @@ def build_spindle_template(d: int, max_dimension: int = 8) -> SpindleTemplate:
         for c in sorted(combinations(range(2 * d), d), key=lambda c: c[::-1])
     ]
 
-    spg = Spg.build(
-        table,
-        d,
-        [[fs] for fs in order],
-        [(i, i + 1) for i in range(len(order) - 1)],
-    )
-    require_valid(spg)
+    spg = build_path_template(table, order)
     return SpindleTemplate(Spindle(spg, apex1, apex2), tuple(order))
 
 
@@ -104,32 +98,31 @@ def build_exponential_spindle(d: int, config: TransformConfig) -> TransformResul
     return construct_with_resampling(build_spindle_template(d).spindle, config)
 
 
-def build_path_template(symbols: SymbolTable, sets: list[FacetSet]) -> Spg:
-    """Singleton path in the given order; generic experiment fixture."""
-    _check_uniform_distinct(sets)
-    spg = Spg.build(
-        symbols,
-        len(sets[0]),
-        [[fs] for fs in sets],
-        [(i, i + 1) for i in range(len(sets) - 1)],
-    )
+def _singleton_template(symbols: SymbolTable, sets: list[FacetSet],
+                        edges: list[tuple[int, int]]) -> Spg:
+    """The valid graph with one vertex per set, in order, of the first
+    set's size.  No sets raise ValueError; a repeated set, one of
+    another size or any other fault raises InvalidSpgError, which names
+    it with :func:`~spgraphs.core.validate`'s witness."""
+    if not sets:
+        raise ValueError("at least one facet set is required")
+    spg = Spg.build(symbols, len(sets[0]), [[fs] for fs in sets], edges)
     require_valid(spg)
     return spg
+
+
+def build_path_template(symbols: SymbolTable, sets: list[FacetSet]) -> Spg:
+    """Singleton path in the given order; generic experiment fixture."""
+    return _singleton_template(
+        symbols, sets, [(i, i + 1) for i in range(len(sets) - 1)])
 
 
 def build_star_template(
     symbols: SymbolTable, center: FacetSet, leaves: list[FacetSet]
 ) -> Spg:
     """Singleton star with the given center; max degree = number of leaves."""
-    _check_uniform_distinct([center, *leaves])
-    spg = Spg.build(
-        symbols,
-        len(center),
-        [[center]] + [[leaf] for leaf in leaves],
-        [(0, i + 1) for i in range(len(leaves))],
-    )
-    require_valid(spg)
-    return spg
+    return _singleton_template(
+        symbols, [center, *leaves], [(0, i + 1) for i in range(len(leaves))])
 
 
 def sliding_window_path(d: int) -> Spg:
@@ -140,13 +133,3 @@ def sliding_window_path(d: int) -> Spg:
     symbols = SymbolTable.alphabetic(2 * d)
     sets = [FacetSet(range(i, i + d)) for i in range(d + 1)]
     return build_path_template(symbols, sets)
-
-
-def _check_uniform_distinct(sets: list[FacetSet]) -> None:
-    if not sets:
-        raise ValueError("at least one facet set is required")
-    if len(set(sets)) != len(sets):
-        raise ValueError("facet sets must be pairwise distinct")
-    size = len(sets[0])
-    if any(len(fs) != size for fs in sets):
-        raise ValueError("facet sets must have uniform size")

@@ -39,9 +39,10 @@ from typing import TYPE_CHECKING, Sequence
 if TYPE_CHECKING:
     import numpy as np  # imported where used: only the draws need it
 
-# TransformResult, its builder and the construction errors live in core,
-# so that reading a document does not load this module; re-exported here.
+# TransformResult, its BadEvents, builder and errors live in core, so
+# that reading a document does not load this module; re-exported here.
 from .core import (
+    BadEvent,
     ConstructionVerificationError,
     FacetSet,
     PropertyReport,
@@ -53,7 +54,6 @@ from .core import (
     _lift_mask,
     _lift_table,
     _LiftTable,
-    _require_covers,
     _require_multiplier,
     _require_permutation,
     _require_rows,
@@ -100,23 +100,10 @@ class PermutationAssignment:
 
     perms: tuple[tuple[int, ...], ...]
 
-    def require_covers(self, edge_count: int, r: int) -> None:
-        _require_covers(self.perms, edge_count, r)
-
     @classmethod
     def draw(cls, rng: np.random.Generator, edge_count: int, r: int
              ) -> "PermutationAssignment":
         return cls(tuple(_fisher_yates(rng, r, edge_count)))
-
-
-@dataclass(frozen=True)
-class BadEvent:
-    """Two subdivision sets on distinct edges at a common template vertex
-    that agree in all but at most one lifted symbol."""
-
-    vertex: int
-    edges: tuple[int, int]
-    witness: tuple[FacetSet, FacetSet]
 
 
 def min_multiplier(delta: int) -> int:
@@ -276,7 +263,7 @@ def _band_hits(out1: list[int], out2: list[int]) -> list[tuple[int, int]]:
 
 def _scan_bad_events(
     edges: Sequence[tuple[int, int]],
-    num_vertices: int,
+    vertex_count: int,
     ends: Sequence[tuple[list[int], list[int]]],
     redrawn: frozenset[int] | None = None,
 ) -> tuple[BadEvent, ...]:
@@ -313,7 +300,7 @@ def _scan_bad_events(
     :func:`_end_masks`) therefore hold every hit, and the witness, the
     first hit in path order, is the one the whole paths give.
     """
-    outward = [[] for _ in range(num_vertices)]
+    outward = [[] for _ in range(vertex_count)]
     for ei, ((u, w), (from_u, from_w)) in enumerate(zip(edges, ends)):
         outward[u].append((ei, from_u, False))
         outward[w].append((ei, from_w, True))
@@ -377,8 +364,9 @@ def construct_with_resampling(template: Spg | Spindle, config: TransformConfig
     event are redrawn each round (and only their end masks recomputed);
     REJECT redraws all of them.  Every walk starts from the template's
     table for r (each template vertex's lift, each edge's :func:`_swaps`),
-    kept on the template, so redraws and the build lift nothing again.  The result is made once, after the last round,
-    its graph in canonical form, and re-verified (validity, singleton,
+    kept on the template, so redraws and the build lift nothing again.
+    The result is made once, after the last round, its graph in
+    canonical form, and re-verified (validity, singleton,
     adjacency, strong adjacency, end-point count) before being returned,
     or raises with the failed reports; exhausting ``max_rounds`` raises
     with the bad events left.
@@ -401,14 +389,13 @@ def construct_with_resampling(template: Spg | Spindle, config: TransformConfig
     perms = _fisher_yates(rng, r, len(spg.edges))
     ends = [_end_masks(table, edge, ei, perm)
             for ei, (edge, perm) in enumerate(zip(spg.edges, perms))]
+    # one entry per round with bad events, so len(log) counts the rounds
     log: list[tuple[int, tuple[BadEvent, ...]]] = []
-
-    attempt = 0
     redrawn = None  # round 0 scans every pair
     while events := _scan_bad_events(spg.edges, len(spg.vertices), ends,
                                      redrawn):
-        log.append((attempt, events))
-        if attempt == config.max_rounds:
+        log.append((len(log), events))
+        if len(log) > config.max_rounds:
             raise ResamplingExhaustedError(events, log, config.max_rounds)
         if config.strategy is Strategy.RESAMPLE:
             targets = sorted({ei for ev in events for ei in ev.edges})
@@ -418,12 +405,11 @@ def construct_with_resampling(template: Spg | Spindle, config: TransformConfig
         for ei, perm in zip(targets, _fisher_yates(rng, r, len(targets))):
             perms[ei] = perm
             ends[ei] = _end_masks(table, spg.edges[ei], ei, perm)
-        attempt += 1
 
     apices = None
     if isinstance(template, Spindle):
         apices = (lift_facet(template.apex1, r), lift_facet(template.apex2, r))
-    result = TransformResult(spg, r, tuple(perms), attempt, tuple(log), apices)
+    result = TransformResult(spg, r, tuple(perms), len(log), tuple(log), apices)
     # the other checks refuse an invalid graph, so it is reported alone
     validity = validate(result.spg)
     failed = [validity] if not validity.holds else [

@@ -15,6 +15,7 @@ import numpy as np
 from spgraphs import (
     BadEvent,
     ConstructionVerificationError,
+    DimensionReductionSummary,
     DocumentError,
     FacetSet,
     PermutationAssignment,
@@ -23,16 +24,22 @@ from spgraphs import (
     Spg,
     SpgProperty,
     Strategy,
+    SweepReport,
+    SweepRow,
     SymbolTable,
     TransformConfig,
     TransformResult,
     build_subdivision,
+    check_dimension_reduction,
+    construct_with_resampling,
+    sliding_window_path,
     subdivision_path,
     validate,
     verify_all,
 )
 from spgraphs import transform
 from spgraphs.core import require_valid
+from spgraphs.experiments import describe_template, trial_seed
 
 
 @st.composite
@@ -385,6 +392,69 @@ def full_rescan_construction(spg: Spg, config: TransformConfig):
             targets = range(len(spg.edges))
         for ei in targets:
             perms[ei] = loop_fisher_yates(rng, r)
+
+
+# Oracles for the experiment harness: one loop of its own per experiment,
+# each trial configured, constructed and caught in place.
+
+def loop_sweep_r(template: Spg, r_values, trials: int, seed: int,
+                 max_rounds: int = 1000,
+                 strategy: Strategy = Strategy.RESAMPLE) -> SweepReport:
+    """sweep_r without its argument checks."""
+    rows = []
+    for r in r_values:
+        successes = 0
+        rounds_used: list[int] = []
+        round0_counts: list[int] = []
+        for t in range(trials):
+            config = TransformConfig(
+                r=r, seed=trial_seed(seed, t), max_rounds=max_rounds,
+                strategy=strategy)
+            try:
+                result = construct_with_resampling(template, config)
+            except (ResamplingExhaustedError, ConstructionVerificationError) as err:
+                log = err.resample_log
+            else:
+                successes += 1
+                rounds_used.append(result.rounds_used)
+                log = result.resample_log
+            round0_counts.append(
+                len(log[0][1]) if log and log[0][0] == 0 else 0)
+        rows.append(SweepRow(
+            r=r,
+            trials=trials,
+            successes=successes,
+            mean_rounds=sum(rounds_used) / len(rounds_used) if rounds_used else None,
+            mean_round0_bad_events=sum(round0_counts) / trials,
+        ))
+    return SweepReport(template=describe_template(template), rows=tuple(rows))
+
+
+def loop_dimension_reduction(d: int, r: int, trials: int, seed: int,
+                             max_rounds: int = 1000, budget: int = 10_000_000
+                             ) -> DimensionReductionSummary:
+    """verify_dimension_reduction_on_paths without its argument checks."""
+    template = sliding_window_path(d)
+    constructions = 0
+    holds_count = 0
+    failures = []
+    for t in range(trials):
+        config = TransformConfig(
+            r=r, seed=trial_seed(seed, t), max_rounds=max_rounds)
+        try:
+            result = construct_with_resampling(template, config)
+        except (ResamplingExhaustedError, ConstructionVerificationError):
+            continue
+        constructions += 1
+        report = check_dimension_reduction(result.spg, budget)
+        if report.holds:
+            holds_count += 1
+        else:
+            failures.append((t, report.witnesses))
+    return DimensionReductionSummary(
+        d=d, r=r, trials=trials, constructions=constructions,
+        holds_count=holds_count, violation_count=len(failures),
+        failures=tuple(failures))
 
 
 @st.composite

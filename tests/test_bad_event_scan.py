@@ -448,10 +448,10 @@ _ROWS = "row multiplier must be positive"
     (lambda: sweep_r(SHARED_STAR, [4, 1], 1, 0), _MULTIPLIER),
     (lambda: estimate_bad_event_probability(
         fs(0, 1), fs(2, 3), fs(2, 4), 1, 10, 0), _MULTIPLIER),
-    (lambda: PermutationAssignment(((1, 2), (1, 1))).require_covers(2, 2),
+    (lambda: TransformResult(SHARED_STAR, 2, ((1, 2), (1, 1))),
      _NOT_A_PERMUTATION),
-    (lambda: PermutationAssignment(((1, 2),)).require_covers(2, 2),
-     "assignment covers 1 edges, graph has 2"),
+    (lambda: TransformResult(SHARED_STAR, 2, ((1, 2),) * 3),
+     "assignment covers 3 edges, graph has 2"),
     (lambda: TransformResult(SHARED_STAR, 2, ((1, 2),)),
      "assignment covers 1 edges, graph has 2"),
     (lambda: TransformResult(SHARED_STAR, 1, ((1,), (1,))), _MULTIPLIER),

@@ -284,6 +284,20 @@ class TestTransform:
         assert code == 2
         assert "non-singleton-vertex" in err
 
+    def test_rejects_a_restriction_as_usage_error(self, capsys, monkeypatch):
+        # a restriction of the d = 2 template is valid but disconnected;
+        # transformed, it is refused by name rather than failing
+        # verification (exit 3)
+        code, restricted, _ = run_cli(
+            capsys, monkeypatch, ["restrict", "--facet", "1.1"],
+            stdin=build_template_doc(capsys, monkeypatch, dim=2))
+        assert code == 0
+        code, out, err = run_cli(capsys, monkeypatch, [
+            "transform", "--r", "8", "--seed", "1"], stdin=restricted)
+        assert (code, out) == (2, "")
+        assert err == ("error: template is flagged is_restriction: a "
+                       "restriction cannot be transformed\n")
+
 
 class TestRestrict:
     def test_restrict_to_connected_pair(self, capsys, monkeypatch):

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import duplicating_tree
+from conftest import duplicating_tree, loop_dimension_reduction, loop_sweep_r
 from spgraphs import (
     BudgetExceededError,
     FacetSet,
@@ -12,6 +12,7 @@ from spgraphs import (
     Spg,
     Strategy,
     SymbolTable,
+    build_spindle_template,
     build_star_template,
     min_multiplier,
     sliding_window_path,
@@ -130,8 +131,38 @@ class TestSweep:
         (row,) = report.rows
         assert row.trials == 3
 
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    @pytest.mark.parametrize("template, r_values, trials, seed, max_rounds", [
+        # r = 2 with no resampling budget: some trials exhaust (see
+        # test_failures_are_counted_not_raised)
+        (SHARED_STAR, [2], 8, 3, 0),
+        (SHARED_STAR, [2, 4, 6], 4, 9, 1000),
+        # a result failing validation is a failed trial
+        (duplicating_tree(), [2, 3], 2, 0, 1000),
+        (build_spindle_template(3).spindle.spg, [2, 4], 3, 2, 3),
+    ], ids=["star-exhausting", "star", "duplicating-tree", "spindle-3"])
+    def test_matches_the_per_trial_loop(self, template, r_values, trials,
+                                        seed, max_rounds, strategy):
+        report = sweep_r(template, r_values, trials, seed,
+                         max_rounds=max_rounds, strategy=strategy)
+        assert report == loop_sweep_r(template, r_values, trials, seed,
+                                      max_rounds=max_rounds, strategy=strategy)
+
 
 class TestDimensionReductionOnPaths:
+    @pytest.mark.parametrize("d, r, trials, seed, max_rounds", [
+        # the paths of a sliding-window template never come near each
+        # other, so no trial fails, even at r = 2 with no budget
+        (2, 2, 6, 3, 0),
+        (2, 4, 2, 6, 1000),
+        (1, 3, 3, 1, 0),
+    ])
+    def test_matches_the_per_trial_loop(self, d, r, trials, seed, max_rounds):
+        summary = verify_dimension_reduction_on_paths(
+            d, r, trials, seed, max_rounds=max_rounds)
+        assert summary == loop_dimension_reduction(
+            d, r, trials, seed, max_rounds=max_rounds)
+
     def test_single_edge_template_holds(self):
         summary = verify_dimension_reduction_on_paths(d=1, r=4, trials=2, seed=6)
         assert summary.constructions == 2

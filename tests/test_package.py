@@ -1,6 +1,8 @@
 """The package's public names, resolved on first access."""
 
+import ast
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -40,3 +42,16 @@ def test_transform_re_exports_the_types_documents_read():
     assert transform.TransformResult is core.TransformResult
     assert transform.ResamplingExhaustedError is core.ResamplingExhaustedError
     assert spgraphs.TransformResult is core.TransformResult
+
+
+def test_core_imports_nothing_from_transform():
+    # transform builds on core; core holds every type a result carries
+    tree = ast.parse(Path(core.__file__).read_text(encoding="utf-8"))
+    imports = [node for node in ast.walk(tree)
+               if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert imports
+    for node in imports:
+        names = [getattr(node, "module", None) or ""] + [
+            alias.name for alias in node.names]
+        parts = {part for name in names for part in name.split(".")}
+        assert "transform" not in parts, ast.unparse(node)

@@ -9,6 +9,7 @@ import pytest
 
 from spgraphs import (
     FacetSet,
+    InvalidSpgError,
     SymbolTable,
     TransformConfig,
     build_exponential_spindle,
@@ -148,15 +149,24 @@ class TestGenericTemplates:
         assert len(spg.vertices) == 1
         assert spg.edges == ()
 
+    # the builders refuse what validate flags, naming its witness
+
     def test_duplicate_sets_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidSpgError,
+                           match=r"first: duplicate-set: \{0,1\} 0 1\)$"):
             build_path_template(
                 SymbolTable.alphabetic(2), [fs(0, 1), fs(0, 1)])
 
     def test_size_mismatch_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidSpgError,
+                           match=r"first: wrong-size-set: \{2\} 1\)$"):
             build_path_template(
                 SymbolTable.alphabetic(3), [fs(0, 1), fs(2,)])
+
+    def test_empty_path_rejected(self):
+        with pytest.raises(ValueError,
+                           match="^at least one facet set is required$"):
+            build_path_template(SymbolTable.alphabetic(2), [])
 
     def test_star_template(self):
         table = SymbolTable.alphabetic(6)
@@ -170,6 +180,16 @@ class TestGenericTemplates:
         assert len(spg.edges) == 1
 
     def test_center_duplicated_as_leaf_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidSpgError,
+                           match=r"first: duplicate-set: \{0,1\} 0 2\)$"):
             build_star_template(
                 SymbolTable.alphabetic(4), fs(0, 1), [fs(2, 3), fs(0, 1)])
+
+    def test_star_leaves_duplicated_or_of_another_size_rejected(self):
+        table = SymbolTable.alphabetic(6)
+        with pytest.raises(InvalidSpgError,
+                           match=r"first: duplicate-set: \{2,3\} 1 2\)$"):
+            build_star_template(table, fs(0, 1), [fs(2, 3), fs(2, 3)])
+        with pytest.raises(InvalidSpgError,
+                           match=r"first: wrong-size-set: \{2,3,4\} 2\)$"):
+            build_star_template(table, fs(0, 1), [fs(2, 3), fs(2, 3, 4)])

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 from itertools import permutations
 from types import SimpleNamespace
 
@@ -30,6 +31,7 @@ from spgraphs import (
     TransformConfig,
     TransformResult,
     bad_event_occurs,
+    build_spindle_template,
     build_star_template,
     build_subdivision,
     check_adjacency,
@@ -44,6 +46,7 @@ from spgraphs import (
     lift_product,
     lll_sufficient,
     min_multiplier,
+    restrict,
     sliding_window_path,
     subdivision_path,
     validate,
@@ -383,6 +386,63 @@ class TestConstructWithResampling:
         for i, (round_index, events) in enumerate(result.resample_log):
             assert round_index == i
             assert events
+
+
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    @pytest.mark.parametrize("template, r", [
+        (SHARED_STAR, 2), (SHARED_STAR, 4),
+        (build_spindle_template(3).spindle.spg, 4)],
+        ids=["star-2", "star-4", "spindle-3"])
+    def test_rounds_used_is_the_log_length(self, template, r, strategy):
+        resampled = 0
+        for seed in range(12):
+            result = construct_with_resampling(template, TransformConfig(
+                r=r, seed=seed, max_rounds=1000, strategy=strategy))
+            assert result.rounds_used == len(result.resample_log)
+            assert [i for i, _ in result.resample_log] == list(
+                range(result.rounds_used))
+            resampled += result.rounds_used > 0
+        assert resampled
+
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    @pytest.mark.parametrize("max_rounds", [0, 1, 3])
+    def test_exhaustion_logs_every_round(self, max_rounds, strategy):
+        template = build_spindle_template(3).spindle.spg
+        exhausted = 0
+        for seed in range(6):
+            try:
+                construct_with_resampling(template, TransformConfig(
+                    r=2, seed=seed, max_rounds=max_rounds, strategy=strategy))
+            except ResamplingExhaustedError as err:
+                exhausted += 1
+                assert len(err.resample_log) == max_rounds + 1
+                assert err.resample_log[-1][1] == err.bad_events
+        assert exhausted
+
+
+class TestRestrictionTemplates:
+    """A template flagged is_restriction is refused: the result's graph
+    would drop the flag, so it would neither round-trip nor exempt a
+    disconnected template from connectivity."""
+
+    MESSAGE = ("^template is flagged is_restriction: a restriction cannot "
+               "be transformed$")
+
+    def test_result_refuses_a_flagged_template(self):
+        template = replace(sliding_window_path(2), is_restriction=True)
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            TransformResult(template, 4, ((1, 2, 3, 4),) * 2)
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            build_subdivision(
+                template, 4, PermutationAssignment(((1, 2, 3, 4),) * 2))
+
+    def test_construction_refuses_a_disconnected_restriction(self):
+        restricted = restrict(build_spindle_template(2).spindle.spg, fs(0))
+        assert restricted.is_restriction
+        assert validate(restricted).holds
+        assert not validate(replace(restricted, is_restriction=False)).holds
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            construct_with_resampling(restricted, TransformConfig(r=8, seed=1))
 
 
 class TestBadEventProbability:
