@@ -16,7 +16,8 @@ failures.  Only malformed *calls* (precondition breaches) raise.
 
 The construction's output, a :class:`TransformResult` kept as its
 certificate with the graph this module's builder derives from it, is
-defined here too, so that reading a document loads no construction code.
+defined here too, with the bad-event scan that certifies its verdicts,
+so that reading a document loads no construction code.
 """
 
 from __future__ import annotations
@@ -71,8 +72,9 @@ class ResamplingExhaustedError(RuntimeError):
 
 
 class ConstructionVerificationError(RuntimeError):
-    """A bad-event-free assignment failed re-verification (possible only
-    below the localization regime r >= 4)."""
+    """A bad-event-free assignment failed re-verification.  Possible only
+    below r = 4: at r >= 4 the empty scan certifies every report (see
+    :func:`_certify`), so this is never raised there."""
 
     def __init__(self, failed: Iterable["PropertyReport"], resample_log=()):
         self.failed = tuple(failed)
@@ -249,8 +251,10 @@ class Spg:
 
     The fields never change, so the verdicts the checks derive from them
     (the validity report, and the three reports built on the near pairs)
-    are computed on first use and kept on the object, and so are a
-    template's lift tables; the near pairs themselves are not kept.
+    are computed on first use and kept on the object (or filled in,
+    holding, when :func:`_certify` certifies a transform result's
+    graph), and so are a template's lift tables; the near pairs
+    themselves are not kept.
     :func:`dataclasses.replace` builds a new object that derives its own.
     """
 
@@ -381,10 +385,7 @@ class TransformResult:
 
     def __post_init__(self):
         _require_multiplier(self.r)
-        if self.template.is_restriction:
-            raise ValueError("template is flagged is_restriction: a "
-                             "restriction cannot be transformed")
-        require_singleton(self.template)
+        _require_template(self.template)
         if len(self.perms) != len(self.template.edges):
             raise ValueError(f"assignment covers {len(self.perms)} edges, "
                              f"graph has {len(self.template.edges)}")
@@ -497,6 +498,174 @@ def _build_subdivision(spg: Spg, r: int, perms: Sequence[Sequence[int]]
             tuple(range(len(spg.vertices))), tuple(edge_paths))
 
 
+# Rows read out of each end of a subdivision path by the bad-event scan:
+# by the two-row lemma (see _scan_bad_events) they hold every hit.
+_END_ROWS = 2
+
+
+def _end_masks(table: _LiftTable, edge: tuple[int, int], ei: int,
+               perm: Sequence[int]) -> tuple[list[int], list[int]]:
+    """The masks of the first min(2, r) rows walked out of each end of the
+    subdivision path of ``edge``, the ``ei``-th template edge, from
+    the lift of its first vertex to that of its second: (out of the
+    first, out of the second).
+
+    The tail starts from the second lift with the rows ``perm[-2:]``
+    put back to the first and steps forward through them; reversed, it
+    walks out of the second.  By the two-row lemma (see
+    :func:`_scan_bad_events`) every bad event lies inside these lists.
+    For r <= 2 they are the whole path and its reversal.
+    """
+    lift, lift2 = table.lifts[edge[0]], table.lifts[edge[1]]
+    swaps = table.swaps[ei]
+    last = perm[-_END_ROWS:]
+    # undone < 2**r, so the product carries nothing from one symbol's
+    # rows into the next
+    undone = sum(1 << (row - 1) for row in last) * table.every
+    return (_walk(lift, swaps, perm[:_END_ROWS]),
+            _walk((lift2 & ~undone) | (lift & undone), swaps, last)[::-1])
+
+
+def _band_hits(out1: list[int], out2: list[int]) -> list[tuple[int, int]]:
+    """Every (k, l), k and l >= 1 and |k - l| <= 1, at which the sets k
+    and l steps out along two paths lie within Hamming distance 2."""
+    hits = []
+    for shift in (-1, 0, 1):  # l = k + shift
+        k0 = max(1, 1 - shift)
+        for k, (m1, m2) in enumerate(zip(out1[k0:], out2[k0 + shift:]), k0):
+            if (m1 ^ m2).bit_count() <= 2:
+                hits.append((k, k + shift))
+    return hits
+
+
+def _scan_bad_events(
+    edges: Sequence[tuple[int, int]],
+    vertex_count: int,
+    ends: Sequence[tuple[list[int], list[int]]],
+    redrawn: frozenset[int] | None = None,
+) -> tuple[BadEvent, ...]:
+    """The bad events of the subdivision paths of ``edges``, given for
+    ``edges[ei]`` = (u, w) as ``ends[ei]`` = (the masks walked out of u,
+    the masks walked out of w): the first two rows out of each end, as
+    :func:`_end_masks` walks them.  With ``redrawn`` given, only the
+    pairs holding at least one of those edges are examined; the events
+    come in the order of a full scan.
+
+    Each step out of a template vertex V retires one of V's lifted
+    symbols and introduces one from outside, so the set k steps out lies
+    at Hamming distance exactly 2k from V's lift; by the triangle
+    inequality two sets within distance 2 (sharing rd - 1 of their rd
+    symbols) then lie in the band |k - l| <= 1.  Every caller walks its
+    masks with :func:`~spgraphs.core._walk` from a checked template or
+    star, so the law holds and is not checked here.
+
+    Two-row lemma: take paths out of V toward distinct sets L1 and L2
+    of V's size, and let m1 = |V minus L1| and m2 = |V minus L2|.  In
+    each row a path's state is V, its target, or (in the one row it is
+    partway through) a set strictly between them.  A row that path 1
+    has finished holds L1, which differs by at least 2 bits from V and
+    from L2, so it costs at least 2 of the pair's budget of 2 bits
+    unless it is path 2's partial row.  So path 1 has finished at most
+    two rows.  If it has finished two, one of them, row p, is path 2's
+    partial row and the other spends the whole budget, so every other
+    row agrees exactly.  In row p path 2 has made fewer than m2 swaps
+    and reached L1, which lies m1 swaps from V: m1 < m2.  A row that
+    path 1 is partway through (fewer than m1 swaps from V) would have to
+    equal path 2's state there, V or L2; not V, so L2, and m2 < m1.
+    Both cannot hold, so path 1 has not started a third row: k <= 2 * m1,
+    and likewise l <= 2 * m2.  The first two rows out of each end (see
+    :func:`_end_masks`) therefore hold every hit, and the witness, the
+    first hit in path order, is the one the whole paths give.
+    """
+    outward = [[] for _ in range(vertex_count)]
+    for ei, ((u, w), (from_u, from_w)) in enumerate(zip(edges, ends)):
+        outward[u].append((ei, from_u, False))
+        outward[w].append((ei, from_w, True))
+
+    events: list[BadEvent] = []
+    for v, incident in enumerate(outward):
+        for (e1, out1, back1), (e2, out2, back2) in combinations(incident, 2):
+            if redrawn is not None and e1 not in redrawn and e2 not in redrawn:
+                continue
+            hits = _band_hits(out1, out2)
+            if hits:
+                # first in path order: a path ending at V is walked inward
+                k, l = min(hits, key=lambda kl: (
+                    -kl[0] if back1 else kl[0], -kl[1] if back2 else kl[1]))
+                events.append(BadEvent(v, (e1, e2), (
+                    FacetSet.from_mask(out1[k]), FacetSet.from_mask(out2[l]))))
+    return tuple(events)
+
+
+def _certify(result: TransformResult,
+             events: tuple[BadEvent, ...] | None = None) -> None:
+    """At r >= 4, fill the kept reports of ``result.spg`` (validity and
+    the three pair reports) with holding ones when the result has no bad
+    events: ``events``, the scan a caller already made, or else
+    :func:`_bad_events`.  Otherwise they are left to :func:`_validate`
+    and the near-pair join, which name the witnesses.
+
+    The argument (r >= 4; the template is a valid singleton SPG, as the
+    result's constructor checks).  Two sets of the result are near when
+    they share rd - 1 symbols, 2 bits apart.  A path walks its rows one
+    at a time, so it is partway through at most one row, and every other
+    row holds the row of one of its two end sets.
+
+    - *Paths of edges that share no endpoint.*  Take a set of each.  At
+      least r - 2 >= 2 rows are whole on both sides, where they hold an
+      end of each edge, two distinct template sets, at least 2 bits
+      apart.  So the two sets are at least 4 bits apart: neither near
+      nor equal.
+    - *A template vertex W against a set of a path not ending at W.*  At
+      least r - 1 >= 3 rows of the path hold whole sets other than W's,
+      each at least 2 bits from W's row: at least 6 bits.
+    - *Within one path.*  Each step retires one lifted symbol and
+      introduces one, and no step is undone, so the sets k and l steps
+      along are 2|k - l| bits apart: near exactly when consecutive,
+      which is an edge, and never equal.
+    - *Two paths at a shared vertex V* (two edges of a simple template
+      share at most one end).  V's lift lies 2k bits from the set k
+      steps out, so it is near only the first step, an edge.  Every
+      other near or equal pair, k and l >= 1, is a bad event, and
+      :func:`_scan_bad_events` finds every one (the two-row lemma).
+
+    So with no bad events the near pairs are exactly the edges, and no
+    set repeats.  That decides each report :func:`verify_all` gives:
+
+    - validity: every set holds rd symbols, none repeats, the edges are
+      built canonical, and the result is connected as the template is;
+    - singleton: every vertex holds one set;
+    - adjacency and strong adjacency: every near pair is an edge, and
+      every edge, one step, is a near pair;
+    - the end-point count: a face with three holders makes them pairwise
+      near, a triangle of edges, and a subdivision whose paths have at
+      least r >= 2 edges has no triangle.
+
+    Converse: a bad event is a near or equal pair on two vertices that
+    are not adjacent (on two paths, neither at V, and neither path's far
+    end on the other), so it fails adjacency or validity.  At r >= 4 a
+    result is therefore certified exactly when all five reports hold.
+    Below r = 4 the first case fails: two paths that share no endpoint
+    can meet where no scan looks (``duplicating_tree`` in the tests).
+    """
+    if result.r >= 4 and not (_bad_events(result) if events is None else events):
+        vars(result.spg).update(
+            _validity=PropertyReport(SpgProperty.VALIDITY),
+            _pair_verdicts=(PropertyReport(SpgProperty.ADJACENCY),
+                            PropertyReport(SpgProperty.STRONG_ADJACENCY),
+                            PropertyReport(SpgProperty.ENDPOINT_COUNT)))
+
+
+def _bad_events(result: TransformResult) -> tuple[BadEvent, ...]:
+    """Every bad event of ``result``, scanned from the end masks of its
+    paths (:func:`_end_masks`) off its template's lift table."""
+    template = result.template
+    table = _lift_table(template, result.r)
+    return _scan_bad_events(template.edges, len(template.vertices), [
+        _end_masks(table, edge, ei, perm)
+        for ei, (edge, perm) in enumerate(zip(template.edges, result.perms))])
+
+
 class SpgProperty(Enum):
     VALIDITY = "validity"
     PARTITION = "partition"
@@ -565,6 +734,15 @@ def require_singleton(spg: Spg) -> None:
     report = check_singleton(spg)
     if not report.holds:
         raise InvalidSpgError(report)
+
+
+def _require_template(spg: Spg) -> None:
+    """A construction's template: not flagged a restriction (the result's
+    graph would drop the flag), then a valid singleton SPG."""
+    if spg.is_restriction:
+        raise ValueError("template is flagged is_restriction: a "
+                         "restriction cannot be transformed")
+    require_singleton(spg)
 
 
 def validate(spg: Spg) -> PropertyReport:
@@ -835,7 +1013,11 @@ def verify_all(spg: Spg) -> tuple[PropertyReport, ...]:
     computed at most once whichever of these runs first.  Every verdict
     is decided by passes over the whole family, its near pairs and its
     edges; the per-item loops that name witnesses run only for a graph
-    that fails.
+    that fails.  A construction at r >= 4 whose bad-event scan is empty
+    (the one that ends its resampling loop, or the one :func:`parse`
+    makes of a transform result) has those reports kept already, all
+    holding, and runs no join: they rest on the argument of
+    :func:`_certify`.
     """
     return (validate(spg), check_singleton(spg), *spg._pair_verdicts)
 

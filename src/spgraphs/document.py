@@ -31,6 +31,7 @@ from .core import (
     Spindle,
     SymbolTable,
     TransformResult,
+    _certify,
     _lift_mask,
     _mask_digits,
     _mask_elements,
@@ -375,7 +376,9 @@ def _certificate(spg: Spg, images: tuple[int, ...],
     the row of the first step of each segment.  The graph must be
     singleton and not flagged a restriction; apices must be images.
     Anything else raises ValueError naming the document field at fault,
-    and an invalid template by up to three of its witnesses."""
+    and an invalid template by up to three of its witnesses.  At r >= 4
+    the result is scanned for bad events, and with none the graph it
+    keeps is certified (:func:`~spgraphs.core._certify`)."""
     if any(len(vertex) != 1 for vertex in spg.vertices):
         raise ValueError("vertices: a transform result is a singleton graph")
     if spg.is_restriction:
@@ -434,4 +437,5 @@ def _certificate(spg: Spg, images: tuple[int, ...],
         raise ValueError("annotations.apices: not lifts of template sets")
     # spg, equal to the rebuilt graph, is validated: checks read its report
     object.__setattr__(result, "spg", spg)
+    _certify(result)
     return result

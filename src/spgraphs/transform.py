@@ -33,14 +33,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
 from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:
     import numpy as np  # imported where used: only the draws need it
 
-# TransformResult, its BadEvents, builder and errors live in core, so
-# that reading a document does not load this module; re-exported here.
+# TransformResult, its BadEvents, builder, bad-event scan and errors live
+# in core, so that reading a document does not load this module;
+# re-exported here.
 from .core import (
     BadEvent,
     ConstructionVerificationError,
@@ -51,12 +51,17 @@ from .core import (
     SpgProperty,
     Spindle,
     TransformResult,
+    _END_ROWS,
+    _bad_events,
+    _certify,
+    _end_masks,
     _lift_mask,
     _lift_table,
-    _LiftTable,
     _require_multiplier,
     _require_permutation,
     _require_rows,
+    _require_template,
+    _scan_bad_events,
     _swaps,
     _walk,
     require_singleton,
@@ -187,34 +192,6 @@ def lift_product(spg: Spg, r: int) -> Spg:
     )
 
 
-# Rows read out of each end of a subdivision path by the bad-event scan:
-# by the two-row lemma (see _scan_bad_events) they hold every hit.
-_END_ROWS = 2
-
-
-def _end_masks(table: _LiftTable, edge: tuple[int, int], ei: int,
-               perm: Sequence[int]) -> tuple[list[int], list[int]]:
-    """The masks of the first min(2, r) rows walked out of each end of the
-    subdivision path of ``edge``, the ``ei``-th template edge, from
-    the lift of its first vertex to that of its second: (out of the
-    first, out of the second).
-
-    The tail starts from the second lift with the rows ``perm[-2:]``
-    put back to the first and steps forward through them; reversed, it
-    walks out of the second.  By the two-row lemma (see
-    :func:`_scan_bad_events`) every bad event lies inside these lists.
-    For r <= 2 they are the whole path and its reversal.
-    """
-    lift, lift2 = table.lifts[edge[0]], table.lifts[edge[1]]
-    swaps = table.swaps[ei]
-    last = perm[-_END_ROWS:]
-    # undone < 2**r, so the product carries nothing from one symbol's
-    # rows into the next
-    undone = sum(1 << (row - 1) for row in last) * table.every
-    return (_walk(lift, swaps, perm[:_END_ROWS]),
-            _walk((lift2 & ~undone) | (lift & undone), swaps, last)[::-1])
-
-
 def subdivision_path(
     a: FacetSet, a2: FacetSet, r: int, perm: Sequence[int]
 ) -> list[FacetSet]:
@@ -249,77 +226,6 @@ def build_subdivision(
     return TransformResult(spg, r, perms.perms)
 
 
-def _band_hits(out1: list[int], out2: list[int]) -> list[tuple[int, int]]:
-    """Every (k, l), k and l >= 1 and |k - l| <= 1, at which the sets k
-    and l steps out along two paths lie within Hamming distance 2."""
-    hits = []
-    for shift in (-1, 0, 1):  # l = k + shift
-        k0 = max(1, 1 - shift)
-        for k, (m1, m2) in enumerate(zip(out1[k0:], out2[k0 + shift:]), k0):
-            if (m1 ^ m2).bit_count() <= 2:
-                hits.append((k, k + shift))
-    return hits
-
-
-def _scan_bad_events(
-    edges: Sequence[tuple[int, int]],
-    vertex_count: int,
-    ends: Sequence[tuple[list[int], list[int]]],
-    redrawn: frozenset[int] | None = None,
-) -> tuple[BadEvent, ...]:
-    """The bad events of the subdivision paths of ``edges``, given for
-    ``edges[ei]`` = (u, w) as ``ends[ei]`` = (the masks walked out of u,
-    the masks walked out of w): the first two rows out of each end, as
-    :func:`_end_masks` walks them.  With ``redrawn`` given, only the
-    pairs holding at least one of those edges are examined; the events
-    come in the order of a full scan.
-
-    Each step out of a template vertex V retires one of V's lifted
-    symbols and introduces one from outside, so the set k steps out lies
-    at Hamming distance exactly 2k from V's lift; by the triangle
-    inequality two sets within distance 2 (sharing rd - 1 of their rd
-    symbols) then lie in the band |k - l| <= 1.  Every caller walks its
-    masks with :func:`~spgraphs.core._walk` from a checked template or
-    star, so the law holds and is not checked here.
-
-    Two-row lemma: take paths out of V toward distinct sets L1 and L2
-    of V's size, and let m1 = |V minus L1| and m2 = |V minus L2|.  In
-    each row a path's state is V, its target, or (in the one row it is
-    partway through) a set strictly between them.  A row that path 1
-    has finished holds L1, which differs by at least 2 bits from V and
-    from L2, so it costs at least 2 of the pair's budget of 2 bits
-    unless it is path 2's partial row.  So path 1 has finished at most
-    two rows.  If it has finished two, one of them, row p, is path 2's
-    partial row and the other spends the whole budget, so every other
-    row agrees exactly.  In row p path 2 has made fewer than m2 swaps
-    and reached L1, which lies m1 swaps from V: m1 < m2.  A row that
-    path 1 is partway through (fewer than m1 swaps from V) would have to
-    equal path 2's state there, V or L2; not V, so L2, and m2 < m1.
-    Both cannot hold, so path 1 has not started a third row: k <= 2 * m1,
-    and likewise l <= 2 * m2.  The first two rows out of each end (see
-    :func:`_end_masks`) therefore hold every hit, and the witness, the
-    first hit in path order, is the one the whole paths give.
-    """
-    outward = [[] for _ in range(vertex_count)]
-    for ei, ((u, w), (from_u, from_w)) in enumerate(zip(edges, ends)):
-        outward[u].append((ei, from_u, False))
-        outward[w].append((ei, from_w, True))
-
-    events: list[BadEvent] = []
-    for v, incident in enumerate(outward):
-        for (e1, out1, back1), (e2, out2, back2) in combinations(incident, 2):
-            if redrawn is not None and e1 not in redrawn and e2 not in redrawn:
-                continue
-            hits = _band_hits(out1, out2)
-            if hits:
-                # first in path order: a path ending at V is walked inward
-                k, l = min(hits, key=lambda kl: (
-                    -kl[0] if back1 else kl[0], -kl[1] if back2 else kl[1]))
-                events.append(BadEvent(v, (e1, e2), (
-                    FacetSet.from_mask(out1[k]), FacetSet.from_mask(out2[l]))))
-    return tuple(events)
-
-
 def find_bad_events(result: TransformResult, original: Spg) -> tuple[BadEvent, ...]:
     """Exhaustive bad-event scan of a built subdivision.
 
@@ -337,13 +243,9 @@ def find_bad_events(result: TransformResult, original: Spg) -> tuple[BadEvent, .
     the template's lift table, as the construction does (the two-row
     lemma of :func:`_scan_bad_events`), so it builds no graph.
     """
-    template = result.template
-    if original != template:
+    if original != result.template:
         raise ValueError("original: not the template the result was built from")
-    table = _lift_table(template, result.r)
-    return _scan_bad_events(template.edges, len(template.vertices), [
-        _end_masks(table, edge, ei, perm)
-        for ei, (edge, perm) in enumerate(zip(template.edges, result.perms))])
+    return _bad_events(result)
 
 
 def construct_with_resampling(template: Spg | Spindle, config: TransformConfig
@@ -369,7 +271,11 @@ def construct_with_resampling(template: Spg | Spindle, config: TransformConfig
     canonical form, and re-verified (validity, singleton,
     adjacency, strong adjacency, end-point count) before being returned,
     or raises with the failed reports; exhausting ``max_rounds`` raises
-    with the bad events left.
+    with the bad events left.  A template flagged ``is_restriction`` is
+    refused before any draw.  At r >= 4 the loop's last, empty scan
+    certifies the graph (:func:`~spgraphs.core._certify`): its reports
+    are kept holding, so the re-verification reads them and runs no
+    near-pair join, and cannot fail.  Below r = 4 the join decides them.
 
     Under RESAMPLE, rounds after the first rescan only the pairs that
     hold a redrawn edge.  Every pair left out is clean: by induction,
@@ -381,7 +287,7 @@ def construct_with_resampling(template: Spg | Spindle, config: TransformConfig
     every pair.
     """
     spg = template.spg if isinstance(template, Spindle) else template
-    require_singleton(spg)
+    _require_template(spg)
     r = config.r
     table = _lift_table(spg, r)
     import numpy as np
@@ -410,6 +316,7 @@ def construct_with_resampling(template: Spg | Spindle, config: TransformConfig
     if isinstance(template, Spindle):
         apices = (lift_facet(template.apex1, r), lift_facet(template.apex2, r))
     result = TransformResult(spg, r, tuple(perms), len(log), tuple(log), apices)
+    _certify(result, events)  # the loop's last scan, empty
     # the other checks refuse an invalid graph, so it is reported alone
     validity = validate(result.spg)
     failed = [validity] if not validity.holds else [
@@ -554,7 +461,10 @@ def check_localization(result: TransformResult) -> PropertyReport:
     Every edge of the result's graph is a step of one path, so a near
     pair on adjacent vertices is local: the delocalized pairs are the
     graph's kept adjacency witnesses (read without refusing an invalid
-    graph) whose edges share no endpoint, in the same sorted order.
+    graph) whose edges share no endpoint, in the same sorted order.  A
+    certified result (see :func:`~spgraphs.core._certify`) keeps no
+    adjacency witness, so it holds and runs no join; any other runs the
+    join once, unless a check ran it already.
     """
     if result.r < 4:
         raise ValueError(

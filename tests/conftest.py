@@ -37,7 +37,7 @@ from spgraphs import (
     validate,
     verify_all,
 )
-from spgraphs import transform
+from spgraphs import core
 from spgraphs.core import require_valid
 from spgraphs.experiments import describe_template, trial_seed
 
@@ -327,6 +327,20 @@ def failed_reports(spg: Spg) -> list[PropertyReport]:
     return [rep for rep in verify_all(spg) if not rep.holds]
 
 
+def verdicts(spg: Spg) -> tuple[PropertyReport, ...]:
+    """:func:`verify_all` of ``spg``, reading what it keeps, or validity
+    alone on an invalid graph, which verify_all refuses."""
+    validity = validate(spg)
+    return verify_all(spg) if validity.holds else (validity,)
+
+
+def joined_verdicts(spg: Spg) -> tuple[PropertyReport, ...]:
+    """:func:`verdicts` of ``dataclasses.replace(spg)``, a copy that keeps
+    no verdicts, so that the near-pair join decides them: the oracle of
+    a certified graph's kept reports."""
+    return verdicts(replace(spg))
+
+
 def replay_construction(spg: Spg, config: TransformConfig):
     """construct_with_resampling round by round: build every round, scan
     with the oracle, redraw from the same stream.  Returns the result, or
@@ -375,7 +389,7 @@ def full_rescan_construction(spg: Spg, config: TransformConfig):
     log = []
     for attempt in range(config.max_rounds + 1):
         ends = [path_ends(a, a2, r, p) for (a, a2), p in zip(sets, perms)]
-        events = transform._scan_bad_events(spg.edges, len(spg.vertices), ends)
+        events = core._scan_bad_events(spg.edges, len(spg.vertices), ends)
         if not events:
             result = build_subdivision(
                 spg, r, PermutationAssignment(tuple(perms)))

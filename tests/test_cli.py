@@ -7,12 +7,15 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from conftest import duplicating_tree
 from spgraphs import (
-    FacetSet, Spg, SymbolTable, TransformConfig, build_exponential_spindle,
-    build_spindle_template, build_star_template, parse, restrict, serialize)
+    FacetSet, PermutationAssignment, Spg, SymbolTable, TransformConfig,
+    build_exponential_spindle, build_spindle_template, build_star_template,
+    build_subdivision, construct_with_resampling, parse, restrict, serialize,
+    sliding_window_path)
 from spgraphs import cli, core, document
 from spgraphs.cli import main
 
@@ -96,7 +99,30 @@ class TestBuildSpindle:
         assert "rounds used" in err
 
 
+def duplicating_result():
+    """duplicating_tree's result at r = 3 and seed 0: free of bad events
+    in round 0, but failing adjacency and strong adjacency."""
+    perms = PermutationAssignment.draw(np.random.default_rng(0), 4, 3)
+    return build_subdivision(duplicating_tree(), 3, perms)
+
+
 class TestVerify:
+    @pytest.mark.parametrize("prop", ["adjacency", "strong-adjacency",
+                                      "endpoint-count", "singleton"])
+    def test_a_transform_result_verifies_as_its_plain_graph(
+            self, capsys, monkeypatch, prop):
+        # parsed, the r = 4 result is certified; the join decides r = 3
+        certified = construct_with_resampling(sliding_window_path(3),
+                                              TransformConfig(r=4, seed=1))
+        for result, code in ((certified, 0), (duplicating_result(), int(
+                prop in ("adjacency", "strong-adjacency")))):
+            as_result = run_cli(capsys, monkeypatch, [
+                "verify", "--property", prop], stdin=serialize(result))
+            as_graph = run_cli(capsys, monkeypatch, [
+                "verify", "--property", prop], stdin=serialize(result.spg))
+            assert as_result == as_graph
+            assert as_result[0] == code
+
     def test_singleton_via_pipe(self, capsys, monkeypatch):
         doc = build_template_doc(capsys, monkeypatch)
         code, out, _ = run_cli(
@@ -274,8 +300,9 @@ class TestTransform:
         code, out, _ = run_cli(capsys, monkeypatch,
                                ["transform", "--r", "8", "--seed", "1"], stdin=doc)
         assert code == 0
-        # the template in parse, the result in the construction's verify_all
-        assert len(calls) == 2
+        # the template in parse alone: at r = 8 the construction's empty
+        # scan certified the result, so its verify_all reads kept reports
+        assert len(calls) == 1
         assert len(parse(out).spg.vertices) > 6
 
     def test_rejects_non_singleton_template(self, capsys, monkeypatch):
@@ -407,8 +434,9 @@ class TestSweepAndEstimate:
         code, out, _ = run_cli(capsys, monkeypatch, [
             "sweep", "--r-list", "8", "--trials", "2", "--seed", "1"], stdin=doc)
         assert code == 0
-        # the template in parse, each trial's result in its verify_all
-        assert len(calls) == 3
+        # the template in parse alone: each trial's result, at r = 8, is
+        # certified by its empty scan
+        assert len(calls) == 1
         assert out.splitlines()[2].startswith("8\t2\t2\t")
 
     def test_sweep_rejects_non_singleton_template(self, capsys, monkeypatch):

@@ -444,6 +444,21 @@ class TestRestrictionTemplates:
         with pytest.raises(ValueError, match=self.MESSAGE):
             construct_with_resampling(restricted, TransformConfig(r=8, seed=1))
 
+    def test_construction_refuses_before_any_draw(self, monkeypatch):
+        template = build_spindle_template(3).spindle.spg
+        restricted = restrict(
+            template, FacetSet.from_labels(template.symbols, ["1.1"]))
+        scans = []
+        real = transform._scan_bad_events
+        monkeypatch.setattr(transform, "_scan_bad_events",
+                            lambda *args: scans.append(args) or real(*args))
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            construct_with_resampling(restricted, TransformConfig(r=2, seed=1))
+        assert scans == []
+        # the count sees the scans of a template that is not refused
+        construct_with_resampling(template, TransformConfig(r=4, seed=1))
+        assert scans
+
 
 class TestBadEventProbability:
     def test_zero_trials_rejected(self):

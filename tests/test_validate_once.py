@@ -10,13 +10,17 @@ from pathlib import Path
 
 import pytest
 
+from conftest import duplicating_tree, joined_verdicts
 from spgraphs import (
+    ConstructionVerificationError,
     FacetSet,
     InvalidSpgError,
     PropertyReport,
     Spg,
+    SpgProperty,
     SymbolTable,
     TransformConfig,
+    build_spindle_template,
     check_adjacency,
     check_connectivity,
     check_dimension_reduction,
@@ -111,13 +115,56 @@ def test_a_constructed_graph_keeps_verdicts_and_no_near_pairs(monkeypatch):
 
 
 def test_localization_after_the_construction_runs_no_join(monkeypatch):
-    # the construction's verify_all ran the join; localization filters
-    # the kept adjacency report
+    # at r = 8 the construction's empty scan certified the result: its
+    # verify_all and localization read the kept, holding reports
     calls = count_joins(monkeypatch)
     result = construct_with_resampling(sliding_window_path(3),
                                        TransformConfig(r=8, seed=1))
     assert check_localization(result).holds
+    assert calls == []
+
+
+@pytest.mark.parametrize("r", [4, 5, 8])
+def test_a_clean_construction_at_r_4_or_more_runs_no_join(monkeypatch, r):
+    calls = count_joins(monkeypatch)
+    template = build_spindle_template(3).spindle.spg
+    result = construct_with_resampling(template, TransformConfig(r=r, seed=1))
+    assert all(report.holds for report in verify_all(result.spg))
+    parsed = parse(serialize(result))
+    assert all(report.holds for report in verify_all(parsed.spg))
+    assert check_localization(parsed).holds
+    assert calls == []
+    assert result.rounds_used > 0
+    assert verify_all(result.spg) == joined_verdicts(result.spg)
+
+
+def test_a_construction_at_r_3_runs_the_join_once(monkeypatch):
+    calls = count_joins(monkeypatch)
+    result = construct_with_resampling(sliding_window_path(2),
+                                       TransformConfig(r=3, seed=1))
+    assert all(report.holds for report in verify_all(result.spg))
     assert calls == [result.spg]
+    parsed = parse(serialize(result))
+    assert all(report.holds for report in verify_all(parsed.spg))
+    assert calls == [result.spg, parsed.spg]
+
+
+@pytest.mark.parametrize("r, failed, joins", [
+    (2, [SpgProperty.VALIDITY], 0),  # the join refuses an invalid graph
+    (3, [SpgProperty.ADJACENCY, SpgProperty.STRONG_ADJACENCY], 1),
+])
+def test_duplicating_tree_below_r_4_is_not_certified(monkeypatch, r, failed,
+                                                     joins):
+    # the construction's last scan is empty, yet the graph fails
+    validations = count_validations(monkeypatch)
+    calls = count_joins(monkeypatch)
+    template = duplicating_tree()
+    with pytest.raises(ConstructionVerificationError) as err:
+        construct_with_resampling(template, TransformConfig(r=r, seed=0))
+    assert [report.property for report in err.value.failed] == failed
+    # the result was validated, not certified
+    assert len(validations) == 2 and validations[0] is template
+    assert len(calls) == joins
 
 
 def test_a_parsed_result_keeps_the_validated_graph(monkeypatch):
