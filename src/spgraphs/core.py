@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
 from itertools import combinations, compress, count, repeat
-from operator import and_, lt
+from operator import lt
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 
@@ -366,7 +366,11 @@ class TransformResult:
     the graph ``spg``, ``vertex_map`` (template vertices keep their
     indices) and ``edge_paths``, the vertices of each subdivided edge;
     the graph would drop an ``is_restriction`` flag, so a flagged
-    template is refused.  ``resample_log`` is diagnostic only.  This
+    template is refused.  The constructor also checks ``rounds_used``, a
+    non-negative int (not a bool), and ``apices``, None or the lifts of
+    two template sets that make the template a :class:`Spindle`, so
+    that every result :func:`serialize` writes parses back.
+    ``resample_log`` is diagnostic only.  This
     type and :class:`BadEvent` live here rather than in
     :mod:`spgraphs.transform`, so that reading a document does not load
     the construction code."""
@@ -391,6 +395,11 @@ class TransformResult:
                              f"graph has {len(self.template.edges)}")
         for perm in self.perms:
             _require_permutation(perm, self.r)
+        # bool is a subclass of int, but no count
+        if type(self.rounds_used) is not int or self.rounds_used < 0:
+            raise ValueError("rounds_used: expected a non-negative integer")
+        if self.apices is not None:
+            _require_apices(self.template, self.r, self.apices)
         for name, value in zip(("spg", "vertex_map", "edge_paths"),
                                _build_subdivision(self.template, self.r,
                                                   self.perms)):
@@ -409,6 +418,20 @@ def _require_permutation(perm: Sequence[int], r: int, context: str = "") -> None
     if len(perm) != r or not set(perm).issuperset(range(1, r + 1)):
         raise ValueError(f"{context}not a subdivision path: {perm} is not a "
                          f"permutation of 1..{r}")
+
+
+def _require_apices(template: Spg, r: int, apices: tuple) -> None:
+    """Refuse ``apices`` unless they are the lifts of two template sets
+    that make the template a :class:`Spindle`; the lifts then make the
+    result's graph one, since n = 2d and covering hold after a lift
+    exactly when they hold before it."""
+    lifted = dict(zip(_lift_table(template, r).lifts, template.vertices))
+    try:
+        Spindle(template, *(lifted[apex.mask][0] for apex in apices))
+    except KeyError:
+        raise ValueError("apices: not lifts of template sets") from None
+    except ValueError as err:
+        raise ValueError(f"apices: {err}") from None
 
 
 def _lift_mask(fs: FacetSet, r: int) -> int:
@@ -908,58 +931,32 @@ def _pair_reports(spg: Spg) -> tuple[PropertyReport, ...]:
     one run of the near-pair join; run once per graph by
     ``Spg._pair_verdicts``.
 
-    Whole-family passes decide the three verdicts.  ``across``, the
-    vertex pairs holding a near pair across two distinct vertices, is
-    the edge set exactly when adjacency and strong adjacency hold; the
-    end-point count holds exactly when the near pairs' faces X & Y are
-    pairwise distinct, since a face with k >= 3 holders is the face of
-    C(k, 2) >= 3 near pairs.  Each witness list is built, by a loop over
-    the pairs, only when its test finds something.
+    One loop over the near pairs decides and names them together.  A
+    pair across two distinct vertices marks that vertex pair witnessed,
+    and is named unless the two are joined by an edge; an edge left
+    unwitnessed is named after the loop.  A (d-1)-face held by k >= 2
+    members makes those k pairwise near with that face as their
+    intersection, so grouping the pairs by X & Y recovers every face's
+    full list of holders, and a face with more than two is named.
     """
-    pairs = near_pairs(spg)
-    masks = [fs.mask for fs in spg.family()]
-    first, second = zip(*pairs) if pairs else ((), ())
-    if set(map(len, spg.vertices)) == {1}:
-        across = set(pairs)
-    else:
-        owner = [vi for vi, vertex in enumerate(spg.vertices) for _ in vertex]
-        across = set(zip(map(owner.__getitem__, first),
-                         map(owner.__getitem__, second)))
-        nv = len(spg.vertices)
-        across.difference_update(zip(range(nv), range(nv)))
+    located = spg.facets_with_vertex()
     edge_set = spg.edge_set()
-
+    across: set[tuple[int, int]] = set()
+    holders: dict[int, set[int]] = {}  # face mask -> family indices
     non_adjacent: list[tuple] = []
-    if not across <= edge_set:
-        located = spg.facets_with_vertex()
-        for i, j in pairs:
-            vi, a = located[i]
-            vj, b = located[j]
-            # i < j in vertex order, hence vi <= vj
-            if vi != vj and (vi, vj) not in edge_set:
+    for i, j in near_pairs(spg):
+        (vi, a), (vj, b) = located[i], located[j]
+        holders.setdefault(a.mask & b.mask, set()).update((i, j))
+        # i < j in vertex order, hence vi <= vj
+        if vi != vj:
+            across.add((vi, vj))
+            if (vi, vj) not in edge_set:
                 non_adjacent.append(("non-adjacent-pair", a, b, vi, vj))
-    unwitnessed: list[tuple] = []
-    if not edge_set <= across:
-        unwitnessed = [("unwitnessed-edge", u, w) for u, w in spg.edges
-                       if ((u, w) if u < w else (w, u)) not in across]
-    del across, edge_set  # freed before the faces: a lower peak
-
-    faces = list(map(and_, map(masks.__getitem__, first),
-                     map(masks.__getitem__, second)))
-    over_counted: list[tuple] = []
-    if len(set(faces)) != len(faces):
-        # A (d-1)-face held by k >= 2 members makes those k pairwise near
-        # with that face as their intersection, so grouping near pairs by
-        # X & Y recovers every face's full list of holders.
-        family = spg.family()
-        holders: dict[int, set[int]] = {}
-        for (i, j), face in zip(pairs, faces):
-            holders.setdefault(face, set()).update((i, j))
-        over_counted = [
-            ("over-counted-face", FacetSet.from_mask(face),
-             tuple(sorted(family[k] for k in members)))
-            for face, members in holders.items() if len(members) > 2
-        ]
+    unwitnessed = [("unwitnessed-edge", u, w) for u, w in spg.edges
+                   if ((u, w) if u < w else (w, u)) not in across]
+    over_counted = [("over-counted-face", FacetSet.from_mask(face),
+                     tuple(sorted(located[k][1] for k in members)))
+                    for face, members in holders.items() if len(members) > 2]
     return (
         PropertyReport(SpgProperty.ADJACENCY, _sorted_witnesses(non_adjacent)),
         PropertyReport(SpgProperty.STRONG_ADJACENCY,
@@ -1010,14 +1007,15 @@ def verify_all(spg: Spg) -> tuple[PropertyReport, ...]:
     checks one by one; like them it raises :class:`InvalidSpgError` on a
     graph that fails validation.  Validity and the three reports built
     on near pairs are the ones kept on the graph object, so they are
-    computed at most once whichever of these runs first.  Every verdict
-    is decided by passes over the whole family, its near pairs and its
-    edges; the per-item loops that name witnesses run only for a graph
-    that fails.  A construction at r >= 4 whose bad-event scan is empty
-    (the one that ends its resampling loop, or the one :func:`parse`
-    makes of a transform result) has those reports kept already, all
-    holding, and runs no join: they rest on the argument of
-    :func:`_certify`.
+    computed at most once whichever of these runs first.  Validity and
+    the singleton property are decided by passes over the whole family
+    and its edges, and their witnesses named only for a graph that
+    fails; the three pair reports are decided and named together by one
+    loop over the near pairs.  A construction at r >= 4 whose bad-event
+    scan is empty (the one that ends its resampling loop, or the one
+    :func:`parse` makes of a transform result) has those reports kept
+    already, all holding, and runs no join: they rest on the argument
+    of :func:`_certify`.
     """
     return (validate(spg), check_singleton(spg), *spg._pair_verdicts)
 

@@ -329,13 +329,12 @@ def parse(text: str) -> Payload:
         apices = tuple(
             _parse_facet(raw, table.n, f"annotations.apices[{i}]")
             for i, raw in enumerate(raw_apices))
-        try:
-            spindle = Spindle(spg, apices[0], apices[1])
-        except ValueError as err:
-            raise DocumentError(f"annotations.apices: {err}") from None
 
     if kind == "spg":
-        return spg if apices is None else spindle
+        try:
+            return spg if apices is None else Spindle(spg, *apices)
+        except ValueError as err:
+            raise DocumentError(f"annotations.apices: {err}") from None
 
     vertex_map = annotations.get("vertex_map")
     edge_paths = annotations.get("edge_paths")
@@ -352,9 +351,6 @@ def parse(text: str) -> Payload:
             raise DocumentError(
                 f"annotations.edge_paths[{pi}]: expected a list of at least "
                 f"two vertex indices")
-    if type(rounds_used) is not int or rounds_used < 0:
-        raise DocumentError(
-            "annotations.rounds_used: expected a non-negative integer")
     try:
         return _certificate(spg, tuple(vertex_map), tuple(map(tuple, edge_paths)),
                             rounds_used, apices)
@@ -374,9 +370,10 @@ def _certificate(spg: Spg, images: tuple[int, ...],
     path's ends, in the paths' order and direction (as the template gave
     them; :meth:`Spg.build` would sort them), and each permutation lists
     the row of the first step of each segment.  The graph must be
-    singleton and not flagged a restriction; apices must be images.
-    Anything else raises ValueError naming the document field at fault,
-    and an invalid template by up to three of its witnesses.  At r >= 4
+    singleton and not flagged a restriction; ``rounds_used`` and the
+    apices are checked by the result's constructor.  Anything else
+    raises ValueError naming the document field at fault, and an invalid
+    template by up to three of its witnesses.  At r >= 4
     the result is scanned for bad events, and with none the graph it
     keeps is certified (:func:`~spgraphs.core._certify`)."""
     if any(len(vertex) != 1 for vertex in spg.vertices):
@@ -421,8 +418,11 @@ def _certificate(spg: Spg, images: tuple[int, ...],
         perms.append(tuple(((g & -g).bit_length() - 1) % r + 1 for g in gone))
         _require_permutation(perms[-1], r, f"annotations.edge_paths[{pi}]: ")
 
-    result = TransformResult(template, r, tuple(perms), rounds_used,
-                             apices=apices)
+    try:  # after the checks above, only rounds_used and apices can fail
+        result = TransformResult(template, r, tuple(perms), rounds_used,
+                                 apices=apices)
+    except ValueError as err:
+        raise ValueError(f"annotations.{err}") from None
     for name, given, again in (
             ("annotations.vertex_map", images, result.vertex_map),
             ("annotations.edge_paths", edge_paths, result.edge_paths),
@@ -433,8 +433,6 @@ def _certificate(spg: Spg, images: tuple[int, ...],
                        if pair[0] != pair[1]), min(len(given), len(again)))
             raise ValueError(f"{name}[{at}]: not as rebuilt from the "
                              f"template, r = {r} and the permutations")
-    if not set(apices or ()) <= {spg.vertices[v][0] for v in images}:
-        raise ValueError("annotations.apices: not lifts of template sets")
     # spg, equal to the rebuilt graph, is validated: checks read its report
     object.__setattr__(result, "spg", spg)
     _certify(result)

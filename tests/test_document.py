@@ -31,6 +31,7 @@ from spgraphs import (
     Spindle,
     SymbolTable,
     TransformConfig,
+    TransformResult,
     build_exponential_spindle,
     build_spindle_template,
     build_subdivision,
@@ -38,6 +39,7 @@ from spgraphs import (
     construct_with_resampling,
     dump,
     find_bad_events,
+    lift_facet,
     parse,
     restrict,
     serialize,
@@ -160,6 +162,22 @@ def test_canonical_json_rejects_what_json_dumps_rejects(value):
 
 
 @st.composite
+def _spindle_results(draw):
+    """Results built on a spindle template with random row permutations,
+    with or without the lifted apices, and any round count."""
+    spindle = build_spindle_template(draw(st.integers(1, 3))).spindle
+    r = draw(st.integers(2, 5))
+    perms = PermutationAssignment(tuple(
+        tuple(draw(st.permutations(range(1, r + 1))))
+        for _ in spindle.spg.edges))
+    apices = None
+    if draw(st.booleans()):
+        apices = (lift_facet(spindle.apex1, r), lift_facet(spindle.apex2, r))
+    return replace(build_subdivision(spindle.spg, r, perms), apices=apices,
+                   rounds_used=draw(st.integers(0, 2**70)))
+
+
+@st.composite
 def _payloads(draw):
     """Graphs (narrow, wide or flagged as restrictions), spindle templates
     and transform results with and without apices."""
@@ -168,17 +186,14 @@ def _payloads(draw):
     if kind == "spindle":
         return build_spindle_template(draw(st.integers(1, 3))).spindle
     if kind == "transform":
+        if draw(st.booleans()):
+            return draw(_spindle_results())
         template = draw(spg_instances(singleton=True))
         r = draw(st.integers(2, 5))
         perms = PermutationAssignment(tuple(
             tuple(draw(st.permutations(range(1, r + 1))))
             for _ in template.edges))
-        result = build_subdivision(template, r, perms)
-        if draw(st.booleans()):
-            result = replace(
-                result, rounds_used=draw(st.integers(0, 3)),
-                apices=(result.spg.vertices[0][0], result.spg.vertices[-1][0]))
-        return result
+        return build_subdivision(template, r, perms)
     spg = draw(wide_spg_instances() if kind == "wide" else spg_instances())
     return replace(spg, is_restriction=kind == "restriction")
 
@@ -191,6 +206,59 @@ def test_dump_writes_what_serialize_returns(obj):
     text = stream.getvalue()
     assert text == serialize(obj)
     assert text == json_dumps_canonical(json.loads(text))
+
+
+@given(_spindle_results())
+@settings(max_examples=60, deadline=None)
+def test_results_with_apices_and_rounds_parse_back(result):
+    assume(validate(result.spg).holds)  # parse refuses an invalid graph
+    back = parse(serialize(result))
+    assert back == result
+    assert (back.apices, back.rounds_used) == (result.apices, result.rounds_used)
+
+
+def _path_result(**fields):
+    path = sliding_window_path(2)
+    return TransformResult(path, 4, ((1, 2, 3, 4),) * len(path.edges),
+                           **fields)
+
+
+@pytest.mark.parametrize("rounds_used", [-1, True, 2.5, "1", None])
+def test_result_refuses_a_round_count_it_could_not_write(rounds_used):
+    with pytest.raises(
+            ValueError,
+            match=r"^rounds_used: expected a non-negative integer$"):
+        _path_result(rounds_used=rounds_used)
+
+
+@pytest.mark.parametrize("case", ["interior", "uncovered", "not-2d"])
+def test_result_refuses_apices_that_make_no_spindle(case):
+    if case == "not-2d":
+        # lifts of template sets, but 5 symbols at dimension 2
+        template = Spg.build(SymbolTable.alphabetic(5), 2,
+                             [[fs(0, 1)], [fs(2, 3)]], [(0, 1)])
+        apices = (lift_facet(fs(0, 1), 2), lift_facet(fs(2, 3), 2))
+        message = r"^apices: a spindle needs n = 2d, got n=5, d=2$"
+        with pytest.raises(ValueError, match=message):
+            TransformResult(template, 2, ((1, 2),), apices=apices)
+        return
+    built = _path_result()
+    if case == "interior":
+        # one interior set on each path
+        apices = (built.spg.vertices[3][0], built.spg.vertices[8][0])
+        message = r"^apices: not lifts of template sets$"
+    else:
+        # the lifts of one end and its neighbour miss symbols
+        apices = (lift_facet(fs(0, 1), 4), lift_facet(fs(1, 2), 4))
+        message = r"^apices: apex sets must cover the whole symbol set$"
+    with pytest.raises(ValueError, match=message):
+        _path_result(apices=apices)
+    # serialize wrote such a result, and parse refused it, naming the field
+    doc = json.loads(serialize(built))
+    doc["annotations"]["apices"] = [list(a.elements) for a in apices]
+    with pytest.raises(DocumentError, match=message.replace(
+            "^", r"^annotations\.")):
+        parse(json.dumps(doc))
 
 
 # Facet sets beside their element lists, which the expected text is
@@ -428,7 +496,7 @@ def test_apices_on_wrong_symbol_count():
 def test_transform_result_apices_must_make_a_spindle(case):
     if case == "uncovered":
         # the first apex and its neighbour on the path: both members, but
-        # together they miss symbols
+        # together they miss symbols, and the neighbour is no lift
         result = build_exponential_spindle(1, TransformConfig(r=4, seed=2))
         apices = [result.apices[0], result.spg.vertices[result.edge_paths[0][1]][0]]
     elif case == "interior":
@@ -438,7 +506,8 @@ def test_transform_result_apices_must_make_a_spindle(case):
         apices = [result.spg.vertices[7][0], result.spg.vertices[23][0]]
         Spindle(result.spg, *apices)
     else:
-        # 10 symbols at lifted dimension 4
+        # lifts of template sets, but 5 symbols at dimension 2 (10 at 4
+        # once lifted)
         template = Spg.build(SymbolTable.alphabetic(5), 2,
                              [[fs(0, 1)], [fs(2, 3)]], [(0, 1)])
         result = build_subdivision(template, 2, PermutationAssignment(((1, 2),)))
