@@ -26,7 +26,6 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
 from itertools import combinations, compress, count, repeat
-from operator import lt
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 
@@ -254,7 +253,9 @@ class Spg:
     are computed on first use and kept on the object (or filled in,
     holding, when :func:`_certify` certifies a transform result's
     graph), and so are a template's lift tables; the near pairs
-    themselves are not kept.
+    themselves are not kept.  A parsed transform result keeps the graph
+    rebuilt from its certificate, so validity is decided on that one
+    object, once.
     :func:`dataclasses.replace` builds a new object that derives its own.
     """
 
@@ -407,10 +408,11 @@ class TransformResult:
 
 
 def _require_multiplier(r: int) -> None:
-    if r < 2:
+    if type(r) is int and r < 2:
         raise ValueError(
             "row multiplier must be at least 2 for the lift to satisfy "
             "the end-point count")
+    _require_rows(r)  # refuses any other type
 
 
 def _require_permutation(perm: Sequence[int], r: int, context: str = "") -> None:
@@ -742,7 +744,10 @@ def _sorted_witnesses(witnesses: list[tuple]) -> tuple[tuple, ...]:
 
 def _require_rows(r: int) -> None:
     # r = 1 lifts nothing but is a valid row count; the construction
-    # needs r >= 2 (_require_multiplier)
+    # needs r >= 2 (_require_multiplier).  bool is a subclass of int, but
+    # no count, and a numpy int would reach a document as r * d.
+    if type(r) is not int:
+        raise ValueError("row multiplier must be an int")
     if r < 1:
         raise ValueError("row multiplier must be positive")
 
@@ -779,7 +784,10 @@ def validate(spg: Spg) -> PropertyReport:
 
 
 def _validate(spg: Spg) -> PropertyReport:
-    """:func:`validate` itself, run once per graph by ``Spg._validity``."""
+    """:func:`validate` itself, run once per graph by ``Spg._validity``:
+    one loop over the sets and one over the edges, each deciding and
+    naming its witnesses at once.  A certified transform result's graph
+    (:func:`_certify`) never reaches it."""
     witnesses: list[tuple] = []
     n = spg.symbols.n
     d = spg.dimension
@@ -791,47 +799,35 @@ def _validate(spg: Spg) -> PropertyReport:
     if not spg.vertices:
         witnesses.append(("no-vertices",))
 
-    # Whole-family passes decide the partition checks; the per-set loop
-    # runs only to name the witnesses of a family that fails one.
-    masks = [fs.mask for vertex in spg.vertices for fs in vertex]
-    if not (all(spg.vertices) and len(set(masks)) == len(masks)
-            and set(map(int.bit_count, masks)) <= {d}
-            and max(masks, default=0).bit_length() <= n):
-        seen: dict[int, int] = {}
-        for vi, vertex in enumerate(spg.vertices):
-            if not vertex:
-                witnesses.append(("empty-vertex", vi))
-            for fs in vertex:
-                if len(fs) != d:
-                    witnesses.append(("wrong-size-set", fs, vi))
-                if fs.mask.bit_length() > n:
-                    witnesses.append(("symbol-out-of-range", fs, vi))
-                if fs.mask in seen:
-                    witnesses.append(("duplicate-set", fs, seen[fs.mask], vi))
-                else:
-                    seen[fs.mask] = vi
+    seen: dict[int, int] = {}
+    for vi, vertex in enumerate(spg.vertices):
+        if not vertex:
+            witnesses.append(("empty-vertex", vi))
+        for fs in vertex:
+            if len(fs) != d:
+                witnesses.append(("wrong-size-set", fs, vi))
+            if fs.mask.bit_length() > n:
+                witnesses.append(("symbol-out-of-range", fs, vi))
+            if fs.mask in seen:
+                witnesses.append(("duplicate-set", fs, seen[fs.mask], vi))
+            else:
+                seen[fs.mask] = vi
 
-    # Whole-edge passes decide the edge checks the same way: the canonical
-    # form's edges are distinct (low, high) pairs in range.
     nv = len(spg.vertices)
-    lo, hi = zip(*spg.edges) if spg.edges else ((), ())
     edges_ok = True
-    if not (all(map(lt, lo, hi)) and min(lo, default=0) >= 0
-            and max(hi, default=-1) < nv
-            and len(set(spg.edges)) == len(spg.edges)):
-        seen_edges: set[tuple[int, int]] = set()
-        for u, w in spg.edges:
-            if not (0 <= u < nv and 0 <= w < nv):
-                witnesses.append(("edge-endpoint-out-of-range", u, w))
-                edges_ok = False
-                continue
-            if u == w:
-                witnesses.append(("self-loop", u))
-                continue
-            key = (u, w) if u < w else (w, u)
-            if key in seen_edges:
-                witnesses.append(("parallel-edge", key[0], key[1]))
-            seen_edges.add(key)
+    seen_edges: set[tuple[int, int]] = set()
+    for u, w in spg.edges:
+        if not (0 <= u < nv and 0 <= w < nv):
+            witnesses.append(("edge-endpoint-out-of-range", u, w))
+            edges_ok = False
+            continue
+        if u == w:
+            witnesses.append(("self-loop", u))
+            continue
+        key = (u, w) if u < w else (w, u)
+        if key in seen_edges:
+            witnesses.append(("parallel-edge", key[0], key[1]))
+        seen_edges.add(key)
 
     if not spg.is_restriction and edges_ok:
         witnesses += _disconnected(spg.neighbors())
@@ -989,14 +985,9 @@ def check_endpoint_count(spg: Spg) -> PropertyReport:
 def check_singleton(spg: Spg) -> PropertyReport:
     """Every vertex holds exactly one facet set."""
     require_valid(spg)
-    if set(map(len, spg.vertices)) == {1}:
-        return PropertyReport(SpgProperty.SINGLETON)
-    witnesses = [
+    return PropertyReport(SpgProperty.SINGLETON, _sorted_witnesses([
         ("non-singleton-vertex", vi, len(vertex))
-        for vi, vertex in enumerate(spg.vertices)
-        if len(vertex) != 1
-    ]
-    return PropertyReport(SpgProperty.SINGLETON, _sorted_witnesses(witnesses))
+        for vi, vertex in enumerate(spg.vertices) if len(vertex) != 1]))
 
 
 def verify_all(spg: Spg) -> tuple[PropertyReport, ...]:
@@ -1007,11 +998,11 @@ def verify_all(spg: Spg) -> tuple[PropertyReport, ...]:
     checks one by one; like them it raises :class:`InvalidSpgError` on a
     graph that fails validation.  Validity and the three reports built
     on near pairs are the ones kept on the graph object, so they are
-    computed at most once whichever of these runs first.  Validity and
-    the singleton property are decided by passes over the whole family
-    and its edges, and their witnesses named only for a graph that
-    fails; the three pair reports are decided and named together by one
-    loop over the near pairs.  A construction at r >= 4 whose bad-event
+    computed at most once whichever of these runs first.  Each report is
+    decided and named in one pass: validity by one loop over the sets
+    and one over the edges, the singleton property by one over the
+    vertices, and the three pair reports by one loop over the near
+    pairs.  A construction at r >= 4 whose bad-event
     scan is empty (the one that ends its resampling loop, or the one
     :func:`parse` makes of a transform result) has those reports kept
     already, all holding, and runs no join: they rest on the argument

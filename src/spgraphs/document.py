@@ -245,6 +245,14 @@ def parse(text: str) -> Payload:
     violation -- duplicate sets, disconnected non-restriction, bad
     indices, unknown version, a transform result that its certificate
     does not rebuild -- raises with the offending field named.
+
+    Each document is validated once, at one site.  A plain graph is
+    validated before its annotations are read.  A transform result's
+    graph is not: :func:`_certificate` compares every field of it with
+    the graph rebuilt from the certificate, and validity is decided on
+    that rebuilt graph, the one the result keeps (at r >= 4 with no bad
+    events it is certified, so nothing is computed).  Either way a
+    graph that fails is refused as "document violates graph invariants".
     """
     try:
         doc = json.loads(text)
@@ -307,14 +315,33 @@ def parse(text: str) -> Payload:
 
     spg = Spg.build(table, dimension, vertices, edges,
                     is_restriction=is_restriction)
-    report = validate(spg)
+    result = None
+    if kind == "transform-result":
+        try:
+            result = _certificate(spg, *_annotations(doc, kind, table.n))
+        except ValueError as err:
+            raise DocumentError(str(err)) from None
+    # A transform result's graph is validated as the one rebuilt from its
+    # certificate, which _certificate has found equal to it field for field.
+    report = validate(spg if result is None else result.spg)
     if not report.holds:
         shown = "; ".join(
             witness_text(w, table) for w in report.witnesses[:3])
         raise DocumentError(
             f"document violates graph invariants "
             f"({len(report.witnesses)} violations): {shown}")
+    if result is not None:
+        return result
+    apices = _annotations(doc, kind, table.n)[1]
+    try:
+        return spg if apices is None else Spindle(spg, *apices)
+    except ValueError as err:
+        raise DocumentError(f"annotations.apices: {err}") from None
 
+
+def _annotations(doc: dict, kind: str, n: int
+                 ) -> tuple[dict, tuple[FacetSet, FacetSet] | None]:
+    """A document's annotations object and its apices (None if absent)."""
     annotations = doc.get("annotations", {})
     if not isinstance(annotations, dict):
         raise DocumentError("annotations: expected an object")
@@ -327,44 +354,18 @@ def parse(text: str) -> Payload:
         if not isinstance(raw_apices, list) or len(raw_apices) != 2:
             raise DocumentError("annotations.apices: expected a pair of facet sets")
         apices = tuple(
-            _parse_facet(raw, table.n, f"annotations.apices[{i}]")
+            _parse_facet(raw, n, f"annotations.apices[{i}]")
             for i, raw in enumerate(raw_apices))
-
-    if kind == "spg":
-        try:
-            return spg if apices is None else Spindle(spg, *apices)
-        except ValueError as err:
-            raise DocumentError(f"annotations.apices: {err}") from None
-
-    vertex_map = annotations.get("vertex_map")
-    edge_paths = annotations.get("edge_paths")
-    rounds_used = annotations.get("rounds_used", 0)
-    if not isinstance(vertex_map, list) or not all(
-            type(v) is int and 0 <= v < len(vertices) for v in vertex_map):
-        raise DocumentError(
-            "annotations.vertex_map: expected a list of vertex indices")
-    if not isinstance(edge_paths, list):
-        raise DocumentError("annotations.edge_paths: expected a list of paths")
-    for pi, path in enumerate(edge_paths):
-        if (not isinstance(path, list) or len(path) < 2 or not all(
-                type(v) is int and 0 <= v < len(vertices) for v in path)):
-            raise DocumentError(
-                f"annotations.edge_paths[{pi}]: expected a list of at least "
-                f"two vertex indices")
-    try:
-        return _certificate(spg, tuple(vertex_map), tuple(map(tuple, edge_paths)),
-                            rounds_used, apices)
-    except ValueError as err:
-        raise DocumentError(str(err)) from None
+    return annotations, apices
 
 
-def _certificate(spg: Spg, images: tuple[int, ...],
-                 edge_paths: tuple[tuple[int, ...], ...], rounds_used: int,
+def _certificate(spg: Spg, annotations: dict,
                  apices: tuple[FacetSet, FacetSet] | None) -> TransformResult:
-    """The transform result that a document's valid graph ``spg`` and its
-    annotations describe, read as its certificate: the template, row
-    multiplier r and row permutations (one per edge) from which the
-    result is rebuilt, and must give the document back exactly.
+    """The transform result that a transform-result document describes,
+    given its graph ``spg``, not yet validated, its annotations and its
+    apices: read as its certificate, the template, row multiplier r and
+    row permutations (one per edge) from which the result is rebuilt,
+    and must give the document back exactly.
 
     The template's sets are the vertex map's images, its edges join each
     path's ends, in the paths' order and direction (as the template gave
@@ -373,9 +374,27 @@ def _certificate(spg: Spg, images: tuple[int, ...],
     singleton and not flagged a restriction; ``rounds_used`` and the
     apices are checked by the result's constructor.  Anything else
     raises ValueError naming the document field at fault, and an invalid
-    template by up to three of its witnesses.  At r >= 4
-    the result is scanned for bad events, and with none the graph it
-    keeps is certified (:func:`~spgraphs.core._certify`)."""
+    template by up to three of its witnesses.  The rebuilt graph, equal
+    to ``spg`` in every field, is the one the result keeps, and the
+    only one whose validity is decided: at r >= 4 the result is scanned
+    for bad events, and with none that graph is certified
+    (:func:`~spgraphs.core._certify`)."""
+    nv = len(spg.vertices)
+    images = annotations.get("vertex_map")
+    edge_paths = annotations.get("edge_paths")
+    if not isinstance(images, list) or not all(
+            type(v) is int and 0 <= v < nv for v in images):
+        raise ValueError(
+            "annotations.vertex_map: expected a list of vertex indices")
+    if not isinstance(edge_paths, list):
+        raise ValueError("annotations.edge_paths: expected a list of paths")
+    for pi, path in enumerate(edge_paths):
+        if (not isinstance(path, list) or len(path) < 2 or not all(
+                type(v) is int and 0 <= v < nv for v in path)):
+            raise ValueError(
+                f"annotations.edge_paths[{pi}]: expected a list of at least "
+                f"two vertex indices")
+    images, edge_paths = tuple(images), tuple(map(tuple, edge_paths))
     if any(len(vertex) != 1 for vertex in spg.vertices):
         raise ValueError("vertices: a transform result is a singleton graph")
     if spg.is_restriction:
@@ -419,7 +438,8 @@ def _certificate(spg: Spg, images: tuple[int, ...],
         _require_permutation(perms[-1], r, f"annotations.edge_paths[{pi}]: ")
 
     try:  # after the checks above, only rounds_used and apices can fail
-        result = TransformResult(template, r, tuple(perms), rounds_used,
+        result = TransformResult(template, r, tuple(perms),
+                                 annotations.get("rounds_used", 0),
                                  apices=apices)
     except ValueError as err:
         raise ValueError(f"annotations.{err}") from None
@@ -433,7 +453,5 @@ def _certificate(spg: Spg, images: tuple[int, ...],
                        if pair[0] != pair[1]), min(len(given), len(again)))
             raise ValueError(f"{name}[{at}]: not as rebuilt from the "
                              f"template, r = {r} and the permutations")
-    # spg, equal to the rebuilt graph, is validated: checks read its report
-    object.__setattr__(result, "spg", spg)
     _certify(result)
     return result

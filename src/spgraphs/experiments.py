@@ -19,7 +19,6 @@ from .core import (
     check_dimension_reduction,
     max_degree,
     require_singleton,
-    require_valid,
 )
 from .spindle import sliding_window_path
 from .transform import (
@@ -100,7 +99,7 @@ def sweep_r(
     below r = 4, when a bad-event-free draw still fails verification);
     failures are counted, never raised.
     """
-    require_valid(template)
+    require_singleton(template)
     if not r_values:
         raise ValueError("r_values must not be empty")
     for r in r_values:
@@ -108,7 +107,6 @@ def sweep_r(
     if trials < 1:
         raise ValueError("trials must be positive")
     _require_seed(seed)
-    require_singleton(template)
 
     rows = []
     for r in r_values:

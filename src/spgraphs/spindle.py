@@ -55,22 +55,24 @@ class SpindleTemplate:
         return len(self.order) - 1
 
 
-def build_spindle_template(d: int, max_dimension: int = 8) -> SpindleTemplate:
+# The enumeration cap: C(16, 8) = 12870 vertices at d = 8.
+MAX_DIMENSION = 8
+
+
+def build_spindle_template(d: int) -> SpindleTemplate:
     """Path over all C(2d, d) d-subsets of 2d symbols, as singletons.
 
     Symbols are the pairs (i, side) for i in 1..d and side in {1, 2},
     labelled "i.side"; apex 1 is side 1, apex 2 is side 2.  Interior
     subsets follow colexicographic order, a fixed choice among the many
-    that work.  Enumeration is desk-capped at ``max_dimension`` (C(16, 8)
-    = 12870 vertices) unless overridden.
+    that work.  A d above :data:`MAX_DIMENSION` raises ValueError.
     """
     if d < 1:
         raise ValueError("dimension must be at least 1")
-    if d > max_dimension:
+    if d > MAX_DIMENSION:
         raise ValueError(
-            f"d={d} exceeds the enumeration cap {max_dimension} "
-            f"(C({2 * d},{d}) = {comb(2 * d, d)} vertices); raise max_dimension "
-            f"to override")
+            f"d={d} exceeds the enumeration cap {MAX_DIMENSION} "
+            f"(C({2 * d},{d}) = {comb(2 * d, d)} vertices)")
 
     labels = tuple(f"{i}.1" for i in range(1, d + 1)) + tuple(
         f"{i}.2" for i in range(1, d + 1))

@@ -192,11 +192,16 @@ def test_set_of_the_wrong_size_raises():
     result, doc = _shared_star_doc()
     elements = doc["vertices"][result.edge_paths[1][2]][0]
     assert elements[0] == 0  # a@1
-    # without a@1 the set is the wrong size, and the graph invalid
+    # without a@1 the set is the wrong size, and the graph invalid; as a
+    # transform result the rebuild check refuses it first: the segment
+    # that lost a@1 reads as row 2 again
     shrunk = json.loads(json.dumps(doc))
     del shrunk["vertices"][result.edge_paths[1][2]][0][0]
     with pytest.raises(DocumentError, match="^document violates graph "
                                             "invariants.*wrong-size-set"):
+        parse(json.dumps({**shrunk, "kind": "spg", "annotations": {}}))
+    with pytest.raises(DocumentError, match=r"^annotations\.edge_paths\[1\]: "
+                                            r"not a subdivision path: \(2, 2\)"):
         parse(json.dumps(shrunk))
     # with a@2 in its place, path 1's second segment reads as row 2 again
     elements[0] = 1
@@ -482,6 +487,22 @@ _ROWS = "row multiplier must be positive"
 def test_each_precondition_has_one_message(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()
+
+
+# A row multiplier that is not an int is refused by both checks, before
+# a numpy int reaches a document as r * d or a float reaches range().
+@pytest.mark.parametrize("r", [np.int64(4), 4.0, True],
+                         ids=["numpy-int", "float", "bool"])
+@pytest.mark.parametrize("call", [
+    lambda r: TransformConfig(r=r, seed=1),
+    lambda r: TransformResult(SHARED_STAR, r, ((1, 2, 3, 4),) * 2),
+    lambda r: sweep_r(SHARED_STAR, [r], 1, 0),
+    lambda r: SymbolTable.alphabetic(2).lifted(r),
+    lambda r: lll_sufficient(3, r),
+], ids=["config", "result", "sweep", "table", "lll"])
+def test_a_row_multiplier_must_be_an_int(call, r):
+    with pytest.raises(ValueError, match="^row multiplier must be an int$"):
+        call(r)
 
 
 # Rounds after the first rescan only the pairs holding a redrawn edge,

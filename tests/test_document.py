@@ -34,6 +34,7 @@ from spgraphs import (
     TransformResult,
     build_exponential_spindle,
     build_spindle_template,
+    build_star_template,
     build_subdivision,
     check_localization,
     construct_with_resampling,
@@ -717,27 +718,77 @@ def test_results_of_templates_with_unsorted_edges_read_back(template, r, seed):
 @st.composite
 def _mutated_documents(draw):
     """The document of a valid construction with one element of one
-    set, one path entry or one vertex_map entry changed."""
+    set, one path entry or one vertex_map entry changed, or its graph
+    tampered with: one element of a set dropped or added, one set copied
+    onto another vertex, a vertex emptied or given a second set, or an
+    edge added, removed or redirected."""
     _, _, _, result = draw(subdivision_cases())
     assume(validate(result.spg).holds)
     doc = json.loads(serialize(result))
-    where = draw(st.sampled_from(["set", "path", "vertex_map"]))
-    if where == "set":
-        elements = draw(st.sampled_from(doc["vertices"]))[0]
-        outside = sorted(set(range(len(doc["symbols"]))) - set(elements))
-        elements[draw(st.integers(0, len(elements) - 1))] = draw(
-            st.sampled_from(outside))
+    vertices, edges = doc["vertices"], doc["edges"]
+    symbols = range(len(doc["symbols"]))
+    vertex = st.integers(0, len(vertices) - 1)
+    where = draw(st.sampled_from([
+        "set", "path", "vertex_map", "drop-element", "add-element",
+        "copy-set", "empty-vertex", "second-set", "add-edge", "remove-edge",
+        "redirect-edge"]))
+    if where in ("set", "drop-element", "add-element"):
+        elements = draw(st.sampled_from(vertices))[0]
+        outside = sorted(set(symbols) - set(elements))
+        assume(outside or where == "drop-element")
+        k = draw(st.integers(0, len(elements) - 1))
+        if where == "drop-element":
+            del elements[k]
+        elif where == "add-element":
+            elements.insert(k, draw(st.sampled_from(outside)))
+        else:
+            elements[k] = draw(st.sampled_from(outside))
+    elif where in ("copy-set", "empty-vertex", "second-set"):
+        v = draw(vertex)
+        if where == "empty-vertex":
+            vertices[v] = []
+        elif where == "second-set":
+            vertices[v].append(sorted(draw(st.sets(
+                st.sampled_from(symbols), min_size=doc["dimension"],
+                max_size=doc["dimension"]))))
+        else:
+            source = draw(vertex.filter(lambda u: u != v))
+            vertices[v] = [list(vertices[source][0])]
+    elif where == "add-edge":
+        edges.append([draw(vertex), draw(vertex)])
+    elif where in ("remove-edge", "redirect-edge"):
+        assume(edges)
+        e = draw(st.integers(0, len(edges) - 1))
+        if where == "remove-edge":
+            del edges[e]
+        else:
+            end = draw(st.integers(0, 1))
+            edges[e][end] = draw(vertex.filter(lambda v: v != edges[e][end]))
     else:
         target = (draw(st.sampled_from(doc["annotations"]["edge_paths"]))
                   if where == "path" else doc["annotations"]["vertex_map"])
         k = draw(st.integers(0, len(target) - 1))
-        target[k] = draw(st.integers(0, len(doc["vertices"]) - 1).filter(
-            lambda v: v != target[k]))
+        target[k] = draw(vertex.filter(lambda v: v != target[k]))
     return json.dumps(doc)
 
 
 @given(_mutated_documents())
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=400, deadline=None)
 def test_one_changed_element_is_refused(text):
+    # DocumentError and nothing else: any other exception fails the test
     with pytest.raises(DocumentError):
         parse(text)
+
+
+def test_an_honest_result_with_a_repeated_set_is_refused():
+    # A valid star template at r = 2 whose rebuilt graph repeats a set:
+    # the document gives its certificate back exactly, and the rebuilt
+    # graph fails validity, with its one witness named.
+    star = build_star_template(SymbolTable.alphabetic(4), fs(0, 1),
+                               [fs(0, 2), fs(1, 2), fs(2, 3)])
+    result = TransformResult(star, 2, ((1, 2), (1, 2), (1, 2)))
+    with pytest.raises(DocumentError) as err:
+        parse(serialize(result))
+    assert str(err.value) == (
+        "document violates graph invariants (1 violations): "
+        "duplicate-set: {a@2,b@1,b@2,c@1} 5 6")

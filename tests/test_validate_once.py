@@ -173,10 +173,20 @@ def test_a_parsed_result_keeps_the_validated_graph(monkeypatch):
     calls = count_validations(monkeypatch)
     result = parse(text)
     assert all(report.holds for report in verify_all(result.spg))
-    # the document's graph, then the template read off it: the graph
-    # rebuilt from the template is not kept, so it is never validated
+    # only the template read off the document: the document's graph is
+    # checked field for field against the one rebuilt from the template,
+    # which the result keeps, certified at r = 5
+    assert len(calls) == 1 and calls[0] is result.template
+
+
+def test_a_parsed_result_below_r_4_validates_the_rebuilt_graph(monkeypatch):
+    text = serialize(construct_with_resampling(sliding_window_path(2),
+                                               TransformConfig(r=3, seed=1)))
+    calls = count_validations(monkeypatch)
+    result = parse(text)
+    assert all(report.holds for report in verify_all(result.spg))
     assert len(calls) == 2
-    assert calls[0] is result.spg and calls[1] is result.template
+    assert calls[0] is result.template and calls[1] is result.spg
 
 
 def test_every_public_check_shares_one_validation(monkeypatch):
