@@ -14,30 +14,33 @@ from spgraphs import (
     PermutationAssignment,
     SymbolTable,
     TransformConfig,
+    TransformResult,
+    build_path_template,
     build_star_template,
     build_subdivision,
     construct_with_resampling,
     find_bad_events,
-    lift_product,
     sliding_window_path,
-    subdivision_path,
 )
 
 # --- the lift ---------------------------------------------------------------
 
+# A result keeps its template, r and one row order per edge; the images
+# of the template's vertices are their lifts.
 edge = sliding_window_path(1)  # single edge {a} - {b}
-lifted = lift_product(edge, 3)
+result = TransformResult(edge, 3, ((1, 2, 3),))
 print("lift of {a} - {b} at r=3:")
-for vertex in lifted.vertices:
-    print("  ", vertex[0].render(lifted.symbols))
+for v in result.vertex_map:
+    print("  ", result.spg.vertices[v][0].render(result.spg.symbols))
 
 # --- one subdivided edge ----------------------------------------------------
 
-table = SymbolTable.alphabetic(4)
-lifted_table = table.lifted(2)
+edge = build_path_template(SymbolTable.alphabetic(4),
+                           [FacetSet([0, 1]), FacetSet([2, 3])])
+result = TransformResult(edge, 2, ((1, 2),))
 print("\nsubdivision of {a,b} - {c,d} at r=2, rows in order (1, 2):")
-for entry in subdivision_path(FacetSet([0, 1]), FacetSet([2, 3]), 2, (1, 2)):
-    print("  ", entry.render(lifted_table))
+for v in result.edge_paths[0]:
+    print("  ", result.spg.vertices[v][0].render(result.spg.symbols))
 print("each consecutive pair differs in exactly one lifted symbol,")
 print("and the k-th set meets the start in exactly rd - k symbols.")
 

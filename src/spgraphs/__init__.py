@@ -42,8 +42,8 @@ _MODULE_OF = {
             "TransformConfig",
             "bad_event_occurs", "build_subdivision", "check_localization",
             "construct_with_resampling", "estimate_bad_event_probability",
-            "find_bad_events", "lift_facet", "lift_product",
-            "lll_sufficient", "min_multiplier", "subdivision_path",
+            "find_bad_events", "lift_facet", "lll_sufficient",
+            "min_multiplier",
         ),
     }.items()
     for name in names

@@ -26,7 +26,7 @@ from .transform import (
     ResamplingExhaustedError,
     Strategy,
     TransformConfig,
-    _require_seed,
+    _require_count,
     construct_with_resampling,
 )
 
@@ -104,9 +104,8 @@ def sweep_r(
         raise ValueError("r_values must not be empty")
     for r in r_values:
         _require_multiplier(r)
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    _require_seed(seed)
+    _require_count("trials", trials)
+    _require_count("seed", seed)
 
     rows = []
     for r in r_values:
@@ -160,8 +159,8 @@ def verify_dimension_reduction_on_paths(
     disconnecting faces, not asserted away: path templates are expected
     to preserve dimension reduction, and this measures exactly that.
     """
-    if trials < 1:
-        raise ValueError("trials must be positive")
+    _require_count("trials", trials)
+    _require_count("seed", seed)
     template = sliding_window_path(d)
 
     constructions = 0

@@ -34,25 +34,18 @@ from .transform import (
 @dataclass(frozen=True)
 class SpindleTemplate:
     """A spindle whose path enumerates every d-subset exactly once,
-    apices first and last."""
+    apices first and last, as :func:`build_spindle_template` makes it.
+    The order of the subsets and the length are read off the path."""
 
     spindle: Spindle
-    order: tuple[FacetSet, ...]
 
-    def __post_init__(self):
-        d = self.spindle.spg.dimension
-        n = self.spindle.spg.symbols.n
-        if len(set(self.order)) != len(self.order):
-            raise ValueError("subset order contains duplicates")
-        if len(self.order) != comb(n, d):
-            raise ValueError(
-                f"order has {len(self.order)} subsets, expected {comb(n, d)}")
-        if self.order[0] != self.spindle.apex1 or self.order[-1] != self.spindle.apex2:
-            raise ValueError("apices must come first and last in the order")
+    @property
+    def order(self) -> tuple[FacetSet, ...]:
+        return tuple(vertex[0] for vertex in self.spindle.spg.vertices)
 
     @property
     def length(self) -> int:
-        return len(self.order) - 1
+        return len(self.spindle.spg.vertices) - 1
 
 
 # The enumeration cap: C(16, 8) = 12870 vertices at d = 8.
@@ -86,7 +79,7 @@ def build_spindle_template(d: int) -> SpindleTemplate:
     ]
 
     spg = build_path_template(table, order)
-    return SpindleTemplate(Spindle(spg, apex1, apex2), tuple(order))
+    return SpindleTemplate(Spindle(spg, apex1, apex2))
 
 
 def build_exponential_spindle(d: int, config: TransformConfig) -> TransformResult:

@@ -64,7 +64,6 @@ from .core import (
     _scan_bad_events,
     _swaps,
     _walk,
-    require_singleton,
     validate,
     verify_all,
 )
@@ -87,9 +86,8 @@ class TransformConfig:
 
     def __post_init__(self):
         _require_multiplier(self.r)
-        if self.max_rounds < 0:
-            raise ValueError("max_rounds must be non-negative")
-        _require_seed(self.seed)
+        _require_count("max_rounds", self.max_rounds)
+        _require_count("seed", self.seed)
 
 
 @dataclass(frozen=True)
@@ -143,11 +141,25 @@ def _require_star(center: FacetSet, leaf1: FacetSet, leaf2: FacetSet) -> None:
         raise ValueError("leaves must differ from the center")
 
 
-def _require_seed(seed: int) -> None:
-    # numpy refuses a negative seed too, but without naming it, and only
-    # once a generator is made from it
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
+# The least value of each count argument, and the refusal of a value
+# below it.  numpy refuses a negative seed too, but without naming it,
+# and only once a generator is made from it.
+_COUNT_FLOORS = {
+    "seed": (0, "seed must be non-negative, got {}"),
+    "trials": (1, "trials must be positive"),
+    "max_rounds": (0, "max_rounds must be non-negative"),
+}
+
+
+def _require_count(name: str, value: int) -> None:
+    """Refuse the count argument ``name`` unless it is an int at or above
+    its floor.  bool is a subclass of int, but no count, and a float or
+    a numpy int would fail later, in numpy or in range()."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int")
+    floor, refusal = _COUNT_FLOORS[name]
+    if value < floor:
+        raise ValueError(refusal.format(value))
 
 
 def _fisher_yates(rng: np.random.Generator, r: int, count: int
@@ -174,43 +186,6 @@ def _fisher_yates(rng: np.random.Generator, r: int, count: int
 def lift_facet(fs: FacetSet, r: int) -> FacetSet:
     """A x [r]: the copy of base symbol x in row j sits at index x*r + (j-1)."""
     return FacetSet.from_mask(_lift_mask(fs, r))
-
-
-def lift_product(spg: Spg, r: int) -> Spg:
-    """First construction step: replicate every facet set r times.
-
-    Graph structure is unchanged; dimension becomes r*d over the
-    replicated symbol set.  Requires a singleton input and r >= 2.
-    """
-    _require_multiplier(r)
-    require_singleton(spg)
-    return Spg.build(
-        spg.symbols.lifted(r),
-        r * spg.dimension,
-        [[lift_facet(fs, r) for fs in vertex] for vertex in spg.vertices],
-        spg.edges,
-    )
-
-
-def subdivision_path(
-    a: FacetSet, a2: FacetSet, r: int, perm: Sequence[int]
-) -> list[FacetSet]:
-    """The sequence of r*d-sized sets interpolating between two lifted
-    endpoints, 1 + r * (d - |A intersect A2|) entries, one symbol swapped
-    per consecutive pair.
-
-    Segment j adjusts row perm[j-1]: each step retires one lifted copy of
-    A minus A2 and introduces the rank-paired copy of A2 minus A, both in
-    ascending base-symbol order.
-    """
-    if len(a) != len(a2):
-        raise ValueError("endpoint sets must have equal size")
-    if a == a2:
-        raise ValueError("endpoint sets must differ")
-    _require_rows(r)
-    _require_permutation(perm, r)
-    return [FacetSet.from_mask(m)
-            for m in _walk(_lift_mask(a, r), _swaps(a, a2, r), perm)]
 
 
 def build_subdivision(
@@ -416,10 +391,9 @@ def estimate_bad_event_probability(
     The draws are those of the per-trial loop, made a block of trials at
     a time.
     """
-    if trials < 1:
-        raise ValueError("trials must be positive")
+    _require_count("trials", trials)
     _require_multiplier(r)
-    _require_seed(seed)
+    _require_count("seed", seed)
     _require_star(center, leaf1, leaf2)
 
     import numpy as np

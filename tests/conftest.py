@@ -33,7 +33,6 @@ from spgraphs import (
     check_dimension_reduction,
     construct_with_resampling,
     sliding_window_path,
-    subdivision_path,
     validate,
     verify_all,
 )
@@ -115,6 +114,33 @@ def subdivision_cases(draw, min_r=2, max_r=5):
     perms = PermutationAssignment.draw(
         np.random.default_rng(seed), len(template.edges), r)
     return template, r, perms, build_subdivision(template, r, perms)
+
+
+@st.composite
+def wide_swap_cases(draw):
+    """Random singleton trees, some with an extra edge or two, of d = 1..5
+    on 2d or 2d + 1 symbols, so that the sets of an edge often differ in
+    three symbols or more; with r = 2..5 and one random row permutation
+    per edge, as (template, r, perms)."""
+    d = draw(st.integers(1, 5))
+    n = draw(st.integers(2 * d, 2 * d + 1))
+    pool = [FacetSet(c) for c in combinations(range(n), d)]
+    k = draw(st.integers(1, min(len(pool), 8)))
+    sets = draw(st.lists(st.sampled_from(pool), min_size=k, max_size=k,
+                         unique=True))
+    at = draw(st.permutations(range(k)))
+    edges = {(at[draw(st.integers(0, i - 1))], at[i]) for i in range(1, k)}
+    for _ in range(draw(st.integers(0, 2)) if k > 2 else 0):
+        u, w = draw(st.lists(st.integers(0, k - 1), min_size=2, max_size=2,
+                             unique=True))
+        if (w, u) not in edges:
+            edges.add((u, w))
+    template = Spg.build(SymbolTable.alphabetic(n), d, [[s] for s in sets],
+                         sorted(edges))
+    r = draw(st.integers(2, 5))
+    perms = tuple(tuple(draw(st.permutations(range(1, r + 1))))
+                  for _ in template.edges)
+    return template, r, perms
 
 
 def subdivisions(min_r=2, max_r=5):
@@ -281,6 +307,61 @@ def row_structure_violations(
     return tuple(sorted(violations, key=str))
 
 
+# The oracle of the construction's build: the lift and each subdivision
+# path made from the construction's description alone, as sets of labels
+# "x@j" (base symbol x, row j).  It shares only SymbolTable's labels with
+# the builder in core, not its masks, swap lists or walk.
+
+def _labels_of_rows(labels, rows: dict[int, list[int]]) -> frozenset[str]:
+    return frozenset(f"{labels[x]}@{j}" for j, ranks in rows.items()
+                     for x in ranks)
+
+
+def oracle_lift(labels, fs: FacetSet, r: int) -> frozenset[str]:
+    """A x [r]: every base symbol of A in each of the rows 1..r, labelled
+    from the base symbol labels ``labels``."""
+    return _labels_of_rows(labels, {j: list(fs) for j in range(1, r + 1)})
+
+
+def oracle_path(labels, a: FacetSet, a2: FacetSet, r: int, perm
+                ) -> list[frozenset[str]]:
+    """The subdivision path from A x [r] to A2 x [r], each set as its
+    labels.  Each row holds a list of base-symbol ranks, A's at the
+    start.  The rows are adjusted in the order of ``perm``, one row
+    finished before the next; each step retires one symbol of A - A2
+    from the row and introduces one of A2 - A, paired by ascending
+    rank."""
+    rows = {j: list(a) for j in range(1, r + 1)}
+    retired = sorted(set(a) - set(a2))
+    introduced = sorted(set(a2) - set(a))
+    path = [_labels_of_rows(labels, rows)]
+    for j in perm:
+        for gone, came in zip(retired, introduced):
+            rows[j].remove(gone)
+            rows[j].append(came)
+            path.append(_labels_of_rows(labels, rows))
+    return path
+
+
+def alphabet(*sets: FacetSet) -> SymbolTable:
+    """Alphabetic labels for every base symbol the sets hold."""
+    return SymbolTable.alphabetic(1 + max(x for fs in sets for x in fs))
+
+
+def oracle_path_masks(a: FacetSet, a2: FacetSet, r: int, perm) -> list[int]:
+    """:func:`oracle_path`'s sets as masks, each label at its index in the
+    lifted symbol table."""
+    symbols = alphabet(a, a2)
+    lifted = symbols.lifted(r)
+    return [FacetSet.from_labels(lifted, labels).mask
+            for labels in oracle_path(symbols.labels, a, a2, r, perm)]
+
+
+def label_set(fs: FacetSet, symbols: SymbolTable) -> frozenset[str]:
+    """The labels of ``fs`` in ``symbols``."""
+    return frozenset(symbols.labels[x] for x in fs)
+
+
 # Brute-force oracles for the bad-event scan: every pair of sets on two
 # subdivision paths out of a common vertex, with no band.
 
@@ -311,10 +392,11 @@ def brute_force_bad_events(result: TransformResult, original: Spg
 
 
 def brute_force_bad_event_occurs(center, leaf1, leaf2, r, perm1, perm2) -> bool:
+    labels = alphabet(center, leaf1, leaf2).labels
     rd = r * len(center)
-    path1 = subdivision_path(center, leaf1, r, perm1)[1:]
-    path2 = subdivision_path(center, leaf2, r, perm2)[1:]
-    return any(a.intersection_size(b) >= rd - 1 for a in path1 for b in path2)
+    path1 = oracle_path(labels, center, leaf1, r, perm1)[1:]
+    path2 = oracle_path(labels, center, leaf2, r, perm2)[1:]
+    return any(len(a & b) >= rd - 1 for a in path1 for b in path2)
 
 
 def failed_reports(spg: Spg) -> list[PropertyReport]:
@@ -372,7 +454,7 @@ def path_ends(a: FacetSet, a2: FacetSet, r: int, perm) -> tuple[list[int], list[
     """The masks of the first min(2, r) rows of the subdivision path from
     A x [r] to A2 x [r], walked out of each end, cut from the whole
     path."""
-    path = [fs.mask for fs in subdivision_path(a, a2, r, perm)]
+    path = oracle_path_masks(a, a2, r, perm)
     steps = min(2, r) * (len(path) - 1) // r
     return path[:steps + 1], path[::-1][:steps + 1]
 

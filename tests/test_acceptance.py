@@ -18,6 +18,8 @@ import pytest
 
 from conftest import (
     brute_force_endpoint_violations,
+    label_set,
+    oracle_path,
     random_general_spg,
     random_singleton_spg,
     row_structure_violations,
@@ -27,6 +29,7 @@ from spgraphs import (
     PermutationAssignment,
     SymbolTable,
     TransformConfig,
+    TransformResult,
     build_exponential_spindle,
     build_path_template,
     build_spindle_template,
@@ -45,7 +48,6 @@ from spgraphs import (
     restrict,
     serialize,
     sliding_window_path,
-    subdivision_path,
     validate,
 )
 
@@ -100,10 +102,17 @@ def spindle87():
 
 # ---------------------------------------------------------------------------
 
+def built_path(symbols, a, a2, r, perm):
+    """The label sets along the subdivided edge of the two-set path
+    A - A2, as the construction builds it."""
+    result = TransformResult(build_path_template(symbols, [a, a2]), r, (perm,))
+    return [label_set(result.spg.vertices[v][0], result.spg.symbols)
+            for v in result.edge_paths[0]]
+
+
 def test_criterion_01_golden_subdivision_vector():
-    table = SymbolTable.alphabetic(4).lifted(2)
-    path = subdivision_path(fs(0, 1), fs(2, 3), 2, (1, 2))
-    got = [set(entry.render(table)[1:-1].split(",")) for entry in path]
+    symbols = SymbolTable.alphabetic(4)
+    args = (fs(0, 1), fs(2, 3), 2, (1, 2))
     expected = [
         {"a@1", "b@1", "a@2", "b@2"},
         {"c@1", "b@1", "a@2", "b@2"},
@@ -111,8 +120,11 @@ def test_criterion_01_golden_subdivision_vector():
         {"c@1", "d@1", "c@2", "b@2"},
         {"c@1", "d@1", "c@2", "d@2"},
     ]
+    ok = (built_path(symbols, *args) == expected
+          and oracle_path(symbols.labels, *args) == expected)
     _criterion(1, "subdivision of {a,b}-{c,d} at r=2 reproduces the "
-                  "five golden sets exactly", got == expected)
+                  "five golden sets exactly", ok,
+               detail="the construction and the label oracle")
 
 
 def test_criterion_02_spindle_template_lengths():
@@ -185,22 +197,28 @@ def test_criterion_06_row_structure_replay(certified_path_results, localization_
 def test_criterion_07_interpolation_law():
     violations = 0
     cases = 0
+    mismatches = 0
     for d in (1, 2, 3):
+        symbols = SymbolTable.alphabetic(2 * d)
         for overlap in range(d):
             a = fs(*range(d))
             a2 = fs(*(list(range(overlap)) + list(range(d, 2 * d - overlap))))
             for r in (1, 2, 3, 4):
                 for perm in permutations(range(1, r + 1)):
-                    path = subdivision_path(a, a2, r, perm)
-                    start = set(path[0].elements)
+                    path = oracle_path(symbols.labels, a, a2, r, perm)
+                    # the construction needs r >= 2
+                    if r >= 2 and built_path(symbols, a, a2, r, perm) != path:
+                        mismatches += 1
                     for k, entry in enumerate(path):
                         cases += 1
-                        # oracle: plain python set intersection
-                        if len(start & set(entry.elements)) != r * d - k:
+                        # plain python set intersection
+                        if len(path[0] & entry) != r * d - k:
                             violations += 1
     _criterion(7, "all d<=3, r<=4, all permutations: k-th subdivision set "
                   "meets the start in exactly rd-k symbols",
-               violations == 0, detail=f"{cases} positions checked")
+               violations == 0 and mismatches == 0,
+               detail=f"{cases} positions checked, {mismatches} paths "
+                      f"built otherwise than the label oracle")
 
 
 def test_criterion_08_endpoint_count_oracle_equivalence():

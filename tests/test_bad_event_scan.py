@@ -19,6 +19,7 @@ from conftest import (
     duplicating_tree,
     full_rescan_construction,
     loop_fisher_yates,
+    oracle_path_masks,
     replay_construction,
 )
 from spgraphs import (
@@ -41,13 +42,12 @@ from spgraphs import (
     construct_with_resampling,
     estimate_bad_event_probability,
     find_bad_events,
-    lift_product,
     lll_sufficient,
     parse,
     serialize,
-    subdivision_path,
     sweep_r,
     validate,
+    verify_dimension_reduction_on_paths,
 )
 
 
@@ -297,11 +297,6 @@ def test_public_entry_points_validate_the_template_once(monkeypatch):
 # of the shared vertex, so the round loop and bad_event_occurs scan only
 # those.
 
-def path_masks(a, a2, r, perm):
-    """The masks of ``subdivision_path(a, a2, r, perm)``, in order."""
-    return [fs.mask for fs in transform.subdivision_path(a, a2, r, perm)]
-
-
 def outward_hits(out1, out2):
     """Every (k, l), k and l >= 1, with the sets k and l steps out within
     Hamming distance 2: no band."""
@@ -313,8 +308,8 @@ def outward_hits(out1, out2):
 @settings(max_examples=300, deadline=None)
 def test_every_hit_lies_in_the_first_three_rows(case):
     center, leaf1, leaf2, r, perm1, perm2 = case
-    out1 = path_masks(center, leaf1, r, perm1)
-    out2 = path_masks(center, leaf2, r, perm2)
+    out1 = oracle_path_masks(center, leaf1, r, perm1)
+    out2 = oracle_path_masks(center, leaf2, r, perm2)
     m1, m2 = len(center.without(leaf1)), len(center.without(leaf2))
     for k, l in outward_hits(out1, out2) + core._band_hits(out1, out2):
         assert k <= 2 * m1 and l <= 2 * m2
@@ -339,7 +334,7 @@ def test_oracle_witnesses_lie_in_the_first_three_rows(case):
 @settings(max_examples=300, deadline=None)
 def test_end_masks_are_the_first_and_last_rows(case):
     a, a2, _, r, perm, _ = case
-    full = path_masks(a, a2, r, perm)
+    full = oracle_path_masks(a, a2, r, perm)
     edge = Spg.build(SymbolTable.alphabetic(len(a) + 3), len(a), [[a], [a2]],
                      [(0, 1)])
     head, tail = core._end_masks(core._lift_table(edge, r), (0, 1), 0, perm)
@@ -434,7 +429,6 @@ def test_bad_event_occurs_refuses_stars_outside_the_lemma(leaf2, message):
 
 
 def test_bad_event_occurs_refuses_the_center_as_first_leaf():
-    # subdivision_path(c, c, ...) raises too: there is no path to walk
     with pytest.raises(ValueError, match="differ from the center"):
         bad_event_occurs(fs(0, 1), fs(0, 1), fs(2, 3), 4, (1, 2, 3, 4), (1, 2, 3, 4))
 
@@ -448,7 +442,6 @@ _ROWS = "row multiplier must be positive"
 
 @pytest.mark.parametrize("call, message", [
     (lambda: TransformConfig(r=1, seed=0), _MULTIPLIER),
-    (lambda: lift_product(SHARED_STAR, 1), _MULTIPLIER),
     (lambda: build_subdivision(
         SHARED_STAR, 1, PermutationAssignment(((1,), (1,)))), _MULTIPLIER),
     (lambda: sweep_r(SHARED_STAR, [4, 1], 1, 0), _MULTIPLIER),
@@ -464,8 +457,6 @@ _ROWS = "row multiplier must be positive"
     (lambda: build_subdivision(
         SHARED_STAR, 2, PermutationAssignment(((1, 2), (1, 1)))),
      _NOT_A_PERMUTATION),
-    (lambda: subdivision_path(fs(0, 1), fs(2, 3), 2, (1, 1)),
-     _NOT_A_PERMUTATION),
     (lambda: bad_event_occurs(fs(0, 1), fs(2, 3), fs(2, 4), 2, (1, 2), (1, 1)),
      _NOT_A_PERMUTATION),
     (lambda: estimate_bad_event_probability(
@@ -476,14 +467,15 @@ _ROWS = "row multiplier must be positive"
     (lambda: estimate_bad_event_probability(
         fs(0, 1), fs(2, 3), fs(2, 3, 4), 4, 10, 0),
      "star sets must have uniform size"),
-    (lambda: subdivision_path(fs(0, 1), fs(2, 3), 0, ()), _ROWS),
+    (lambda: verify_dimension_reduction_on_paths(1, 2, 1, -1),
+     "seed must be non-negative, got -1"),
     (lambda: lll_sufficient(3, 0), _ROWS),
     (lambda: SymbolTable.alphabetic(2).lifted(0), _ROWS),
-], ids=["config", "lift", "subdivision-r", "sweep", "estimator-r",
+], ids=["config", "subdivision-r", "sweep", "estimator-r",
         "assignment", "assignment-count", "result-count", "result-r",
-        "subdivision-perm", "path", "bad-event",
+        "subdivision-perm", "bad-event",
         "estimator-equal-leaves", "estimator-centre-leaf",
-        "estimator-sizes", "path-rows", "lll-rows", "table-rows"])
+        "estimator-sizes", "reduction-seed", "lll-rows", "table-rows"])
 def test_each_precondition_has_one_message(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()
@@ -503,6 +495,33 @@ def test_each_precondition_has_one_message(call, message):
 def test_a_row_multiplier_must_be_an_int(call, r):
     with pytest.raises(ValueError, match="^row multiplier must be an int$"):
         call(r)
+
+
+# A count argument that is not an int is refused by one check, which
+# names it, before numpy or range() meets the value.
+_STAR = (fs(0, 1), fs(2, 3), fs(2, 4), 4)
+
+
+@pytest.mark.parametrize("value", [1.5, True, "7", None],
+                         ids=["float", "bool", "str", "none"])
+@pytest.mark.parametrize("name, call", [
+    ("seed", lambda v: TransformConfig(r=4, seed=v)),
+    ("max_rounds", lambda v: TransformConfig(r=4, seed=1, max_rounds=v)),
+    ("trials", lambda v: sweep_r(SHARED_STAR, [4], v, 0)),
+    ("seed", lambda v: sweep_r(SHARED_STAR, [4], 1, v)),
+    ("max_rounds", lambda v: sweep_r(SHARED_STAR, [4], 1, 0, max_rounds=v)),
+    ("trials", lambda v: estimate_bad_event_probability(*_STAR, v, 0)),
+    ("seed", lambda v: estimate_bad_event_probability(*_STAR, 10, v)),
+    ("trials", lambda v: verify_dimension_reduction_on_paths(1, 2, v, 1)),
+    ("seed", lambda v: verify_dimension_reduction_on_paths(1, 2, 1, v)),
+    ("max_rounds", lambda v: verify_dimension_reduction_on_paths(
+        1, 2, 1, 1, max_rounds=v)),
+], ids=["config-seed", "config-max-rounds", "sweep-trials", "sweep-seed",
+        "sweep-max-rounds", "estimator-trials", "estimator-seed",
+        "reduction-trials", "reduction-seed", "reduction-max-rounds"])
+def test_a_count_must_be_an_int(name, call, value):
+    with pytest.raises(ValueError, match=f"^{name} must be an int$"):
+        call(value)
 
 
 # Rounds after the first rescan only the pairs holding a redrawn edge,

@@ -1,7 +1,7 @@
-"""Smoke test: the demos run and print exactly what they printed when
-their digests were pinned (with numpy 2.4.6; 04_empirical_probes.py
-prints numbers drawn with numpy's generator), and the README's library
-quickstart runs."""
+"""Smoke test: the demos run, with warnings as errors, and print exactly
+what they printed when their digests were pinned (with numpy 2.4.6;
+04_empirical_probes.py prints numbers drawn with numpy's generator), and
+the README's library quickstart runs."""
 
 import hashlib
 import re
@@ -28,7 +28,9 @@ STDOUT_SHA256 = {
 
 @pytest.mark.parametrize("name", sorted(STDOUT_SHA256))
 def test_demo_stdout(name):
-    done = subprocess.run([sys.executable, str(DEMOS / name)],
+    # pytest's filterwarnings does not reach a subprocess: a warning the
+    # demo raises must fail it here as it would fail a test
+    done = subprocess.run([sys.executable, "-W", "error", str(DEMOS / name)],
                           capture_output=True, timeout=120)
     assert done.returncode == 0, done.stderr.decode()
     assert hashlib.sha256(done.stdout).hexdigest() == STDOUT_SHA256[name]

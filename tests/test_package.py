@@ -10,6 +10,33 @@ import spgraphs
 from spgraphs import core, transform
 
 
+# Every change of the public API is a change of this tuple.
+PUBLIC_NAMES = (
+    "BadEvent", "BadEventEstimate", "BudgetExceededError",
+    "ConstructionVerificationError", "DimensionReductionSummary",
+    "DocumentError", "DocumentVersionError", "FacetSet", "InvalidSpgError",
+    "PermutationAssignment", "PropertyReport", "ResamplingExhaustedError",
+    "Spg", "SpgProperty", "Spindle", "SpindleTemplate", "Strategy",
+    "SweepReport", "SweepRow", "SymbolTable", "TransformConfig",
+    "TransformResult", "bad_event_occurs", "build_exponential_spindle",
+    "build_path_template", "build_spindle_template", "build_star_template",
+    "build_subdivision", "check_adjacency", "check_connectivity",
+    "check_dimension_reduction", "check_endpoint_count",
+    "check_localization", "check_partition", "check_singleton",
+    "check_strong_adjacency", "construct_with_resampling", "diameter",
+    "dump", "estimate_bad_event_probability", "find_bad_events",
+    "graph_distance", "lift_facet", "lll_sufficient", "max_degree",
+    "min_multiplier", "near_pairs", "parse", "restrict", "serialize",
+    "sliding_window_path", "sweep_r", "validate", "verify_all",
+    "verify_dimension_reduction_on_paths", "witness_text",
+)
+
+
+def test_public_names_are_pinned():
+    assert PUBLIC_NAMES == tuple(sorted(PUBLIC_NAMES))
+    assert tuple(spgraphs.__all__) == PUBLIC_NAMES
+
+
 @pytest.mark.parametrize("name", spgraphs.__all__)
 def test_name_is_the_defining_modules_object(name):
     value = getattr(spgraphs, name)

@@ -13,11 +13,15 @@ from hypothesis import strategies as st
 
 import spgraphs.transform as transform
 from conftest import (
+    alphabet,
     brute_force_localization,
+    label_set,
     loop_fisher_yates,
+    oracle_lift,
+    oracle_path,
     row_structure_violations,
     spg_instances,
-    subdivision_cases,
+    wide_swap_cases,
 )
 from spgraphs import (
     ConstructionVerificationError,
@@ -32,6 +36,7 @@ from spgraphs import (
     TransformResult,
     bad_event_occurs,
     build_spindle_template,
+    build_path_template,
     build_star_template,
     build_subdivision,
     check_adjacency,
@@ -43,12 +48,10 @@ from spgraphs import (
     estimate_bad_event_probability,
     find_bad_events,
     lift_facet,
-    lift_product,
     lll_sufficient,
     min_multiplier,
     restrict,
     sliding_window_path,
-    subdivision_path,
     validate,
 )
 from spgraphs import document
@@ -113,44 +116,62 @@ class TestMinMultiplier:
         assert (4 * 2 - 5) * (4 / 87) * math.e < 1.0
 
 
+def lifts(result):
+    """The images of the template's vertices: their lifts."""
+    return [result.spg.vertices[v][0] for v in result.vertex_map]
+
+
+def edge_path(a, a2, r, perm):
+    """The sets along the subdivided edge of the two-set path A - A2."""
+    result = TransformResult(
+        build_path_template(alphabet(a, a2), [a, a2]), r, (perm,))
+    return [result.spg.vertices[v][0] for v in result.edge_paths[0]]
+
+
 class TestLiftProduct:
     def test_figure_example(self):
-        lifted = lift_product(SINGLE_EDGE, 2)
-        assert lifted.dimension == 4
-        assert lifted.symbols.n == 8
-        got = labels_of([v[0] for v in lifted.vertices], lifted.symbols)
+        result = TransformResult(SINGLE_EDGE, 2, ((1, 2),))
+        assert result.spg.dimension == 4
+        assert result.spg.symbols.n == 8
+        got = labels_of(lifts(result), result.spg.symbols)
         assert got == [{"a@1", "b@1", "a@2", "b@2"}, {"c@1", "d@1", "c@2", "d@2"}]
-        assert lifted.edges == SINGLE_EDGE.edges
-        assert validate(lifted).holds
+        # each template edge joins the lifts of its ends
+        assert [(path[0], path[-1]) for path in result.edge_paths] == list(
+            SINGLE_EDGE.edges)
+        assert validate(result.spg).holds
 
     def test_single_vertex(self):
         spg = Spg.build(SymbolTable.alphabetic(2), 2, [[fs(0, 1)]])
-        lifted = lift_product(spg, 3)
-        assert len(lifted.vertices) == 1
-        assert len(lifted.vertices[0][0]) == 6
-        assert lifted.edges == ()
+        result = TransformResult(spg, 3, ())
+        assert len(result.spg.vertices) == 1
+        assert len(result.spg.vertices[0][0]) == 6
+        assert result.spg.edges == ()
 
     @given(spg_instances(singleton=True), st.integers(2, 4))
     @settings(max_examples=30)
     def test_dimension_scales(self, spg, r):
-        lifted = lift_product(spg, r)
-        assert lifted.dimension == r * spg.dimension
-        assert lifted.symbols.n == r * spg.symbols.n
+        result = TransformResult(
+            spg, r, (tuple(range(1, r + 1)),) * len(spg.edges))
+        assert result.spg.dimension == r * spg.dimension
+        assert result.spg.symbols.n == r * spg.symbols.n
+        assert [label_set(lift, result.spg.symbols) for lift in lifts(result)
+                ] == [oracle_lift(spg.symbols.labels, vertex[0], r)
+                      for vertex in spg.vertices]
 
     def test_rejects_non_singleton(self):
         spg = Spg.build(SymbolTable.alphabetic(3), 2, [[fs(0, 1), fs(1, 2)]])
         with pytest.raises(InvalidSpgError):
-            lift_product(spg, 2)
+            TransformResult(spg, 2, ())
 
     def test_rejects_r_below_two(self):
         with pytest.raises(ValueError):
-            lift_product(SINGLE_EDGE, 1)
+            TransformResult(SINGLE_EDGE, 1, ((1,),))
 
 
 class TestSubdivisionPath:
     def test_golden_vector(self):
         table = SymbolTable.alphabetic(4).lifted(2)
-        path = subdivision_path(fs(0, 1), fs(2, 3), 2, (1, 2))
+        path = edge_path(fs(0, 1), fs(2, 3), 2, (1, 2))
         assert labels_of(path, table) == [
             {"a@1", "b@1", "a@2", "b@2"},
             {"c@1", "b@1", "a@2", "b@2"},
@@ -161,13 +182,13 @@ class TestSubdivisionPath:
 
     def test_length_formula(self):
         # 1 + r * (d - |A intersect A2|) entries
-        path = subdivision_path(fs(0, 1), fs(1, 2), 3, (2, 1, 3))
+        path = edge_path(fs(0, 1), fs(1, 2), 3, (2, 1, 3))
         assert len(path) == 1 + 3 * 1
-        path = subdivision_path(fs(0, 1, 2), fs(3, 4, 5), 2, (1, 2))
+        path = edge_path(fs(0, 1, 2), fs(3, 4, 5), 2, (1, 2))
         assert len(path) == 1 + 2 * 3
 
     def test_consecutive_sets_swap_one_symbol(self):
-        path = subdivision_path(fs(0, 1, 2), fs(2, 3, 4), 3, (3, 1, 2))
+        path = edge_path(fs(0, 1, 2), fs(2, 3, 4), 3, (3, 1, 2))
         rd = 3 * 3
         for left, right in zip(path, path[1:]):
             assert left.intersection_size(right) == rd - 1
@@ -175,22 +196,27 @@ class TestSubdivisionPath:
     def test_interpolation_all_permutations_small(self):
         for r in (2, 3):
             for perm in permutations(range(1, r + 1)):
-                path = subdivision_path(fs(0, 1), fs(1, 2), r, perm)
+                path = edge_path(fs(0, 1), fs(1, 2), r, perm)
                 start = set(path[0].elements)
                 for k, entry in enumerate(path):
                     assert len(start & set(entry.elements)) == 2 * r - k
 
     def test_equal_endpoints_rejected(self):
-        with pytest.raises(ValueError):
-            subdivision_path(fs(0, 1), fs(0, 1), 2, (1, 2))
+        # an edge between equal sets: the template repeats a set
+        spg = Spg.build(SymbolTable.alphabetic(2), 2,
+                        [[fs(0, 1)], [fs(0, 1)]], [(0, 1)])
+        with pytest.raises(InvalidSpgError):
+            TransformResult(spg, 2, ((1, 2),))
 
     def test_size_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            subdivision_path(fs(0, 1), fs(2, 3, 4), 2, (1, 2))
+        spg = Spg.build(SymbolTable.alphabetic(5), 2,
+                        [[fs(0, 1)], [fs(2, 3, 4)]], [(0, 1)])
+        with pytest.raises(InvalidSpgError):
+            TransformResult(spg, 2, ((1, 2),))
 
     def test_bad_permutation_rejected(self):
-        with pytest.raises(ValueError):
-            subdivision_path(fs(0, 1), fs(2, 3), 2, (1, 1))
+        with pytest.raises(ValueError, match="not a subdivision path"):
+            TransformResult(SINGLE_EDGE, 2, ((1, 1),))
 
 
 class TestBuildSubdivision:
@@ -209,8 +235,9 @@ class TestBuildSubdivision:
     def test_no_edges_equals_lift(self):
         spg = Spg.build(SymbolTable.alphabetic(2), 2, [[fs(0, 1)]])
         result = build_subdivision(spg, 2, PermutationAssignment(()))
-        lifted = lift_product(spg, 2)
-        assert result.spg.vertices == lifted.vertices
+        assert [label_set(lift, result.spg.symbols) for lift in lifts(result)
+                ] == [oracle_lift(spg.symbols.labels, fs(0, 1), 2)]
+        assert len(result.spg.vertices) == 1
         assert result.spg.edges == ()
         assert result.rounds_used == 0
 
@@ -234,23 +261,29 @@ class TestBuildSubdivision:
         with pytest.raises(ValueError):
             build_subdivision(SINGLE_EDGE, 2, PermutationAssignment(((1, 1),)))
 
-    @given(subdivision_cases())
+    @given(wide_swap_cases())
     @settings(max_examples=100, deadline=None)
     def test_matches_the_lift_and_path_oracle(self, case):
-        template, r, perms, _ = case
-        result = TransformResult(template, r, perms.perms)
-        # the lift, then each edge's path, its interior numbered in turn
-        vertices = list(lift_product(template, r).vertices)
+        template, r, perms = case
+        result = TransformResult(template, r, perms)
+        # the lift, then each edge's path, its interior numbered in turn,
+        # all as labels; the result's symbol table encodes them
+        labels = template.symbols.labels
+        sets = [oracle_lift(labels, vertex[0], r) for vertex in template.vertices]
         edges, paths = [], []
-        for (u, w), perm in zip(template.edges, perms.perms):
-            path = subdivision_path(
-                template.vertices[u][0], template.vertices[w][0], r, perm)
-            first = len(vertices)
-            vertices += [(entry,) for entry in path[1:-1]]
-            paths.append((u, *range(first, len(vertices)), w))
+        for (u, w), perm in zip(template.edges, perms):
+            path = oracle_path(labels, template.vertices[u][0],
+                               template.vertices[w][0], r, perm)
+            assert (path[0], path[-1]) == (sets[u], sets[w])
+            first = len(sets)
+            sets += path[1:-1]
+            paths.append((u, *range(first, len(sets)), w))
             edges += zip(paths[-1], paths[-1][1:])
-        assert result.spg == Spg.build(template.symbols.lifted(r),
-                                       r * template.dimension, vertices, edges)
+        symbols = result.spg.symbols
+        assert symbols == template.symbols.lifted(r)
+        assert result.spg == Spg.build(
+            symbols, r * template.dimension,
+            [[FacetSet.from_labels(symbols, s)] for s in sets], edges)
         assert result.edge_paths == tuple(paths)
         assert result.vertex_map == tuple(range(len(template.vertices)))
         assert row_structure_violations(result, template) == ()
@@ -288,8 +321,8 @@ class TestFindBadEvents:
         assert event.vertex == 0
         assert event.edges == (0, 1)
         # both first interior sets equal {c@1, b@1, a@2, b@2}
-        expected = subdivision_path(fs(0, 1), fs(2, 3), 2, (1, 2))[1]
-        assert event.witness == (expected, expected)
+        assert labels_of(event.witness, result.spg.symbols) == [
+            {"c@1", "b@1", "a@2", "b@2"}] * 2
 
     def test_distinct_leading_rows_no_event(self):
         result = build_subdivision(
@@ -309,10 +342,9 @@ class TestFindBadEvents:
                 result = build_subdivision(
                     SHARED_STAR, 2, PermutationAssignment((p1, p2)))
                 events = find_bad_events(result, SHARED_STAR)
-                path1 = [set(s.elements)
-                         for s in subdivision_path(fs(0, 1), fs(2, 3), 2, p1)[1:]]
-                path2 = [set(s.elements)
-                         for s in subdivision_path(fs(0, 1), fs(2, 4), 2, p2)[1:]]
+                labels = SHARED_STAR.symbols.labels
+                path1 = oracle_path(labels, fs(0, 1), fs(2, 3), 2, p1)[1:]
+                path2 = oracle_path(labels, fs(0, 1), fs(2, 4), 2, p2)[1:]
                 expected = any(
                     len(a & b) >= 3 for a in path1 for b in path2)
                 assert bool(events) == expected
