@@ -22,6 +22,7 @@ so that reading a document loads no construction code.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
@@ -752,6 +753,28 @@ def _require_rows(r: int) -> None:
         raise ValueError("row multiplier must be positive")
 
 
+# The least value of each count argument, and the refusal of a value
+# below it.  numpy refuses a negative seed too, but without naming it,
+# and only once a generator is made from it.
+_COUNT_FLOORS = {
+    "seed": (0, "seed must be non-negative, got {}"),
+    "trials": (1, "trials must be positive"),
+    "max_rounds": (0, "max_rounds must be non-negative"),
+    "budget": (1, "budget must be positive"),
+}
+
+
+def _require_count(name: str, value: int) -> None:
+    """Refuse the count argument ``name`` unless it is an int at or above
+    its floor.  bool is a subclass of int, but no count, and a float or
+    a numpy int would fail later, in numpy or in range()."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int")
+    floor, refusal = _COUNT_FLOORS[name]
+    if value < floor:
+        raise ValueError(refusal.format(value))
+
+
 def require_valid(spg: Spg) -> None:
     report = validate(spg)
     if not report.holds:
@@ -1059,36 +1082,48 @@ def restrict(spg: Spg, face: FacetSet) -> Spg | None:
 def check_dimension_reduction(spg: Spg, budget: int = 10_000_000) -> PropertyReport:
     """Every restriction by at most d symbols is connected or empty.
 
-    Only faces contained in some family member are enumerated (all other
-    restrictions are empty, hence vacuous).  Refuses outright with
-    :class:`BudgetExceededError` when the enumeration would exceed
-    ``budget`` restriction-connectivity checks; it never silently reports
-    a partial pass.
+    Decided on the graph itself, in one pass over the family: every
+    subset of a member is a face (all other restrictions are empty,
+    hence vacuous), walked as the submasks of the member's mask, and
+    collects the vertices holding it.  The restriction to a face is
+    connected exactly when a breadth-first search kept inside its
+    holders reaches all of them; no restricted graph is built.
+
+    ``budget`` bounds the number of distinct faces.  Refuses outright
+    with :class:`BudgetExceededError` when a single member's 2^d faces
+    exceed it, or as soon as the faces collected do; it never silently
+    reports a partial pass.
     """
+    _require_count("budget", budget)
     require_valid(spg)
     d = spg.dimension
     if spg.vertices and (1 << d) > budget:
         # Every subset of a single member is already a candidate face.
         raise BudgetExceededError(1 << d, budget)
 
+    # Each face's holders in vertex order: a bare vertex index until a
+    # second vertex holds it.  One holder is trivially connected.
+    holders: dict[int, int | list[int]] = {}
+    for vi, fs in spg.facets_with_vertex():
+        face = mask = fs.mask
+        for _ in range(1 << d):  # every submask of mask, mask first
+            held = holders.setdefault(face, vi)
+            if len(holders) > budget:
+                raise BudgetExceededError(budget + 1, budget)
+            if type(held) is int:
+                if held != vi:
+                    holders[face] = [held, vi]
+            elif held[-1] != vi:
+                held.append(vi)
+            face = (face - 1) & mask
+
+    adj = spg.neighbors()
     witnesses: list[tuple] = []
-    seen_faces: set[int] = set()
-    checked = 0
-    for fs in spg.family():
-        for k in range(0, d + 1):
-            for combo in combinations(fs.elements, k):
-                face = FacetSet(combo)
-                if face.mask in seen_faces:
-                    continue
-                seen_faces.add(face.mask)
-                checked += 1
-                if checked > budget:
-                    raise BudgetExceededError(checked, budget)
-                sub = restrict(spg, face)
-                if sub is None:
-                    continue
-                if _disconnected(sub.neighbors()):
-                    witnesses.append(("disconnecting-face", face))
+    for face, held in holders.items():
+        # every other vertex reads as reached, so the search stays inside
+        if type(held) is list and len(_bfs(adj, held[0], defaultdict(
+                int, dict.fromkeys(held, -1)))) < len(held):
+            witnesses.append(("disconnecting-face", FacetSet.from_mask(face)))
     return PropertyReport(
         SpgProperty.DIMENSION_REDUCTION, _sorted_witnesses(witnesses))
 

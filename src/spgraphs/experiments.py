@@ -15,6 +15,7 @@ from typing import Sequence
 
 from .core import (
     Spg,
+    _require_count,
     _require_multiplier,
     check_dimension_reduction,
     max_degree,
@@ -26,7 +27,6 @@ from .transform import (
     ResamplingExhaustedError,
     Strategy,
     TransformConfig,
-    _require_count,
     construct_with_resampling,
 )
 
@@ -161,6 +161,7 @@ def verify_dimension_reduction_on_paths(
     """
     _require_count("trials", trials)
     _require_count("seed", seed)
+    _require_count("budget", budget)
     template = sliding_window_path(d)
 
     constructions = 0

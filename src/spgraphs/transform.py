@@ -57,6 +57,7 @@ from .core import (
     _end_masks,
     _lift_mask,
     _lift_table,
+    _require_count,
     _require_multiplier,
     _require_permutation,
     _require_rows,
@@ -141,27 +142,6 @@ def _require_star(center: FacetSet, leaf1: FacetSet, leaf2: FacetSet) -> None:
         raise ValueError("leaves must differ from the center")
 
 
-# The least value of each count argument, and the refusal of a value
-# below it.  numpy refuses a negative seed too, but without naming it,
-# and only once a generator is made from it.
-_COUNT_FLOORS = {
-    "seed": (0, "seed must be non-negative, got {}"),
-    "trials": (1, "trials must be positive"),
-    "max_rounds": (0, "max_rounds must be non-negative"),
-}
-
-
-def _require_count(name: str, value: int) -> None:
-    """Refuse the count argument ``name`` unless it is an int at or above
-    its floor.  bool is a subclass of int, but no count, and a float or
-    a numpy int would fail later, in numpy or in range()."""
-    if type(value) is not int:
-        raise ValueError(f"{name} must be an int")
-    floor, refusal = _COUNT_FLOORS[name]
-    if value < floor:
-        raise ValueError(refusal.format(value))
-
-
 def _fisher_yates(rng: np.random.Generator, r: int, count: int
                   ) -> list[tuple[int, ...]]:
     """``count`` uniform permutations of rows 1..r, drawn in turn.
@@ -185,6 +165,7 @@ def _fisher_yates(rng: np.random.Generator, r: int, count: int
 
 def lift_facet(fs: FacetSet, r: int) -> FacetSet:
     """A x [r]: the copy of base symbol x in row j sits at index x*r + (j-1)."""
+    _require_multiplier(r)
     return FacetSet.from_mask(_lift_mask(fs, r))
 
 

@@ -14,6 +14,7 @@ import numpy as np
 
 from spgraphs import (
     BadEvent,
+    BudgetExceededError,
     ConstructionVerificationError,
     DimensionReductionSummary,
     DocumentError,
@@ -32,6 +33,7 @@ from spgraphs import (
     build_subdivision,
     check_dimension_reduction,
     construct_with_resampling,
+    restrict,
     sliding_window_path,
     validate,
     verify_all,
@@ -618,6 +620,41 @@ def loop_validate(spg: Spg) -> PropertyReport:
             witnesses.append(
                 ("disconnected", len(comps), tuple(min(c) for c in comps)))
     return PropertyReport(SpgProperty.VALIDITY, _sorted_witnesses(witnesses))
+
+
+# The oracle of the dimension-reduction check: each face's restriction
+# built in full by restrict and searched for its components.
+
+def restrict_dimension_reduction(spg: Spg, budget: int = 10_000_000
+                                 ) -> PropertyReport:
+    """check_dimension_reduction as one restricted graph per face, the
+    faces of each member by size, then in combinations order."""
+    require_valid(spg)
+    d = spg.dimension
+    if spg.vertices and (1 << d) > budget:
+        # Every subset of a single member is already a candidate face.
+        raise BudgetExceededError(1 << d, budget)
+
+    witnesses: list[tuple] = []
+    seen_faces: set[int] = set()
+    checked = 0
+    for fs in spg.family():
+        for k in range(0, d + 1):
+            for combo in combinations(fs.elements, k):
+                face = FacetSet(combo)
+                if face.mask in seen_faces:
+                    continue
+                seen_faces.add(face.mask)
+                checked += 1
+                if checked > budget:
+                    raise BudgetExceededError(checked, budget)
+                sub = restrict(spg, face)
+                if sub is None:
+                    continue
+                if core._disconnected(sub.neighbors()):
+                    witnesses.append(("disconnecting-face", face))
+    return PropertyReport(
+        SpgProperty.DIMENSION_REDUCTION, _sorted_witnesses(witnesses))
 
 
 # Dict-based breadth-first search: the oracle for the BFS core.

@@ -38,10 +38,12 @@ from spgraphs import (
     build_spindle_template,
     build_star_template,
     build_subdivision,
+    check_dimension_reduction,
     check_localization,
     construct_with_resampling,
     estimate_bad_event_probability,
     find_bad_events,
+    lift_facet,
     lll_sufficient,
     parse,
     serialize,
@@ -469,13 +471,22 @@ _ROWS = "row multiplier must be positive"
      "star sets must have uniform size"),
     (lambda: verify_dimension_reduction_on_paths(1, 2, 1, -1),
      "seed must be non-negative, got -1"),
+    (lambda: verify_dimension_reduction_on_paths(1, 2, 1, 1, budget=-5),
+     "budget must be positive"),
+    (lambda: check_dimension_reduction(SHARED_STAR, 0),
+     "budget must be positive"),
+    (lambda: lift_facet(fs(0, 1), 1), _MULTIPLIER),
+    (lambda: lift_facet(fs(0, 1), 0), _MULTIPLIER),
+    (lambda: lift_facet(fs(0, 1), -1), _MULTIPLIER),
     (lambda: lll_sufficient(3, 0), _ROWS),
     (lambda: SymbolTable.alphabetic(2).lifted(0), _ROWS),
 ], ids=["config", "subdivision-r", "sweep", "estimator-r",
         "assignment", "assignment-count", "result-count", "result-r",
         "subdivision-perm", "bad-event",
         "estimator-equal-leaves", "estimator-centre-leaf",
-        "estimator-sizes", "reduction-seed", "lll-rows", "table-rows"])
+        "estimator-sizes", "reduction-seed", "reduction-budget",
+        "check-budget", "lift-r", "lift-zero", "lift-negative",
+        "lll-rows", "table-rows"])
 def test_each_precondition_has_one_message(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()
@@ -491,7 +502,8 @@ def test_each_precondition_has_one_message(call, message):
     lambda r: sweep_r(SHARED_STAR, [r], 1, 0),
     lambda r: SymbolTable.alphabetic(2).lifted(r),
     lambda r: lll_sufficient(3, r),
-], ids=["config", "result", "sweep", "table", "lll"])
+    lambda r: lift_facet(fs(0, 1), r),
+], ids=["config", "result", "sweep", "table", "lll", "lift"])
 def test_a_row_multiplier_must_be_an_int(call, r):
     with pytest.raises(ValueError, match="^row multiplier must be an int$"):
         call(r)
@@ -516,9 +528,13 @@ _STAR = (fs(0, 1), fs(2, 3), fs(2, 4), 4)
     ("seed", lambda v: verify_dimension_reduction_on_paths(1, 2, 1, v)),
     ("max_rounds", lambda v: verify_dimension_reduction_on_paths(
         1, 2, 1, 1, max_rounds=v)),
+    ("budget", lambda v: verify_dimension_reduction_on_paths(
+        1, 2, 1, 1, budget=v)),
+    ("budget", lambda v: check_dimension_reduction(SHARED_STAR, v)),
 ], ids=["config-seed", "config-max-rounds", "sweep-trials", "sweep-seed",
         "sweep-max-rounds", "estimator-trials", "estimator-seed",
-        "reduction-trials", "reduction-seed", "reduction-max-rounds"])
+        "reduction-trials", "reduction-seed", "reduction-max-rounds",
+        "reduction-budget", "check-budget"])
 def test_a_count_must_be_an_int(name, call, value):
     with pytest.raises(ValueError, match=f"^{name} must be an int$"):
         call(value)

@@ -1,5 +1,7 @@
 """Unit and property tests for the SPG domain types and verifiers."""
 
+from itertools import combinations
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -11,7 +13,9 @@ from conftest import (
     loop_facet_mask,
     loop_mask_elements,
     loop_validate,
+    restrict_dimension_reduction,
     spg_instances,
+    wide_spg_instances,
 )
 from spgraphs import (
     BudgetExceededError,
@@ -21,6 +25,7 @@ from spgraphs import (
     Spindle,
     SymbolTable,
     TransformConfig,
+    build_exponential_spindle,
     build_spindle_template,
     check_adjacency,
     check_connectivity,
@@ -35,6 +40,7 @@ from spgraphs import (
     restrict,
     validate,
 )
+from spgraphs import core
 
 
 def fs(*elements):
@@ -417,6 +423,39 @@ class TestRestrict:
             assert got == expected
 
 
+@st.composite
+def reduction_cases(draw):
+    """A valid graph of either strategy, or a restriction of one by a
+    subset of a member that may lose edges and disconnect, and a budget:
+    small, at the count of distinct faces or one below it, or the
+    default."""
+    spg = draw(st.one_of(spg_instances(), wide_spg_instances()))
+    if draw(st.booleans()):
+        member = draw(st.sampled_from(spg.family()))
+        spg = restrict(spg, FacetSet(draw(st.lists(
+            st.sampled_from(member.elements), unique=True))))
+        edges = draw(st.lists(st.sampled_from(spg.edges), unique=True)
+                     ) if spg.edges else []
+        spg = Spg.build(spg.symbols, spg.dimension, spg.vertices, edges,
+                        is_restriction=True)
+    faces = {sum(1 << e for e in combo) for fs in spg.family()
+             for k in range(spg.dimension + 1)
+             for combo in combinations(fs.elements, k)}
+    # the refusal's boundary: just enough, or one face short
+    boundary = st.sampled_from([len(faces), len(faces) - 1]).filter(
+        lambda b: b >= 1)
+    return spg, draw(st.one_of(st.integers(1, 60), boundary,
+                               st.just(10_000_000)))
+
+
+def _outcome(check, spg, budget):
+    """The report, or the refusal's (needed, budget)."""
+    try:
+        return check(spg, budget)
+    except BudgetExceededError as err:
+        return err.needed, err.budget
+
+
 class TestDimensionReduction:
     def test_single_vertex_holds(self):
         spg = Spg.build(SymbolTable.alphabetic(2), 2, [[fs(0, 1)]])
@@ -433,6 +472,66 @@ class TestDimensionReduction:
     def test_budget_refusal(self):
         with pytest.raises(BudgetExceededError):
             check_dimension_reduction(GOOD_PATH, budget=2)
+
+    @given(reduction_cases())
+    @settings(max_examples=150)
+    def test_matches_the_restriction_oracle(self, case):
+        spg, budget = case
+        assert (_outcome(check_dimension_reduction, spg, budget)
+                == _outcome(restrict_dimension_reduction, spg, budget))
+
+    @pytest.mark.parametrize("spg", [
+        GOOD_PATH, BAD_PATH,
+        restrict(BAD_PATH, fs(1)),       # disconnected on the empty face
+        restrict(GOOD_PATH, fs(0, 1)),   # dimension zero
+        Spg.build(SymbolTable.alphabetic(4), 2,
+                  [[fs(0, 1), fs(2, 3)], [fs(1, 2)]], [(0, 1)]),
+    ], ids=["good", "bad", "restriction", "dimension-zero", "two-sets"])
+    def test_small_graphs_match_the_restriction_oracle(self, spg):
+        assert check_dimension_reduction(spg) == restrict_dimension_reduction(spg)
+
+    @pytest.mark.parametrize("d, count", [
+        (2, 3), (3, 19), (4, 89), (5, 381), (6, 1580)])
+    def test_spindle_template_witness_counts(self, d, count):
+        spg = build_spindle_template(d).spindle.spg
+        report = check_dimension_reduction(spg)
+        assert len(report.witnesses) == count
+        if d <= 4:
+            assert report == restrict_dimension_reduction(spg)
+
+    @pytest.mark.parametrize("d, r, count", [
+        (2, 3, 82), (2, 4, 267), (2, 5, 969), (3, 3, 3039)])
+    def test_transformed_spindle_witness_counts(self, d, r, count):
+        spg = build_exponential_spindle(d, TransformConfig(r=r, seed=1)).spg
+        report = check_dimension_reduction(spg)
+        assert len(report.witnesses) == count
+        if r < 5:
+            assert report == restrict_dimension_reduction(spg)
+
+    def test_builds_no_restricted_graph(self, monkeypatch):
+        calls = []
+
+        def counting_restrict(spg, face):
+            calls.append(face)
+            return restrict(spg, face)
+
+        monkeypatch.setattr(core, "restrict", counting_restrict)
+        assert not check_dimension_reduction(BAD_PATH).holds
+        assert not check_dimension_reduction(
+            build_spindle_template(3).spindle.spg).holds
+        assert calls == []
+        core.restrict(BAD_PATH, fs(1))  # the counter sees calls through core
+        assert calls == [fs(1)]
+
+    @pytest.mark.parametrize("budget, message", [
+        (-5, "budget must be positive"), (0, "budget must be positive"),
+        (1.5, "budget must be an int"), (True, "budget must be an int"),
+    ], ids=["negative", "zero", "float", "bool"])
+    def test_budget_must_be_a_positive_int(self, budget, message):
+        # checked before the graph: an invalid one is not reached
+        empty = Spg(SymbolTable.alphabetic(2), 1, (), ())
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            check_dimension_reduction(empty, budget)
 
 
 class TestGraphMetrics:

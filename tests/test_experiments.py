@@ -19,7 +19,7 @@ from spgraphs import (
     sweep_r,
     verify_dimension_reduction_on_paths,
 )
-from spgraphs import core
+from spgraphs import core, experiments
 from spgraphs.experiments import trial_seed
 
 
@@ -184,3 +184,14 @@ class TestDimensionReductionOnPaths:
     def test_zero_trials_rejected(self):
         with pytest.raises(ValueError):
             verify_dimension_reduction_on_paths(d=1, r=4, trials=0, seed=6)
+
+    @pytest.mark.parametrize("budget", [-5, 0, 1.5, True])
+    def test_bad_budget_refused_before_any_construction(self, monkeypatch,
+                                                        budget):
+        def no_template(d):
+            raise AssertionError("a template was built")
+
+        monkeypatch.setattr(experiments, "sliding_window_path", no_template)
+        with pytest.raises(ValueError, match="^budget must be"):
+            verify_dimension_reduction_on_paths(
+                d=1, r=4, trials=1, seed=6, budget=budget)
