@@ -761,6 +761,7 @@ _COUNT_FLOORS = {
     "trials": (1, "trials must be positive"),
     "max_rounds": (0, "max_rounds must be non-negative"),
     "budget": (1, "budget must be positive"),
+    "delta": (0, "maximum degree cannot be negative"),
 }
 
 

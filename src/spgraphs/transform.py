@@ -117,8 +117,7 @@ def min_multiplier(delta: int) -> int:
     A degree-0 template has no edges and hence no bad events; the floor
     of 2 (needed by the lift alone) is returned for it.
     """
-    if delta < 0:
-        raise ValueError("maximum degree cannot be negative")
+    _require_count("delta", delta)
     if delta == 0:
         return 2
     return math.ceil(16 * math.e * delta)
@@ -129,6 +128,7 @@ def lll_sufficient(delta: int, r: int) -> bool:
     condition for a bad-event-free assignment to exist: each bad event
     has probability at most 4/r and depends on at most 4*delta - 6
     others."""
+    _require_count("delta", delta)
     _require_rows(r)
     return (4 * delta - 5) * (4.0 / r) * math.e < 1.0
 
@@ -142,25 +142,55 @@ def _require_star(center: FacetSet, leaf1: FacetSet, leaf2: FacetSet) -> None:
         raise ValueError("leaves must differ from the center")
 
 
-def _fisher_yates(rng: np.random.Generator, r: int, count: int
-                  ) -> list[tuple[int, ...]]:
-    """``count`` uniform permutations of rows 1..r, drawn in turn.
+def _partners(rng: np.random.Generator, r: int, count: int) -> np.ndarray:
+    """The swap partners of ``count`` Fisher-Yates permutations of rows
+    1..r, one row of shape (r - 1,) each: column c holds the partner j of
+    row i = r - 1 - c, uniform on 0..i.
 
-    One vectorized draw gives the swap partners of rows r-1 .. 1 of
-    each permutation in turn: numpy draws them in order, one bounded
-    integer each, so the permutations and the generator state equal
+    One vectorized draw gives them all: numpy draws them in order, one
+    bounded integer each, so the partners and the generator state equal
     those of ``count`` loops of scalar draws."""
     import numpy as np
 
-    partners = iter(rng.integers(0, np.tile(np.arange(r, 1, -1), count)).tolist())
+    return rng.integers(0, np.tile(np.arange(r, 1, -1), count)
+                        ).reshape(count, r - 1)
+
+
+def _fisher_yates(rng: np.random.Generator, r: int, count: int
+                  ) -> list[tuple[int, ...]]:
+    """``count`` uniform permutations of rows 1..r, drawn in turn from
+    :func:`_partners`."""
     perms = []
-    for _ in range(count):
+    for partners in _partners(rng, r, count).tolist():
         rows = list(range(1, r + 1))
-        # zip asks the range first, so it takes r - 1 partners, no more
         for i, j in zip(range(r - 1, 0, -1), partners):
             rows[i], rows[j] = rows[j], rows[i]
         perms.append(tuple(rows))
     return perms
+
+
+def _leading_rows(rng: np.random.Generator, r: int, count: int
+                  ) -> np.ndarray:
+    """The first two rows of each of the ``count`` permutations of rows
+    1..r (r >= 2) that :func:`_fisher_yates` would draw, as an int array
+    of shape (count, 2), from the same draw and leaving the generator in
+    the same state.  Each position is traced back through the swaps (see
+    :func:`estimate_bad_event_probability`), so no permutation is built.
+    """
+    import numpy as np
+
+    partners = _partners(rng, r, count)
+    # undo swap i = 1 (the last column): positions 0 and 1 trade places
+    # exactly when its partner is 0
+    first = (partners[:, r - 2] == 0).astype(partners.dtype)
+    second = 1 - first
+    # undo swaps i = 2 .. r - 1: a traced position, below i, moves to i
+    # exactly when it is i's partner
+    for i in range(2, r):
+        partner = partners[:, r - 1 - i]
+        first[partner == first] = i
+        second[partner == second] = i
+    return np.stack((first, second), axis=1) + 1
 
 
 def lift_facet(fs: FacetSet, r: int) -> FacetSet:
@@ -338,10 +368,10 @@ def _star_bad_event(lift: int, swaps1: list[tuple[int, int]],
     return bool(_scan_bad_events(((0, 1), (0, 2)), 3, ends))
 
 
-# Monte-Carlo trials whose permutations one _fisher_yates call draws:
-# drawing all of them at once would hold a partner array of 2 * trials
-# * (r - 1) integers.
-_TRIAL_BLOCK = 64
+# Monte-Carlo trials whose leading rows one _leading_rows call draws:
+# at most 2**15 swap partners a block, but never fewer than 64 trials.
+def _trial_block(r: int) -> int:
+    return max(64, 2**15 // (2 * (r - 1)))
 
 
 def estimate_bad_event_probability(
@@ -369,8 +399,18 @@ def estimate_bad_event_probability(
     a2 -> 2 and the rows of (b1, b2) outside {a1, a2} -> 3, 4 in order of
     first appearance: the verdict is that of perm1 = (1, 2) and
     perm2 = (s(b1), s(b2)), one of at most 7 keys, each decided once.
+
+    The leading rows are read off the swap partners without building the
+    permutations.  Fisher-Yates swaps row i with its partner j_i for
+    i = r - 1 down to 1; trace a final position back through the swaps,
+    undoing the last first.  Undoing i = 1 exchanges positions 0 and 1
+    exactly when j_1 = 0.  Before swap i is undone the traced position is
+    below i, so undoing it moves the position to i exactly when j_i
+    equals it, and leaves it otherwise.  The row at a final position is
+    its traced start + 1.  A block of trials costs one draw and r - 2
+    vectorized column steps; the keys are counted with one bincount.
     The draws are those of the per-trial loop, made a block of trials at
-    a time.
+    a time, a block holding at most 2**15 partners (at least 64 trials).
     """
     _require_count("trials", trials)
     _require_multiplier(r)
@@ -379,25 +419,24 @@ def estimate_bad_event_probability(
 
     import numpy as np
     rng = np.random.default_rng(seed)
+    block = _trial_block(r)
+    # counts[4 * (k1 - 1) + k2 - 1] trials have key (k1, k2)
+    counts = np.zeros(12, dtype=np.int64)
+    for start in range(0, trials, block):
+        lead = _leading_rows(rng, r, 2 * min(block, trials - start))
+        (a1, a2), (b1, b2) = lead[::2].T, lead[1::2].T
+        # rows outside p1's first two become 3, then 4, as they come
+        k1 = np.where(b1 == a1, 1, np.where(b1 == a2, 2, 3))
+        k2 = np.where(b2 == a1, 1, np.where(b2 == a2, 2, 3 + (k1 == 3)))
+        counts += np.bincount(4 * (k1 - 1) + k2 - 1, minlength=12)
     # the star is the same in every trial; only the perms are drawn
     lift = _lift_mask(center, r)
     swaps1, swaps2 = _swaps(center, leaf1, r), _swaps(center, leaf2, r)
-    verdicts: dict[tuple[int, int], bool] = {}
-    hits = 0
-    for start in range(0, trials, _TRIAL_BLOCK):
-        perms = _fisher_yates(rng, r, 2 * min(_TRIAL_BLOCK, trials - start))
-        for p1, p2 in zip(perms[::2], perms[1::2]):
-            # rows outside p1's first two become 3, then 4, as they come
-            relabel = {p1[0]: 1, p1[1]: 2}
-            key = (relabel.setdefault(p2[0], 3),
-                   relabel.setdefault(p2[1], len(relabel) + 1))
-            verdict = verdicts.get(key)
-            if verdict is None:
-                # the checks above and _fisher_yates meet
-                # bad_event_occurs' terms
-                verdict = verdicts[key] = _star_bad_event(
-                    lift, swaps1, swaps2, (1, 2), key)
-            hits += verdict
+    # the checks above meet bad_event_occurs' terms, and each key is the
+    # first two rows of a permutation of 1..r
+    hits = sum(count * _star_bad_event(lift, swaps1, swaps2, (1, 2),
+                                       (code // 4 + 1, code % 4 + 1))
+               for code, count in enumerate(counts.tolist()) if count)
     return BadEventEstimate(
         frequency=hits / trials,
         analytic_bound=4.0 / r,

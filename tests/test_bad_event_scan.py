@@ -45,6 +45,7 @@ from spgraphs import (
     find_bad_events,
     lift_facet,
     lll_sufficient,
+    min_multiplier,
     parse,
     serialize,
     sweep_r,
@@ -480,13 +481,15 @@ _ROWS = "row multiplier must be positive"
     (lambda: lift_facet(fs(0, 1), -1), _MULTIPLIER),
     (lambda: lll_sufficient(3, 0), _ROWS),
     (lambda: SymbolTable.alphabetic(2).lifted(0), _ROWS),
+    (lambda: min_multiplier(-1), "maximum degree cannot be negative"),
+    (lambda: lll_sufficient(-1, 87), "maximum degree cannot be negative"),
 ], ids=["config", "subdivision-r", "sweep", "estimator-r",
         "assignment", "assignment-count", "result-count", "result-r",
         "subdivision-perm", "bad-event",
         "estimator-equal-leaves", "estimator-centre-leaf",
         "estimator-sizes", "reduction-seed", "reduction-budget",
         "check-budget", "lift-r", "lift-zero", "lift-negative",
-        "lll-rows", "table-rows"])
+        "lll-rows", "table-rows", "min-multiplier-delta", "lll-delta"])
 def test_each_precondition_has_one_message(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()
@@ -531,10 +534,13 @@ _STAR = (fs(0, 1), fs(2, 3), fs(2, 4), 4)
     ("budget", lambda v: verify_dimension_reduction_on_paths(
         1, 2, 1, 1, budget=v)),
     ("budget", lambda v: check_dimension_reduction(SHARED_STAR, v)),
+    ("delta", min_multiplier),
+    ("delta", lambda v: lll_sufficient(v, 87)),
 ], ids=["config-seed", "config-max-rounds", "sweep-trials", "sweep-seed",
         "sweep-max-rounds", "estimator-trials", "estimator-seed",
         "reduction-trials", "reduction-seed", "reduction-max-rounds",
-        "reduction-budget", "check-budget"])
+        "reduction-budget", "check-budget", "min-multiplier-delta",
+        "lll-delta"])
 def test_a_count_must_be_an_int(name, call, value):
     with pytest.raises(ValueError, match=f"^{name} must be an int$"):
         call(value)

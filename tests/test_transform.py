@@ -93,6 +93,16 @@ class TestPermutationDraw:
         assert got == [loop_fisher_yates(loop_rng, r) for _ in range(count)]
         assert rng.bit_generator.state == loop_rng.bit_generator.state
 
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 130), st.integers(1, 300))
+    @settings(max_examples=60, deadline=None)
+    def test_leading_rows_are_those_of_the_drawn_permutations(
+            self, seed, r, count):
+        rng, perm_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = transform._leading_rows(rng, r, count)
+        perms = transform._fisher_yates(perm_rng, r, count)
+        assert got.tolist() == [list(perm[:2]) for perm in perms]
+        assert rng.integers(2**62) == perm_rng.integers(2**62)
+
 
 class TestMinMultiplier:
     def test_reference_values(self):
@@ -103,6 +113,7 @@ class TestMinMultiplier:
 
     def test_degree_zero_sentinel(self):
         assert min_multiplier(0) == 2
+        assert lll_sufficient(0, 2)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -517,15 +528,55 @@ class TestBadEventProbability:
         ((fs(0, 1), fs(2, 3), fs(4, 5)), 8, 3),
         ((fs(0, 1), fs(2, 3), fs(2, 4)), 5, 11),
         ((fs(0, 1), fs(2, 3), fs(4, 5)), 87, 3),
+        ((fs(0, 1), fs(2, 3), fs(4, 5)), 2, 3),
+        ((fs(0, 1), fs(2, 3), fs(2, 4)), 3, 11),
+        ((fs(0, 1), fs(2, 3), fs(4, 5)), 4, 3),
     ])
     def test_matches_checked_scan_on_the_same_draws(self, star, r, seed):
-        est = estimate_bad_event_probability(*star, r, 200, seed)
+        # trial counts on each side of the first and second block ends
+        block = transform._trial_block(r)
+        counts = {200, block - 1, block, block + 1, 2 * block + 1}
+        hits = self._running_hits(star, r, seed, max(counts))
+        for trials in counts:
+            est = estimate_bad_event_probability(*star, r, trials, seed)
+            assert est.occurrences == hits[trials]
+        assert hits[-1] > 0
+
+    def test_matches_checked_scan_at_a_large_r(self):
+        star, r, seed = (fs(0, 1), fs(2, 3), fs(2, 4)), 3000, 2
+        assert transform._trial_block(r) == 64
+        hits = self._running_hits(star, r, seed, 70)
+        for trials in (1, 63, 64, 65, 70):
+            est = estimate_bad_event_probability(*star, r, trials, seed)
+            assert est.occurrences == hits[trials]
+
+    @staticmethod
+    def _running_hits(star, r, seed, trials):
+        """hits[t]: the bad events in the first t trials of the per-trial
+        loop of draws and checked scans."""
         rng = np.random.default_rng(seed)
-        hits = 0
-        for _ in range(200):
+        hits = [0]
+        for _ in range(trials):
             p1, p2 = loop_fisher_yates(rng, r), loop_fisher_yates(rng, r)
-            hits += bad_event_occurs(*star, r, p1, p2)
-        assert est.occurrences == hits > 0
+            hits.append(hits[-1] + bad_event_occurs(*star, r, p1, p2))
+        return hits
+
+    @pytest.mark.parametrize("star, r, trials, seed, occurrences", [
+        ((fs(0, 1), fs(2, 3), fs(4, 5)), 87, 1000, 1, 12),
+        # the README's `spg estimate-bad-event --dim 2 --r 8 --trials
+        # 10000 --seed 4`
+        ((fs(0, 1), fs(2, 3), fs(4, 5)), 8, 10_000, 4, 1252),
+    ])
+    def test_pinned_occurrences(self, star, r, trials, seed, occurrences):
+        est = estimate_bad_event_probability(*star, r, trials, seed)
+        assert est.occurrences == occurrences
+
+    def test_a_block_above_its_floor_holds_at_most_2_15_partners(self):
+        for r in range(2, 5000):
+            block = transform._trial_block(r)
+            assert block >= 64
+            if block > 64:
+                assert 2 * block * (r - 1) <= 2**15
 
     def test_shared_star_exhaustive_r2(self):
         # all (2!)^2 permutation pairs: exactly half are bad (frozen by
