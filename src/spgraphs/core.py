@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
 from itertools import combinations, compress, count, repeat
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 
 class InvalidSpgError(ValueError):
@@ -564,18 +564,33 @@ def _band_hits(out1: list[int], out2: list[int]) -> list[tuple[int, int]]:
     return hits
 
 
+def _incidence(edges: Sequence[tuple[int, int]], vertex_count: int
+               ) -> list[list[tuple[int, int]]]:
+    """For each vertex, the (index, end) of each of ``edges`` at it, in
+    edge order: end 0 where the vertex is the edge's first, 1 where it
+    is its second."""
+    incidence: list[list[tuple[int, int]]] = [[] for _ in range(vertex_count)]
+    for ei, (u, w) in enumerate(edges):
+        incidence[u].append((ei, 0))
+        incidence[w].append((ei, 1))
+    return incidence
+
+
 def _scan_bad_events(
     edges: Sequence[tuple[int, int]],
-    vertex_count: int,
+    incidence: list[list[tuple[int, int]]],
     ends: Sequence[tuple[list[int], list[int]]],
     redrawn: frozenset[int] | None = None,
 ) -> tuple[BadEvent, ...]:
     """The bad events of the subdivision paths of ``edges``, given for
     ``edges[ei]`` = (u, w) as ``ends[ei]`` = (the masks walked out of u,
     the masks walked out of w): the first two rows out of each end, as
-    :func:`_end_masks` walks them.  With ``redrawn`` given, only the
-    pairs holding at least one of those edges are examined; the events
-    come in the order of a full scan.
+    :func:`_end_masks` walks them.  ``incidence`` is
+    :func:`_incidence` of ``edges``.  With ``redrawn`` given, only the
+    endpoints of those edges are visited, in ascending order, and there
+    only the pairs holding at least one of them, in the order of
+    :func:`itertools.combinations`: the events come in the order of a
+    full scan.
 
     Each step out of a template vertex V retires one of V's lifted
     symbols and introduces one from outside, so the set k steps out lies
@@ -603,16 +618,16 @@ def _scan_bad_events(
     :func:`_end_masks`) therefore hold every hit, and the witness, the
     first hit in path order, is the one the whole paths give.
     """
-    outward = [[] for _ in range(vertex_count)]
-    for ei, ((u, w), (from_u, from_w)) in enumerate(zip(edges, ends)):
-        outward[u].append((ei, from_u, False))
-        outward[w].append((ei, from_w, True))
-
+    if redrawn is None:
+        at = range(len(incidence))
+    else:
+        at = sorted({v for ei in redrawn for v in edges[ei]})
     events: list[BadEvent] = []
-    for v, incident in enumerate(outward):
-        for (e1, out1, back1), (e2, out2, back2) in combinations(incident, 2):
+    for v in at:
+        for (e1, back1), (e2, back2) in combinations(incidence[v], 2):
             if redrawn is not None and e1 not in redrawn and e2 not in redrawn:
                 continue
+            out1, out2 = ends[e1][back1], ends[e2][back2]
             hits = _band_hits(out1, out2)
             if hits:
                 # first in path order: a path ending at V is walked inward
@@ -625,11 +640,12 @@ def _scan_bad_events(
 
 def _certify(result: TransformResult,
              events: tuple[BadEvent, ...] | None = None) -> None:
-    """At r >= 4, fill the kept reports of ``result.spg`` (validity and
-    the three pair reports) with holding ones when the result has no bad
-    events: ``events``, the scan a caller already made, or else
-    :func:`_bad_events`.  Otherwise they are left to :func:`_validate`
-    and the near-pair join, which name the witnesses.
+    """Fill the kept reports of ``result.spg`` (validity and the three
+    pair reports) with holding ones when :func:`_certifies` holds of r
+    and the result's bad events: ``events``, the scan a caller already
+    made, or else :func:`_bad_events`, scanned only where the predicate
+    asks.  Otherwise they are left to :func:`_validate` and the
+    near-pair join, which name the witnesses.
 
     The argument (r >= 4; the template is a valid singleton SPG, as the
     result's constructor checks).  Two sets of the result are near when
@@ -673,8 +689,14 @@ def _certify(result: TransformResult,
     result is therefore certified exactly when all five reports hold.
     Below r = 4 the first case fails: two paths that share no endpoint
     can meet where no scan looks (``duplicating_tree`` in the tests).
+
+    So a construction on a plain template whose resampling loop ends in
+    a scan that :func:`_certifies` cannot fail after the loop:
+    :func:`~spgraphs.experiments.sweep_r` relies on that, and counts
+    such a trial a success without building its graph.
     """
-    if result.r >= 4 and not (_bad_events(result) if events is None else events):
+    if _certifies(result.r, lambda: (
+            _bad_events(result) if events is None else events)):
         vars(result.spg).update(
             _validity=PropertyReport(SpgProperty.VALIDITY),
             _pair_verdicts=(PropertyReport(SpgProperty.ADJACENCY),
@@ -682,14 +704,24 @@ def _certify(result: TransformResult,
                             PropertyReport(SpgProperty.ENDPOINT_COUNT)))
 
 
+def _certifies(r: int, scan: Callable[[], Sequence[BadEvent]]) -> bool:
+    """Whether a subdivision at row multiplier ``r`` is certified by
+    its bad-event scan, whose events ``scan()`` gives: r >= 4 and no
+    event (the argument of :func:`_certify`).  ``scan`` is called only
+    at r >= 4, so below it nothing is scanned.  :func:`_certify` and
+    :func:`~spgraphs.experiments.sweep_r` both decide by it."""
+    return r >= 4 and not scan()
+
+
 def _bad_events(result: TransformResult) -> tuple[BadEvent, ...]:
     """Every bad event of ``result``, scanned from the end masks of its
     paths (:func:`_end_masks`) off its template's lift table."""
     template = result.template
     table = _lift_table(template, result.r)
-    return _scan_bad_events(template.edges, len(template.vertices), [
+    edges = template.edges
+    return _scan_bad_events(edges, _incidence(edges, len(template.vertices)), [
         _end_masks(table, edge, ei, perm)
-        for ei, (edge, perm) in enumerate(zip(template.edges, result.perms))])
+        for ei, (edge, perm) in enumerate(zip(edges, result.perms))])
 
 
 class SpgProperty(Enum):

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from . import core
 from .core import (
     Spg,
     _require_count,
@@ -27,7 +28,8 @@ from .transform import (
     ResamplingExhaustedError,
     Strategy,
     TransformConfig,
-    construct_with_resampling,
+    _resample,
+    _verified,
 )
 
 
@@ -66,20 +68,29 @@ def describe_template(spg: Spg) -> str:
 
 
 def _trials(template: Spg, r: int, trials: int, seed: int, max_rounds: int,
-            strategy: Strategy):
-    """Each trial's construction result, or None where it failed, with
-    its resample log, in trial order; trial t is seeded by
-    :func:`trial_seed`."""
+            strategy: Strategy, build: bool):
+    """Each trial of :func:`~spgraphs.transform.construct_with_resampling`
+    in trial order, trial t seeded by :func:`trial_seed`, as (whether it
+    succeeded, its result or None, its resample log).  The result is
+    None where the trial failed, and without ``build`` where the
+    resampling loop's last scan certifies it: such a trial cannot fail
+    after the loop (:func:`~spgraphs.core._certify`), so its graph is
+    not built.  Every result that is built is verified."""
     for t in range(trials):
         config = TransformConfig(
             r=r, seed=trial_seed(seed, t), max_rounds=max_rounds,
             strategy=strategy)
         try:
-            result = construct_with_resampling(template, config)
+            perms, log = _resample(template, config)
+            result = None
+            # the loop's last scan is empty; the predicate is the one
+            # _certify reads, looked up on core
+            if build or not core._certifies(r, lambda: ()):
+                result = _verified(template, r, perms, log)
         except (ResamplingExhaustedError, ConstructionVerificationError) as err:
-            yield None, err.resample_log
+            yield False, None, err.resample_log
         else:
-            yield result, result.resample_log
+            yield True, result, log
 
 
 def sweep_r(
@@ -98,6 +109,15 @@ def sweep_r(
     reproducible.  A trial fails when the resampling budget runs out (or,
     below r = 4, when a bad-event-free draw still fails verification);
     failures are counted, never raised.
+
+    Each trial runs the resampling loop of
+    :func:`~spgraphs.transform.construct_with_resampling`.  A trial whose
+    loop ends in a scan that certifies it (r >= 4, see
+    :func:`~spgraphs.core._certify`) succeeds with the loop's rounds and
+    builds no graph; any other bad-event-free draw is built and decided
+    by :func:`~spgraphs.core.validate` and
+    :func:`~spgraphs.core.verify_all`, as the construction does.  The
+    report is the one a construction per trial gives.
     """
     require_singleton(template)
     if not r_values:
@@ -111,10 +131,10 @@ def sweep_r(
     for r in r_values:
         rounds_used: list[int] = []
         round0_events = 0
-        for result, log in _trials(template, r, trials, seed, max_rounds,
-                                   strategy):
-            if result is not None:
-                rounds_used.append(result.rounds_used)
+        for ok, _, log in _trials(template, r, trials, seed, max_rounds,
+                                  strategy, build=False):
+            if ok:
+                rounds_used.append(len(log))
             # a log is empty or opens with round 0
             round0_events += len(log[0][1]) if log else 0
         rows.append(SweepRow(
@@ -167,9 +187,10 @@ def verify_dimension_reduction_on_paths(
     constructions = 0
     holds_count = 0
     failures: list[tuple[int, tuple[tuple, ...]]] = []
-    for t, (result, _) in enumerate(_trials(
-            template, r, trials, seed, max_rounds, Strategy.RESAMPLE)):
-        if result is None:
+    for t, (ok, result, _) in enumerate(_trials(
+            template, r, trials, seed, max_rounds, Strategy.RESAMPLE,
+            build=True)):
+        if not ok:
             continue
         constructions += 1
         report = check_dimension_reduction(result.spg, budget)

@@ -55,6 +55,7 @@ from .core import (
     _bad_events,
     _certify,
     _end_masks,
+    _incidence,
     _lift_mask,
     _lift_table,
     _require_count,
@@ -237,9 +238,37 @@ def find_bad_events(result: TransformResult, original: Spg) -> tuple[BadEvent, .
 def construct_with_resampling(template: Spg | Spindle, config: TransformConfig
                               ) -> TransformResult:
     """Full construction: draw row permutations, resample away bad
-    events until none remain, then build.  On a :class:`Spindle` the
-    result is one too: its apices are the lifted apex sets, and its
-    length, checked, is at least r times the template's.
+    events until none remain (:func:`_resample`), then build.  On a
+    :class:`Spindle` the result is one too: its apices are the lifted
+    apex sets, and its length, checked, is at least r times the
+    template's.
+
+    The result is made once, after the last round, its graph in
+    canonical form, and re-verified (validity, singleton, adjacency,
+    strong adjacency, end-point count) before being returned, or raises
+    with the failed reports; exhausting ``max_rounds`` raises with the
+    bad events left.  A template flagged ``is_restriction`` is refused
+    before any draw.  At r >= 4 the loop's last, empty scan certifies
+    the graph (:func:`~spgraphs.core._certify`): its reports are kept
+    holding, so the re-verification reads them and runs no near-pair
+    join, and cannot fail; :func:`~spgraphs.experiments.sweep_r` relies
+    on that and builds no graph for such a trial.  Below r = 4 the join
+    decides them.
+    """
+    spg = template.spg if isinstance(template, Spindle) else template
+    return _verified(template, config.r, *_resample(spg, config))
+
+
+def _resample(spg: Spg, config: TransformConfig
+              ) -> tuple[tuple[tuple[int, ...], ...],
+                         tuple[tuple[int, tuple[BadEvent, ...]], ...]]:
+    """The resampling loop of :func:`construct_with_resampling` on the
+    template ``spg``: the row permutations of its first draw without bad
+    events, and the log of the rounds before it, one entry per round
+    with bad events, so that ``len(log)`` counts the rounds.  Exhausting
+    ``config.max_rounds`` raises :class:`ResamplingExhaustedError`; a
+    template flagged ``is_restriction`` is refused before any draw.
+    The loop's last scan, the one that ends it, is empty.
 
     All randomness flows from one generator seeded with ``config.seed``;
     permutations are drawn in full per edge in canonical index order, and
@@ -253,26 +282,17 @@ def construct_with_resampling(template: Spg | Spindle, config: TransformConfig
     REJECT redraws all of them.  Every walk starts from the template's
     table for r (each template vertex's lift, each edge's :func:`_swaps`),
     kept on the template, so redraws and the build lift nothing again.
-    The result is made once, after the last round, its graph in
-    canonical form, and re-verified (validity, singleton,
-    adjacency, strong adjacency, end-point count) before being returned,
-    or raises with the failed reports; exhausting ``max_rounds`` raises
-    with the bad events left.  A template flagged ``is_restriction`` is
-    refused before any draw.  At r >= 4 the loop's last, empty scan
-    certifies the graph (:func:`~spgraphs.core._certify`): its reports
-    are kept holding, so the re-verification reads them and runs no
-    near-pair join, and cannot fail.  Below r = 4 the join decides them.
 
-    Under RESAMPLE, rounds after the first rescan only the pairs that
-    hold a redrawn edge.  Every pair left out is clean: by induction,
-    after each scan the only pairs not known clean are the bad ones, and
-    both edges of a bad pair are redrawn; a pair with neither edge
-    redrawn was therefore clean, and its paths have not changed.  So the
-    events found, and the witnesses, log and exhaustion error they make,
-    are those of a full rescan.  REJECT redraws every edge and rescans
-    every pair.
+    Under RESAMPLE, rounds after the first visit only the endpoints of
+    the redrawn edges, off incidence lists made once, and there rescan
+    only the pairs that hold a redrawn edge.  Every pair left out is
+    clean: by induction, after each scan the only pairs not known clean
+    are the bad ones, and both edges of a bad pair are redrawn; a pair
+    with neither edge redrawn was therefore clean, and its paths have
+    not changed.  So the events found, and the witnesses, log and
+    exhaustion error they make, are those of a full rescan.  REJECT
+    redraws every edge and rescans every pair.
     """
-    spg = template.spg if isinstance(template, Spindle) else template
     _require_template(spg)
     r = config.r
     table = _lift_table(spg, r)
@@ -281,11 +301,10 @@ def construct_with_resampling(template: Spg | Spindle, config: TransformConfig
     perms = _fisher_yates(rng, r, len(spg.edges))
     ends = [_end_masks(table, edge, ei, perm)
             for ei, (edge, perm) in enumerate(zip(spg.edges, perms))]
-    # one entry per round with bad events, so len(log) counts the rounds
+    incidence = _incidence(spg.edges, len(spg.vertices))
     log: list[tuple[int, tuple[BadEvent, ...]]] = []
     redrawn = None  # round 0 scans every pair
-    while events := _scan_bad_events(spg.edges, len(spg.vertices), ends,
-                                     redrawn):
+    while events := _scan_bad_events(spg.edges, incidence, ends, redrawn):
         log.append((len(log), events))
         if len(log) > config.max_rounds:
             raise ResamplingExhaustedError(events, log, config.max_rounds)
@@ -297,12 +316,23 @@ def construct_with_resampling(template: Spg | Spindle, config: TransformConfig
         for ei, perm in zip(targets, _fisher_yates(rng, r, len(targets))):
             perms[ei] = perm
             ends[ei] = _end_masks(table, spg.edges[ei], ei, perm)
+    return tuple(perms), tuple(log)
 
+
+def _verified(template: Spg | Spindle, r: int,
+              perms: tuple[tuple[int, ...], ...],
+              log: tuple[tuple[int, tuple[BadEvent, ...]], ...]
+              ) -> TransformResult:
+    """The steps of :func:`construct_with_resampling` after its loop:
+    the result of ``perms``, drawn by :func:`_resample` on ``template``
+    at ``r`` after the rounds of ``log``, built once, certified by the
+    loop's last scan where it can be, and re-verified."""
+    spg = template.spg if isinstance(template, Spindle) else template
     apices = None
     if isinstance(template, Spindle):
         apices = (lift_facet(template.apex1, r), lift_facet(template.apex2, r))
-    result = TransformResult(spg, r, tuple(perms), len(log), tuple(log), apices)
-    _certify(result, events)  # the loop's last scan, empty
+    result = TransformResult(spg, r, perms, len(log), log, apices)
+    _certify(result, ())  # the loop's last scan, empty
     # the other checks refuse an invalid graph, so it is reported alone
     validity = validate(result.spg)
     failed = [validity] if not validity.holds else [
@@ -365,7 +395,8 @@ def _star_bad_event(lift: int, swaps1: list[tuple[int, int]],
     # each leaf has one edge, so the scan reads only the heads
     ends = [(_walk(lift, swaps1, perm1[:_END_ROWS]), []),
             (_walk(lift, swaps2, perm2[:_END_ROWS]), [])]
-    return bool(_scan_bad_events(((0, 1), (0, 2)), 3, ends))
+    star = ((0, 1), (0, 2))
+    return bool(_scan_bad_events(star, _incidence(star, 3), ends))
 
 
 # Monte-Carlo trials whose leading rows one _leading_rows call draws:

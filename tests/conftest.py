@@ -92,6 +92,39 @@ def _spg_on(draw, n, d, symbols, singleton, max_sets):
     return Spg.build(SymbolTable.alphabetic(n), d, vertices, edges)
 
 
+@st.composite
+def shared_symbol_templates(draw):
+    """Random singleton stars and paths on a few symbols, so that their
+    sets share symbols.  Vertex labels are shuffled, so a vertex can be
+    the lower or the higher endpoint of each of its edges."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(d + 1, d + 3))
+    pool = [FacetSet(c) for c in combinations(range(n), d)]
+    k = draw(st.integers(2, min(len(pool), 5)))
+    sets = draw(st.lists(st.sampled_from(pool), min_size=k, max_size=k,
+                         unique=True))
+    at = draw(st.permutations(range(k)))
+    if draw(st.booleans()):
+        edges = [(at[0], at[i]) for i in range(1, k)]
+    else:
+        edges = [(at[i], at[i + 1]) for i in range(k - 1)]
+    return Spg.build(SymbolTable.alphabetic(n), d, [[s] for s in sets], edges)
+
+
+@st.composite
+def shared_symbol_trees(draw):
+    """Random singleton trees on a few symbols, vertex labels shuffled."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(d + 1, d + 3))
+    pool = [FacetSet(c) for c in combinations(range(n), d)]
+    k = draw(st.integers(2, min(len(pool), 7)))
+    sets = draw(st.lists(st.sampled_from(pool), min_size=k, max_size=k,
+                         unique=True))
+    at = draw(st.permutations(range(k)))
+    edges = [(at[draw(st.integers(0, i - 1))], at[i]) for i in range(1, k)]
+    return Spg.build(SymbolTable.alphabetic(n), d, [[s] for s in sets], edges)
+
+
 def random_singleton_spg(rng: random.Random, max_vertices: int = 6,
                          max_dim: int = 3) -> Spg:
     """Plain-random singleton SPG on a random tree (for seeded corpora)."""
@@ -473,7 +506,8 @@ def full_rescan_construction(spg: Spg, config: TransformConfig):
     log = []
     for attempt in range(config.max_rounds + 1):
         ends = [path_ends(a, a2, r, p) for (a, a2), p in zip(sets, perms)]
-        events = core._scan_bad_events(spg.edges, len(spg.vertices), ends)
+        events = core._scan_bad_events(
+            spg.edges, core._incidence(spg.edges, len(spg.vertices)), ends)
         if not events:
             result = build_subdivision(
                 spg, r, PermutationAssignment(tuple(perms)))
@@ -498,7 +532,10 @@ def full_rescan_construction(spg: Spg, config: TransformConfig):
 def loop_sweep_r(template: Spg, r_values, trials: int, seed: int,
                  max_rounds: int = 1000,
                  strategy: Strategy = Strategy.RESAMPLE) -> SweepReport:
-    """sweep_r without its argument checks."""
+    """sweep_r without its argument checks, each trial constructed in
+    full by :func:`full_rescan_construction`, which decides every result
+    by the near-pair join: it shares neither the resampling loop nor the
+    certification with the library."""
     rows = []
     for r in r_values:
         successes = 0
@@ -508,10 +545,9 @@ def loop_sweep_r(template: Spg, r_values, trials: int, seed: int,
             config = TransformConfig(
                 r=r, seed=trial_seed(seed, t), max_rounds=max_rounds,
                 strategy=strategy)
-            try:
-                result = construct_with_resampling(template, config)
-            except (ResamplingExhaustedError, ConstructionVerificationError) as err:
-                log = err.resample_log
+            result = full_rescan_construction(template, config)
+            if isinstance(result, Exception):
+                log = result.resample_log
             else:
                 successes += 1
                 rounds_used.append(result.rounds_used)

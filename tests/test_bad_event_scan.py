@@ -21,6 +21,8 @@ from conftest import (
     loop_fisher_yates,
     oracle_path_masks,
     replay_construction,
+    shared_symbol_templates,
+    shared_symbol_trees,
 )
 from spgraphs import (
     ConstructionVerificationError,
@@ -60,25 +62,6 @@ def fs(*elements):
 
 SHARED_STAR = build_star_template(
     SymbolTable.alphabetic(5), fs(0, 1), [fs(2, 3), fs(2, 4)])
-
-
-@st.composite
-def shared_symbol_templates(draw):
-    """Random singleton stars and paths on a few symbols, so that their
-    sets share symbols.  Vertex labels are shuffled, so a vertex can be
-    the lower or the higher endpoint of each of its edges."""
-    d = draw(st.integers(1, 3))
-    n = draw(st.integers(d + 1, d + 3))
-    pool = [FacetSet(c) for c in combinations(range(n), d)]
-    k = draw(st.integers(2, min(len(pool), 5)))
-    sets = draw(st.lists(st.sampled_from(pool), min_size=k, max_size=k,
-                         unique=True))
-    at = draw(st.permutations(range(k)))
-    if draw(st.booleans()):
-        edges = [(at[0], at[i]) for i in range(1, k)]
-    else:
-        edges = [(at[i], at[i + 1]) for i in range(k - 1)]
-    return Spg.build(SymbolTable.alphabetic(n), d, [[s] for s in sets], edges)
 
 
 @st.composite
@@ -385,7 +368,8 @@ def test_pinned_path_hit_in_the_second_row(sets, perms):
     table = core._lift_table(template, 4)
     ends = [core._end_masks(table, edge, ei, p)
             for ei, (edge, p) in enumerate(zip(template.edges, perms))]
-    events = core._scan_bad_events(template.edges, 3, ends)
+    events = core._scan_bad_events(
+        template.edges, core._incidence(template.edges, 3), ends)
     assert events and events == find_bad_events(result, template)
 
 
@@ -546,23 +530,10 @@ def test_a_count_must_be_an_int(name, call, value):
         call(value)
 
 
-# Rounds after the first rescan only the pairs holding a redrawn edge,
-# and draw every redrawn permutation in one call: the outcome is that of
-# a full rescan with one scalar draw loop per edge.
-
-@st.composite
-def shared_symbol_trees(draw):
-    """Random singleton trees on a few symbols, vertex labels shuffled."""
-    d = draw(st.integers(1, 3))
-    n = draw(st.integers(d + 1, d + 3))
-    pool = [FacetSet(c) for c in combinations(range(n), d)]
-    k = draw(st.integers(2, min(len(pool), 7)))
-    sets = draw(st.lists(st.sampled_from(pool), min_size=k, max_size=k,
-                         unique=True))
-    at = draw(st.permutations(range(k)))
-    edges = [(at[draw(st.integers(0, i - 1))], at[i]) for i in range(1, k)]
-    return Spg.build(SymbolTable.alphabetic(n), d, [[s] for s in sets], edges)
-
+# Rounds after the first visit only the endpoints of the redrawn edges and
+# rescan only the pairs holding one, and draw every redrawn permutation in
+# one call: the outcome is that of a full rescan with one scalar draw loop
+# per edge.
 
 @given(st.one_of(shared_symbol_templates(), shared_symbol_trees()),
        st.integers(2, 8), st.integers(0, 2**32 - 1), st.sampled_from(Strategy),
@@ -593,18 +564,34 @@ def test_a_result_that_fails_verification_raises_with_its_reports(
         assert [w[0] for w in report.witnesses] == ["duplicate-set"]
 
 
+class _Visits(list):
+    """Incidence lists that record which vertices are looked up."""
+
+    def __init__(self, incidence, visited):
+        super().__init__(incidence)
+        self.visited = visited
+
+    def __getitem__(self, v):
+        self.visited.append(v)
+        return super().__getitem__(v)
+
+
 def test_rounds_after_the_first_examine_only_redrawn_pairs(monkeypatch):
     template = build_spindle_template(3).spindle.spg
     scans = []  # per scan: (redrawn, the edge pairs examined)
+    visits = []  # per scan: the vertices whose incidence list is read
+    incidences = set()  # the ids of the incidence lists scanned
     edge_of = {}
     real_scan, real_hits = core._scan_bad_events, core._band_hits
 
-    def counting_scan(edges, num_vertices, ends, redrawn=None):
+    def counting_scan(edges, incidence, ends, redrawn=None):
         edge_of.clear()
         for ei, (from_u, from_w) in enumerate(ends):
             edge_of[id(from_u)] = edge_of[id(from_w)] = ei
         scans.append((redrawn, []))
-        return real_scan(edges, num_vertices, ends, redrawn)
+        visits.append([])
+        incidences.add(id(incidence))
+        return real_scan(edges, _Visits(incidence, visits[-1]), ends, redrawn)
 
     def counting_hits(out1, out2):
         scans[-1][1].append((edge_of[id(out1)], edge_of[id(out2)]))
@@ -622,11 +609,17 @@ def test_rounds_after_the_first_examine_only_redrawn_pairs(monkeypatch):
     all_pairs = [pair for edge_ids in incident
                  for pair in combinations(edge_ids, 2)]
     assert scans[0][0] is None and scans[0][1] == all_pairs
-    for (_, events), (redrawn, examined) in zip(result.resample_log, scans[1:]):
+    assert visits[0] == list(range(len(template.vertices)))
+    # one construction makes its incidence lists once
+    assert len(incidences) == 1
+    for (_, events), (redrawn, examined), visited in zip(
+            result.resample_log, scans[1:], visits[1:]):
         assert redrawn == {ei for ev in events for ei in ev.edges}
         assert examined == [pair for pair in all_pairs
                             if redrawn.intersection(pair)]
         assert len(examined) < len(all_pairs)
+        assert visited == sorted({v for ei in redrawn
+                                  for v in template.edges[ei]})
 
 
 # Each Monte-Carlo trial is decided by the pattern of its first two rows.

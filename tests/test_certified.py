@@ -79,7 +79,14 @@ def certified(spg):
 def test_certified_reports_equal_the_joins(case):
     template, r, perms = case
     result = TransformResult(template, r, perms)
-    core._certify(result)
+    scans = []
+    with pytest.MonkeyPatch.context() as patch:
+        real = core._scan_bad_events
+        patch.setattr(core, "_scan_bad_events",
+                      lambda *args: scans.append(args) or real(*args))
+        core._certify(result)
+    # below r = 4 no scan can certify, so none is made
+    assert len(scans) == (r >= 4)
     clean = certified(result.spg)  # read before any check fills the reports
     assert clean == (r >= 4 and not find_bad_events(result, template))
     reports = verdicts(result.spg)

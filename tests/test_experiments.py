@@ -3,17 +3,30 @@
 from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import duplicating_tree, loop_dimension_reduction, loop_sweep_r
+from conftest import (
+    duplicating_tree,
+    loop_dimension_reduction,
+    loop_sweep_r,
+    shared_symbol_templates,
+    shared_symbol_trees,
+)
 from spgraphs import (
     BudgetExceededError,
+    ConstructionVerificationError,
     FacetSet,
     InvalidSpgError,
+    ResamplingExhaustedError,
     Spg,
+    SpgProperty,
     Strategy,
     SymbolTable,
+    TransformConfig,
     build_spindle_template,
     build_star_template,
+    construct_with_resampling,
     min_multiplier,
     sliding_window_path,
     sweep_r,
@@ -101,6 +114,12 @@ class TestSweep:
         with pytest.raises(InvalidSpgError):
             sweep_r(non_singleton, [4], trials=1, seed=1)
 
+    def test_a_restriction_is_refused_at_every_r(self):
+        restricted = replace(SHARED_STAR, is_restriction=True)
+        for r in (3, 4):
+            with pytest.raises(ValueError, match="flagged is_restriction"):
+                sweep_r(restricted, [r], trials=1, seed=1)
+
     def test_validates_template_once(self, monkeypatch):
         calls = []
         validate = core._validate
@@ -110,8 +129,8 @@ class TestSweep:
         template = replace(SHARED_STAR)
         report = sweep_r(template, [4], trials=2, seed=1)
         assert report.rows[0].successes == 2
-        # the template once: each result, at r = 4, is certified by its
-        # empty scan, so its verify_all reads the kept reports
+        # the template once: each trial, at r = 4, is certified by the
+        # loop's empty scan, so no result is built and none is validated
         assert calls == [template]
 
     def test_makes_one_lift_table_per_r(self, monkeypatch):
@@ -133,6 +152,61 @@ class TestSweep:
 
     @pytest.mark.parametrize("strategy", list(Strategy))
     @pytest.mark.parametrize("template, r_values, trials, seed, max_rounds", [
+        (SHARED_STAR, [4, 6], 4, 9, 1000),
+        (build_spindle_template(3).spindle.spg, [4, 8], 3, 2, 1000),
+        (duplicating_tree(), [4, 5], 2, 0, 1000),
+    ], ids=["star", "spindle-3", "duplicating-tree"])
+    def test_a_certified_trial_builds_nothing(self, monkeypatch, template,
+                                              r_values, trials, seed,
+                                              max_rounds, strategy):
+        template = replace(template)  # keeps no report from earlier
+        calls = count_calls(monkeypatch, "_build_subdivision", "_validate",
+                            "_pair_reports")
+        report = sweep_r(template, r_values, trials, seed,
+                         max_rounds=max_rounds, strategy=strategy)
+        assert sum(row.successes for row in report.rows) > 0
+        assert calls == {"_build_subdivision": [], "_validate": [template],
+                         "_pair_reports": []}
+
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    @pytest.mark.parametrize("template, r, trials, seed, max_rounds", [
+        (SHARED_STAR, 2, 8, 3, 0),
+        (SHARED_STAR, 3, 4, 9, 1000),
+        (build_spindle_template(3).spindle.spg, 3, 3, 2, 1000),
+        # clean at r = 2 but invalid, so no join; at r = 3 valid
+        (duplicating_tree(), 2, 2, 0, 1000),
+        (duplicating_tree(), 3, 2, 0, 1000),
+    ], ids=["star-2", "star-3", "spindle-3", "duplicating-tree-2",
+            "duplicating-tree-3"])
+    def test_below_r4_each_clean_trial_is_built_and_joined_once(
+            self, monkeypatch, template, r, trials, seed, max_rounds,
+            strategy):
+        clean, valid = clean_trials(template, r, trials, seed, max_rounds,
+                                    strategy)
+        assert clean > 0
+        calls = count_calls(monkeypatch, "_build_subdivision",
+                            "_pair_reports")
+        sweep_r(template, [r], trials, seed, max_rounds=max_rounds,
+                strategy=strategy)
+        assert len(calls["_build_subdivision"]) == clean
+        assert len(calls["_pair_reports"]) == valid
+
+    def test_the_sweep_consults_the_certification_predicate(
+            self, monkeypatch):
+        template = build_spindle_template(3).spindle.spg
+        clean, valid = clean_trials(template, 4, 3, 2, 1000,
+                                    Strategy.RESAMPLE)
+        calls = count_calls(monkeypatch, "_build_subdivision",
+                            "_pair_reports")
+        monkeypatch.setattr(core, "_certifies", lambda r, scan: False)
+        (row,) = sweep_r(template, [4], 3, 2).rows
+        # refused, every clean trial is built and joined, and holds
+        assert row.successes == clean == valid == 3
+        assert len(calls["_build_subdivision"]) == 3
+        assert len(calls["_pair_reports"]) == 3
+
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    @pytest.mark.parametrize("template, r_values, trials, seed, max_rounds", [
         # r = 2 with no resampling budget: some trials exhaust (see
         # test_failures_are_counted_not_raised)
         (SHARED_STAR, [2], 8, 3, 0),
@@ -147,6 +221,58 @@ class TestSweep:
                          max_rounds=max_rounds, strategy=strategy)
         assert report == loop_sweep_r(template, r_values, trials, seed,
                                       max_rounds=max_rounds, strategy=strategy)
+
+
+@given(st.one_of(shared_symbol_templates(), shared_symbol_trees()),
+       st.lists(st.sampled_from([2, 3, 4, 5, 8]), min_size=1, max_size=3,
+                unique=True),
+       st.integers(1, 3), st.integers(0, 2**32 - 1),
+       st.sampled_from([0, 1, 1000]), st.sampled_from(Strategy))
+# r = 2 and 3: every trial is clean and fails verification
+@example(duplicating_tree(), [2, 3, 4], 2, 0, 1000, Strategy.RESAMPLE)
+@example(duplicating_tree(), [3], 1, 0, 0, Strategy.REJECT)
+@settings(max_examples=100, deadline=None)
+def test_sweep_matches_a_full_construction_per_trial(
+        template, r_values, trials, seed, max_rounds, strategy):
+    report = sweep_r(template, r_values, trials, seed,
+                     max_rounds=max_rounds, strategy=strategy)
+    assert report == loop_sweep_r(template, r_values, trials, seed,
+                                  max_rounds=max_rounds, strategy=strategy)
+
+
+def count_calls(monkeypatch, *names):
+    """Record the first argument of each call of the named functions of
+    ``core``, by name."""
+    calls = {}
+    for name in names:
+        calls[name] = seen = []
+
+        def counting(*args, _real=getattr(core, name), _seen=seen):
+            _seen.append(args[0])
+            return _real(*args)
+
+        monkeypatch.setattr(core, name, counting)
+    return calls
+
+
+def clean_trials(template, r, trials, seed, max_rounds, strategy):
+    """How many of a sweep row's trials end their resampling loop with a
+    clean scan, and how many of those build a valid graph, by a
+    construction per trial."""
+    clean = valid = 0
+    for t in range(trials):
+        try:
+            construct_with_resampling(template, TransformConfig(
+                r=r, seed=trial_seed(seed, t), max_rounds=max_rounds,
+                strategy=strategy))
+        except ResamplingExhaustedError:
+            continue
+        except ConstructionVerificationError as err:
+            valid += err.failed[0].property is not SpgProperty.VALIDITY
+        else:
+            valid += 1
+        clean += 1
+    return clean, valid
 
 
 class TestDimensionReductionOnPaths:
