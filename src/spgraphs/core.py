@@ -253,10 +253,10 @@ class Spg:
     (the validity report, and the three reports built on the near pairs)
     are computed on first use and kept on the object (or filled in,
     holding, when :func:`_certify` certifies a transform result's
-    graph), and so are a template's lift tables; the near pairs
-    themselves are not kept.  A parsed transform result keeps the graph
-    rebuilt from its certificate, so validity is decided on that one
-    object, once.
+    graph), and so are a template's lift tables and the pair keys its
+    bad-event scan found clean; the near pairs themselves are not kept.
+    A parsed transform result keeps the graph rebuilt from its
+    certificate, so validity is decided on that one object, once.
     :func:`dataclasses.replace` builds a new object that derives its own.
     """
 
@@ -310,6 +310,10 @@ class Spg:
     @cached_property
     def _lift_tables(self) -> dict[int, "_LiftTable"]:
         return {}  # by r, filled by _lift_table
+
+    @cached_property
+    def _clean_pairs(self) -> set[tuple[int, int, int]]:
+        return set()  # for every r, filled by _scan_bad_events
 
 
 @dataclass(frozen=True)
@@ -552,6 +556,22 @@ def _end_masks(table: _LiftTable, edge: tuple[int, int], ei: int,
             _walk((lift2 & ~undone) | (lift & undone), swaps, last)[::-1])
 
 
+class _EndMasks(dict):
+    """:func:`_end_masks` of each of ``edges`` by index, walked on first
+    lookup from ``table`` and the edge's permutation in ``perms`` (read
+    then, so a caller that redraws an edge drops its entry), and kept."""
+
+    def __init__(self, table: _LiftTable, edges: Sequence[tuple[int, int]],
+                 perms: Sequence[Sequence[int]]):
+        super().__init__()
+        self.table, self.edges, self.perms = table, edges, perms
+
+    def __missing__(self, ei: int) -> tuple[list[int], list[int]]:
+        ends = self[ei] = _end_masks(self.table, self.edges[ei], ei,
+                                     self.perms[ei])
+        return ends
+
+
 def _band_hits(out1: list[int], out2: list[int]) -> list[tuple[int, int]]:
     """Every (k, l), k and l >= 1 and |k - l| <= 1, at which the sets k
     and l steps out along two paths lie within Hamming distance 2."""
@@ -579,18 +599,22 @@ def _incidence(edges: Sequence[tuple[int, int]], vertex_count: int
 def _scan_bad_events(
     edges: Sequence[tuple[int, int]],
     incidence: list[list[tuple[int, int]]],
-    ends: Sequence[tuple[list[int], list[int]]],
+    perms: Sequence[Sequence[int]],
+    ends: Sequence[tuple[list[int], list[int]]] | _EndMasks,
+    clean: set[tuple[int, int, int]],
     redrawn: frozenset[int] | None = None,
 ) -> tuple[BadEvent, ...]:
-    """The bad events of the subdivision paths of ``edges``, given for
-    ``edges[ei]`` = (u, w) as ``ends[ei]`` = (the masks walked out of u,
-    the masks walked out of w): the first two rows out of each end, as
-    :func:`_end_masks` walks them.  ``incidence`` is
-    :func:`_incidence` of ``edges``.  With ``redrawn`` given, only the
-    endpoints of those edges are visited, in ascending order, and there
-    only the pairs holding at least one of them, in the order of
-    :func:`itertools.combinations`: the events come in the order of a
-    full scan.
+    """The bad events of the subdivision paths of ``edges``, drawn with
+    the row permutations ``perms``.  ``ends[ei]``, for ``edges[ei]`` =
+    (u, w), is (the masks walked out of u, the masks walked out of w):
+    the first two rows out of each end, as :func:`_end_masks` walks
+    them; it is looked up only for a pair whose key (below) is not in
+    ``clean``, so it may walk on lookup (:class:`_EndMasks`).
+    ``incidence`` is :func:`_incidence` of ``edges``.  With ``redrawn``
+    given, only the endpoints of those edges are visited, in ascending
+    order, and there only the pairs holding at least one of them, in the
+    order of :func:`itertools.combinations`: the events come in the
+    order of a full scan.
 
     Each step out of a template vertex V retires one of V's lifted
     symbols and introduces one from outside, so the set k steps out lies
@@ -617,6 +641,40 @@ def _scan_bad_events(
     and likewise l <= 2 * m2.  The first two rows out of each end (see
     :func:`_end_masks`) therefore hold every hit, and the witness, the
     first hit in path order, is the one the whole paths give.
+
+    Keyed verdicts: a pair (V, e1, e2) is decided by its oriented
+    two-row key.  The rows out of V along an edge are ``perm[0]``,
+    ``perm[1]`` where V is the edge's first endpoint, and ``perm[-1]``,
+    ``perm[-2]`` where the edge is walked into V: its path leaves V by
+    undoing its last row first.  Relabelling the rows by a permutation s
+    of [r] maps each lifted symbol x@j to x@s(j).  It fixes every
+    template lift, maps the path with rows p to the path with rows s(p)
+    in either orientation (each row makes the same steps, on its own
+    bits) and keeps Hamming distances, so it keeps the distance at every
+    (k, l): the verdict and the first hit.  Take s with e1's rows at V,
+    (a1, a2), -> 1, 2 and e2's rows (b1, b2) outside them -> 3, 4 in
+    order of first appearance.  The pair is then decided as the one with
+    rows (1, 2) on e1 and (s(b1), s(b2)) on e2, one of 7 keys: (1, 2),
+    (2, 1), (1, 3), (2, 3), (3, 1), (3, 2) and (3, 4).  Nor does the
+    verdict at a key depend on r: in both windows every row but the
+    keyed ones holds V's own row, so it adds no bit to any distance, and
+    a window holds 2m + 1 masks whatever r is.  So one verdict per key
+    serves every r, draw and round on the template.  That includes r = 2
+    and 3, where the lemma holds too: at r = 2 each window is its whole
+    path, far end included, its rows are all the rows, and the key is
+    (1, 2) or (2, 1); at r = 3 the key (3, 4) cannot occur.  There the
+    scan certifies nothing (:func:`_certifies`), but it still names the
+    edges to redraw.
+
+    ``clean`` holds the (e1, e2, key) of every pair found clean, the key
+    coded 4 * (s(b1) - 1) + s(b2) - 1; e1 and e2 name the pair, since two
+    edges of a simple template share at most one endpoint, which fixes V
+    and the end of each edge at V.  A pair whose key is in ``clean`` is
+    skipped unread.  Any other is band-scanned from ``ends``, as a scan
+    without keys would, and its key added if it is clean; a bad key is
+    not kept, since its witness needs the masks anyway.  So the events
+    and witnesses are those of that scan, and ``clean`` holds at most 7
+    keys a pair.
     """
     if redrawn is None:
         at = range(len(incidence))
@@ -627,14 +685,25 @@ def _scan_bad_events(
         for (e1, back1), (e2, back2) in combinations(incidence[v], 2):
             if redrawn is not None and e1 not in redrawn and e2 not in redrawn:
                 continue
+            p1, p2 = perms[e1], perms[e2]
+            a1, a2 = (p1[-1], p1[-2]) if back1 else (p1[0], p1[1])
+            b1, b2 = (p2[-1], p2[-2]) if back2 else (p2[0], p2[1])
+            # s(b1) - 1 and s(b2) - 1
+            k1 = 0 if b1 == a1 else 1 if b1 == a2 else 2
+            k2 = 0 if b2 == a1 else 1 if b2 == a2 else 2 + (k1 == 2)
+            key = (e1, e2, 4 * k1 + k2)
+            if key in clean:
+                continue
             out1, out2 = ends[e1][back1], ends[e2][back2]
             hits = _band_hits(out1, out2)
-            if hits:
-                # first in path order: a path ending at V is walked inward
-                k, l = min(hits, key=lambda kl: (
-                    -kl[0] if back1 else kl[0], -kl[1] if back2 else kl[1]))
-                events.append(BadEvent(v, (e1, e2), (
-                    FacetSet.from_mask(out1[k]), FacetSet.from_mask(out2[l]))))
+            if not hits:
+                clean.add(key)
+                continue
+            # first in path order: a path ending at V is walked inward
+            k, l = min(hits, key=lambda kl: (
+                -kl[0] if back1 else kl[0], -kl[1] if back2 else kl[1]))
+            events.append(BadEvent(v, (e1, e2), (
+                FacetSet.from_mask(out1[k]), FacetSet.from_mask(out2[l]))))
     return tuple(events)
 
 
@@ -714,14 +783,15 @@ def _certifies(r: int, scan: Callable[[], Sequence[BadEvent]]) -> bool:
 
 
 def _bad_events(result: TransformResult) -> tuple[BadEvent, ...]:
-    """Every bad event of ``result``, scanned from the end masks of its
-    paths (:func:`_end_masks`) off its template's lift table."""
-    template = result.template
-    table = _lift_table(template, result.r)
+    """Every bad event of ``result``, scanned with its template's clean
+    keys, from the end masks of its paths (:func:`_end_masks`) off the
+    template's lift table, walked only for the pairs those keys leave."""
+    template, perms = result.template, result.perms
     edges = template.edges
-    return _scan_bad_events(edges, _incidence(edges, len(template.vertices)), [
-        _end_masks(table, edge, ei, perm)
-        for ei, (edge, perm) in enumerate(zip(edges, result.perms))])
+    return _scan_bad_events(
+        edges, _incidence(edges, len(template.vertices)), perms,
+        _EndMasks(_lift_table(template, result.r), edges, perms),
+        template._clean_pairs)
 
 
 class SpgProperty(Enum):
@@ -770,9 +840,29 @@ def witness_text(witness: tuple, table: SymbolTable | None = None) -> str:
 
 
 def _sorted_witnesses(witnesses: list[tuple]) -> tuple[tuple, ...]:
-    # Deterministic order regardless of internal iteration:
-    # by kind, then by the text of the payload.
-    return tuple(sorted(witnesses, key=lambda w: (w[0], str(w[1:]))))
+    """``witnesses`` in a deterministic order, whatever the order of
+    their making: by kind, then by ``str(w[1:])``, the text of the
+    payload (so vertex 10 sorts before vertex 9).  The text is put
+    together here, each facet set rendered once per call."""
+    texts: dict[int, str] = {}  # by mask
+
+    def text(payload: tuple) -> str:  # str(payload)
+        parts = []
+        for item in payload:
+            if isinstance(item, FacetSet):
+                part = texts.get(item.mask)
+                if part is None:
+                    part = texts[item.mask] = repr(item)
+            elif isinstance(item, tuple):
+                part = text(item)
+            else:
+                part = repr(item)
+            parts.append(part)
+        if len(parts) == 1:
+            return f"({parts[0]},)"
+        return "(" + ", ".join(parts) + ")"
+
+    return tuple(sorted(witnesses, key=lambda w: (w[0], text(w[1:]))))
 
 
 def _require_rows(r: int) -> None:

@@ -52,9 +52,9 @@ from .core import (
     Spindle,
     TransformResult,
     _END_ROWS,
+    _EndMasks,
     _bad_events,
     _certify,
-    _end_masks,
     _incidence,
     _lift_mask,
     _lift_table,
@@ -226,9 +226,11 @@ def find_bad_events(result: TransformResult, original: Spg) -> tuple[BadEvent, .
     recorded per edge pair.
 
     An ``original`` other than the result's template raises ValueError.
-    The scan walks the first two rows out of each end of every path from
-    the template's lift table, as the construction does (the two-row
-    lemma of :func:`_scan_bad_events`), so it builds no graph.
+    The scan is the construction's (:func:`_scan_bad_events`): it
+    decides each pair by its two-row key, skips a key the template
+    keeps as clean, and walks the first two rows out of each end of a
+    path from the template's lift table only for the pairs left, so it
+    builds no graph.
     """
     if original != result.template:
         raise ValueError("original: not the template the result was built from")
@@ -274,14 +276,18 @@ def _resample(spg: Spg, config: TransformConfig
     permutations are drawn in full per edge in canonical index order, and
     redraws consume the same stream (one call of :func:`_fisher_yates`
     per round, targets ascending), so identical inputs give bit-identical
-    output.  Each round scans only the masks of the first two rows out
-    of each end of every path (the two-row lemma of
-    :func:`_scan_bad_events`), so its cost does not grow with r beyond
-    the draws.  With strategy RESAMPLE only edges participating in a bad
-    event are redrawn each round (and only their end masks recomputed);
-    REJECT redraws all of them.  Every walk starts from the template's
-    table for r (each template vertex's lift, each edge's :func:`_swaps`),
-    kept on the template, so redraws and the build lift nothing again.
+    output.  Each pair is decided by its two-row key (the keyed verdicts
+    of :func:`_scan_bad_events`): the keys found clean are kept on the
+    template, for every r and every construction on it, and a pair
+    whose key is among them reads no masks.  Any other pair reads the
+    masks of the first two rows out of each end of its paths (the
+    two-row lemma), walked on first need and kept until the edge is
+    redrawn, so a round's cost does not grow with r beyond the draws.
+    With strategy RESAMPLE only edges participating in a bad event are
+    redrawn each round; REJECT redraws all of them.  Every walk starts
+    from the template's table for r (each template vertex's lift, each
+    edge's :func:`_swaps`), kept on the template, so redraws and the
+    build lift nothing again.
 
     Under RESAMPLE, rounds after the first visit only the endpoints of
     the redrawn edges, off incidence lists made once, and there rescan
@@ -299,12 +305,12 @@ def _resample(spg: Spg, config: TransformConfig
     import numpy as np
     rng = np.random.default_rng(config.seed)
     perms = _fisher_yates(rng, r, len(spg.edges))
-    ends = [_end_masks(table, edge, ei, perm)
-            for ei, (edge, perm) in enumerate(zip(spg.edges, perms))]
+    ends = _EndMasks(table, spg.edges, perms)
     incidence = _incidence(spg.edges, len(spg.vertices))
     log: list[tuple[int, tuple[BadEvent, ...]]] = []
     redrawn = None  # round 0 scans every pair
-    while events := _scan_bad_events(spg.edges, incidence, ends, redrawn):
+    while events := _scan_bad_events(spg.edges, incidence, perms, ends,
+                                     spg._clean_pairs, redrawn):
         log.append((len(log), events))
         if len(log) > config.max_rounds:
             raise ResamplingExhaustedError(events, log, config.max_rounds)
@@ -315,7 +321,7 @@ def _resample(spg: Spg, config: TransformConfig
             targets = range(len(spg.edges))
         for ei, perm in zip(targets, _fisher_yates(rng, r, len(targets))):
             perms[ei] = perm
-            ends[ei] = _end_masks(table, spg.edges[ei], ei, perm)
+            ends.pop(ei, None)
     return tuple(perms), tuple(log)
 
 
@@ -396,7 +402,8 @@ def _star_bad_event(lift: int, swaps1: list[tuple[int, int]],
     ends = [(_walk(lift, swaps1, perm1[:_END_ROWS]), []),
             (_walk(lift, swaps2, perm2[:_END_ROWS]), [])]
     star = ((0, 1), (0, 2))
-    return bool(_scan_bad_events(star, _incidence(star, 3), ends))
+    return bool(_scan_bad_events(star, _incidence(star, 3), (perm1, perm2),
+                                 ends, set()))
 
 
 # Monte-Carlo trials whose leading rows one _leading_rows call draws:
@@ -419,16 +426,12 @@ def estimate_bad_event_probability(
     The star is outward, as in :func:`bad_event_occurs`: both edges
     leave the centre, and each trial walks both paths forward out of it.
 
-    Each trial draws two permutations and is decided by the pattern of
-    their first two rows.  Relabelling the rows by a permutation s of
-    [r] maps each lifted symbol x@j to x@s(j).  This bijection fixes the
-    centre's lift, keeps the base-rank pairing of :func:`_swaps` (so it
-    maps the path with rows p to the path with rows s(p)) and keeps
-    Hamming distances, so it keeps the verdict.  By the two-row lemma
-    (see :func:`_scan_bad_events`) the verdict reads only the first two
-    rows (a1, a2) of perm1 and (b1, b2) of perm2.  Take s with a1 -> 1,
-    a2 -> 2 and the rows of (b1, b2) outside {a1, a2} -> 3, 4 in order of
-    first appearance: the verdict is that of perm1 = (1, 2) and
+    Each trial draws two permutations and is decided by the key of
+    their first two rows, (a1, a2) of perm1 and (b1, b2) of perm2: the
+    keyed verdicts of :func:`_scan_bad_events` show that relabelling
+    the rows by s keeps the verdict.  With s taking a1 -> 1, a2 -> 2 and
+    the rows of (b1, b2) outside {a1, a2} -> 3, 4 in order of first
+    appearance, the verdict is that of perm1 = (1, 2) and
     perm2 = (s(b1), s(b2)), one of at most 7 keys, each decided once.
 
     The leading rows are read off the swap partners without building the

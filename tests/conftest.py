@@ -494,11 +494,36 @@ def path_ends(a: FacetSet, a2: FacetSet, r: int, perm) -> tuple[list[int], list[
     return path[:steps + 1], path[::-1][:steps + 1]
 
 
+def unkeyed_scan(edges, incidence, ends, redrawn=None) -> tuple[BadEvent, ...]:
+    """The bad-event scan without keyed verdicts: every pair visited
+    band-scans its end masks, ``ends[ei]`` = (out of the edge's first
+    endpoint, out of its second), and names its first hit in path
+    order.  Visits as :func:`spgraphs.core._scan_bad_events` does."""
+    if redrawn is None:
+        at = range(len(incidence))
+    else:
+        at = sorted({v for ei in redrawn for v in edges[ei]})
+    events = []
+    for v in at:
+        for (e1, back1), (e2, back2) in combinations(incidence[v], 2):
+            if redrawn is not None and e1 not in redrawn and e2 not in redrawn:
+                continue
+            out1, out2 = ends[e1][back1], ends[e2][back2]
+            hits = core._band_hits(out1, out2)
+            if hits:
+                # first in path order: a path ending at V is walked inward
+                k, l = min(hits, key=lambda kl: (
+                    -kl[0] if back1 else kl[0], -kl[1] if back2 else kl[1]))
+                events.append(BadEvent(v, (e1, e2), (
+                    FacetSet.from_mask(out1[k]), FacetSet.from_mask(out2[l]))))
+    return tuple(events)
+
+
 def full_rescan_construction(spg: Spg, config: TransformConfig):
     """construct_with_resampling with every pair of end masks, cut from
-    whole paths, rescanned each round and each permutation drawn by its
-    own scalar loop.  Returns the result, or the exception the
-    construction should raise."""
+    whole paths, rescanned each round by :func:`unkeyed_scan` and each
+    permutation drawn by its own scalar loop.  Returns the result, or
+    the exception the construction should raise."""
     r = config.r
     sets = [(spg.vertices[u][0], spg.vertices[w][0]) for u, w in spg.edges]
     rng = np.random.default_rng(config.seed)
@@ -506,7 +531,7 @@ def full_rescan_construction(spg: Spg, config: TransformConfig):
     log = []
     for attempt in range(config.max_rounds + 1):
         ends = [path_ends(a, a2, r, p) for (a, a2), p in zip(sets, perms)]
-        events = core._scan_bad_events(
+        events = unkeyed_scan(
             spg.edges, core._incidence(spg.edges, len(spg.vertices)), ends)
         if not events:
             result = build_subdivision(

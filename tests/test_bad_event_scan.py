@@ -23,6 +23,7 @@ from conftest import (
     replay_construction,
     shared_symbol_templates,
     shared_symbol_trees,
+    unkeyed_scan,
 )
 from spgraphs import (
     ConstructionVerificationError,
@@ -368,9 +369,11 @@ def test_pinned_path_hit_in_the_second_row(sets, perms):
     table = core._lift_table(template, 4)
     ends = [core._end_masks(table, edge, ei, p)
             for ei, (edge, p) in enumerate(zip(template.edges, perms))]
-    events = core._scan_bad_events(
-        template.edges, core._incidence(template.edges, 3), ends)
+    incidence = core._incidence(template.edges, 3)
+    events = core._scan_bad_events(template.edges, incidence, perms, ends,
+                                   set())
     assert events and events == find_bad_events(result, template)
+    assert events == unkeyed_scan(template.edges, incidence, ends)
 
 
 @pytest.mark.parametrize("r", [87, 1000])
@@ -378,9 +381,9 @@ def test_bad_event_occurs_scans_at_most_three_rows(monkeypatch, r):
     seen = []
     real = transform._scan_bad_events
 
-    def counting_scan(edges, num_vertices, ends):
+    def counting_scan(edges, incidence, perms, ends, clean):
         seen.append([(len(from_u), len(from_w)) for from_u, from_w in ends])
-        return real(edges, num_vertices, ends)
+        return real(edges, incidence, perms, ends, clean)
 
     monkeypatch.setattr(transform, "_scan_bad_events", counting_scan)
     center, leaf1, leaf2 = fs(0, 1, 2), fs(3, 4, 5), fs(0, 6, 7)
@@ -576,29 +579,40 @@ class _Visits(list):
         return super().__getitem__(v)
 
 
+class _Lookups(set):
+    """A template's clean pair keys that record in ``log`` each lookup,
+    one per pair the scan visits, as ("lookup", key, known clean)."""
+
+    def __init__(self, keys, log):
+        super().__init__(keys)
+        self.log = log
+
+    def __contains__(self, key):
+        known = super().__contains__(key)
+        self.log.append(("lookup", key, known))
+        return known
+
+
 def test_rounds_after_the_first_examine_only_redrawn_pairs(monkeypatch):
     template = build_spindle_template(3).spindle.spg
-    scans = []  # per scan: (redrawn, the edge pairs examined)
+    lookups = []
+    clean = vars(template)["_clean_pairs"] = _Lookups((), lookups)
+    scans = []  # per scan: (redrawn, the edge pairs visited)
     visits = []  # per scan: the vertices whose incidence list is read
     incidences = set()  # the ids of the incidence lists scanned
-    edge_of = {}
-    real_scan, real_hits = core._scan_bad_events, core._band_hits
+    real_scan = core._scan_bad_events
 
-    def counting_scan(edges, incidence, ends, redrawn=None):
-        edge_of.clear()
-        for ei, (from_u, from_w) in enumerate(ends):
-            edge_of[id(from_u)] = edge_of[id(from_w)] = ei
-        scans.append((redrawn, []))
+    def counting_scan(edges, incidence, perms, ends, memo, redrawn=None):
+        assert memo is clean
+        start = len(lookups)
         visits.append([])
         incidences.add(id(incidence))
-        return real_scan(edges, _Visits(incidence, visits[-1]), ends, redrawn)
-
-    def counting_hits(out1, out2):
-        scans[-1][1].append((edge_of[id(out1)], edge_of[id(out2)]))
-        return real_hits(out1, out2)
+        events = real_scan(edges, _Visits(incidence, visits[-1]), perms,
+                           ends, memo, redrawn)
+        scans.append((redrawn, [key[:2] for _, key, _ in lookups[start:]]))
+        return events
 
     monkeypatch.setattr(transform, "_scan_bad_events", counting_scan)
-    monkeypatch.setattr(core, "_band_hits", counting_hits)
     result = construct_with_resampling(template, TransformConfig(r=4, seed=1))
     assert result.rounds_used == len(scans) - 1 >= 2
 
@@ -620,6 +634,133 @@ def test_rounds_after_the_first_examine_only_redrawn_pairs(monkeypatch):
         assert len(examined) < len(all_pairs)
         assert visited == sorted({v for ei in redrawn
                                   for v in template.edges[ei]})
+
+
+# Each pair of the scan is decided by its oriented two-row key, and the
+# keys found clean are kept on the template for every r: the events are
+# those of the scan without keys.
+
+@st.composite
+def shared_symbol_cycles(draw):
+    """Random singleton cycles through k >= 3 sets on a few symbols,
+    perhaps with a chord, vertex labels shuffled: each vertex is the
+    lower or the higher endpoint of each of its edges."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(d + 2, d + 3))
+    pool = [FacetSet(c) for c in combinations(range(n), d)]
+    k = draw(st.integers(3, min(len(pool), 6)))
+    sets = draw(st.lists(st.sampled_from(pool), min_size=k, max_size=k,
+                         unique=True))
+    at = draw(st.permutations(range(k)))
+    edges = [(at[i], at[(i + 1) % k]) for i in range(k)]
+    if k > 3 and draw(st.booleans()):
+        edges.append((at[0], at[2]))
+    return Spg.build(SymbolTable.alphabetic(n), d, [[s] for s in sets], edges)
+
+
+# the codes of the 7 keys, 4 * (s(b1) - 1) + s(b2) - 1
+KEY_CODES = {4 * (k1 - 1) + k2 - 1 for k1, k2 in
+             [(1, 2), (2, 1), (1, 3), (2, 3), (3, 1), (3, 2), (3, 4)]}
+
+
+def pairs_at_vertices(template):
+    """The (e1, e2) of every pair of edges at a common vertex."""
+    incidence = core._incidence(template.edges, len(template.vertices))
+    return {(e1, e2) for at in incidence
+            for (e1, _), (e2, _) in combinations(at, 2)}
+
+
+def assert_bounded(clean, template):
+    """``clean`` holds keys of pairs at a vertex, and only the 7 keys a
+    pair can have."""
+    pairs = pairs_at_vertices(template)
+    assert {key[:2] for key in clean} <= pairs
+    assert {key[2] for key in clean} <= KEY_CODES
+
+
+@given(st.one_of(shared_symbol_trees(), shared_symbol_templates(),
+                 shared_symbol_cycles()),
+       st.lists(st.integers(2, 8), min_size=1, max_size=4), st.data())
+@settings(max_examples=200, deadline=None)
+def test_keyed_scan_matches_the_unkeyed_oracle(template, rs, data):
+    edges = template.edges
+    incidence = core._incidence(edges, len(template.vertices))
+    clean = set()  # one memo for every r and draw
+    for r in rs:
+        table = core._lift_table(template, r)
+        for _ in range(data.draw(st.integers(1, 4))):
+            perms = [tuple(data.draw(st.permutations(range(1, r + 1))))
+                     for _ in edges]
+            redrawn = data.draw(st.none() | st.frozensets(
+                st.sampled_from(range(len(edges))), min_size=1))
+            ends = [core._end_masks(table, edge, ei, perm)
+                    for ei, (edge, perm) in enumerate(zip(edges, perms))]
+            assert core._scan_bad_events(
+                edges, incidence, perms, core._EndMasks(table, edges, perms),
+                clean, redrawn) == unkeyed_scan(edges, incidence, ends,
+                                                redrawn)
+    assert_bounded(clean, template)
+
+
+def test_an_edge_walked_into_v_is_keyed_on_its_last_rows():
+    # at V = 1 edge 0 ends and edge 1 starts; the first draw is clean and
+    # the second bad, and their keys differ only by edge 0's last rows
+    # (4, 3): by its first rows (1, 2) both would be (3, 1)
+    template = Spg.build(SymbolTable.alphabetic(3), 1,
+                         [[fs(0)], [fs(1)], [fs(2)]], [(0, 1), (1, 2)])
+    edges, table = template.edges, core._lift_table(template, 4)
+    incidence = core._incidence(edges, 3)
+    clean = set()
+    for perms in [((1, 2, 3, 4), (3, 1, 2, 4)), ((1, 2, 3, 4), (4, 1, 2, 3))]:
+        ends = [core._end_masks(table, edge, ei, perm)
+                for ei, (edge, perm) in enumerate(zip(edges, perms))]
+        expected = unkeyed_scan(edges, incidence, ends)
+        assert core._scan_bad_events(edges, incidence, perms, ends,
+                                     clean) == expected
+    assert expected and clean == {(0, 1, 4 * 1 + 2)}
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_a_second_construction_walks_no_pair_known_clean(monkeypatch, seed):
+    template = build_spindle_template(3).spindle.spg
+    first = construct_with_resampling(template, TransformConfig(r=4, seed=1))
+    calls = []  # in order: ("lookup", key, known), ("walk", ei), ("hits",)
+    vars(template)["_clean_pairs"] = _Lookups(template._clean_pairs, calls)
+    real_walk, real_hits = core._end_masks, core._band_hits
+    monkeypatch.setattr(core, "_end_masks", lambda table, edge, ei, perm: (
+        calls.append(("walk", ei)) or real_walk(table, edge, ei, perm)))
+    monkeypatch.setattr(core, "_band_hits", lambda out1, out2: (
+        calls.append(("hits",)) or real_hits(out1, out2)))
+    second = construct_with_resampling(template, TransformConfig(r=4, seed=seed))
+    lookups = [call for call in calls if call[0] == "lookup"]
+    assert any(known for _, _, known in lookups)
+    # after a known clean key the next call is the next pair's lookup
+    for call, after in zip(calls, calls[1:] + [("lookup",)]):
+        if call[0] == "lookup" and call[2]:
+            assert after[0] == "lookup"
+    # every other key is band-scanned once
+    assert calls.count(("hits",)) == sum(not known for _, _, known in lookups)
+    if seed == 1:
+        # the same draws: every clean key is known, so only the bad pairs
+        # are band-scanned, and only their edges walked
+        assert second.resample_log == first.resample_log
+        events = [ev for _, round_events in first.resample_log
+                  for ev in round_events]
+        assert calls.count(("hits",)) == len(events)
+        assert {call[1] for call in calls if call[0] == "walk"} == {
+            ei for ev in events for ei in ev.edges}
+
+
+def test_the_kept_keys_stay_within_seven_a_pair():
+    template = build_spindle_template(4).spindle.spg
+    sweep_r(template, list(range(4, 17)), 3, seed=1)
+    kept = set(template._clean_pairs)
+    assert_bounded(kept, template)
+    assert {key[:2] for key in kept} == pairs_at_vertices(template)
+    # more trials, rounds and r values add no key beyond the bound
+    sweep_r(template, [2, 3, 87], 3, seed=2)
+    assert kept <= template._clean_pairs
+    assert_bounded(template._clean_pairs, template)
 
 
 # Each Monte-Carlo trial is decided by the pattern of its first two rows.

@@ -222,6 +222,24 @@ class TestVerify:
         assert "more; use --all-witnesses" not in out_all
         assert out_all.count("over-counted-face") > 20
 
+    # sha256 of the whole report of each template, witnesses sorted by
+    # the text of their payload
+    ALL_WITNESSES_SHA256 = {
+        4: "4ea3f23c56f0fc4c55cb343e13c51ad827f0ba9788460fda9caada87b6202cb1",
+        5: "eed1138de971d5990a7d99262d9d4506ff6831a9db747c8d4d38c155f4d8d165",
+        6: "dfcc9772dc3705393b3f76995015657ee6b037f921c906645f7ba44ac1f2afec",
+    }
+
+    @pytest.mark.parametrize("dim", [4, 5, 6])
+    def test_all_witnesses_of_the_templates_are_pinned(self, capsys,
+                                                       monkeypatch, dim):
+        doc = build_template_doc(capsys, monkeypatch, dim=dim)
+        code, out, _ = run_cli(capsys, monkeypatch,
+                               ["verify", "--all-witnesses"], stdin=doc)
+        assert code == 1
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            self.ALL_WITNESSES_SHA256[dim]
+
     def test_file_input(self, capsys, monkeypatch, tmp_path):
         doc = build_template_doc(capsys, monkeypatch)
         path = tmp_path / "spindle.json"

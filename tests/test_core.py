@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     TupleFacetSet,
+    _sorted_witnesses,
     arbitrary_spgs,
     brute_force_endpoint_violations,
     loop_facet_mask,
@@ -306,6 +307,45 @@ class TestAdjacency:
             SymbolTable.alphabetic(4), 2, [[fs(0, 1)], [fs(2, 3)]])
         with pytest.raises(InvalidSpgError):
             check_adjacency(broken)
+
+
+@st.composite
+def witness_lists(draw):
+    """Witnesses of mixed kinds, as the verifiers name them: sets of
+    mixed sizes, vertex indices past 9, tuples of sets and of indices."""
+    sets = st.frozensets(st.integers(0, 14), max_size=5).map(FacetSet)
+    vertex = st.integers(0, 120)
+    witness = st.one_of(
+        st.tuples(st.just("non-adjacent-pair"), sets, sets, vertex, vertex),
+        st.tuples(st.just("unwitnessed-edge"), vertex, vertex),
+        st.tuples(st.just("over-counted-face"), sets,
+                  st.lists(sets, min_size=1, max_size=4).map(tuple)),
+        st.tuples(st.just("disconnected"), vertex,
+                  st.lists(vertex, min_size=1, max_size=3).map(tuple)),
+        st.tuples(st.just("wrong-size-set"), sets, vertex),
+        st.tuples(st.just("self-loop"), vertex),
+        st.tuples(st.just("no-vertices")),
+    )
+    return draw(st.lists(witness, max_size=30))
+
+
+class TestSortedWitnesses:
+    @given(witness_lists())
+    @settings(max_examples=300)
+    def test_matches_the_sort_by_payload_text(self, witnesses):
+        got = core._sorted_witnesses(witnesses)
+        expected = _sorted_witnesses(witnesses)
+        assert got == expected
+        assert [tuple(map(type, w)) for w in got] == [
+            tuple(map(type, w)) for w in expected]
+
+    def test_orders_by_text(self):
+        witnesses = [("unwitnessed-edge", 9, 12), ("unwitnessed-edge", 10, 11),
+                     ("non-adjacent-pair", fs(0, 10), fs(1, 2), 9, 10),
+                     ("non-adjacent-pair", fs(0, 2), fs(1, 2), 9, 10),
+                     ("non-adjacent-pair", fs(0, 1, 2), fs(1, 3), 9, 10)]
+        assert core._sorted_witnesses(witnesses) == tuple(
+            witnesses[i] for i in (4, 2, 3, 1, 0))
 
 
 class TestStrongAdjacency:
