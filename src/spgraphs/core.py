@@ -253,8 +253,9 @@ class Spg:
     (the validity report, and the three reports built on the near pairs)
     are computed on first use and kept on the object (or filled in,
     holding, when :func:`_certify` certifies a transform result's
-    graph), and so are a template's lift tables and the pair keys its
-    bad-event scan found clean; the near pairs themselves are not kept.
+    graph), and so are a template's lift tables, incidence lists and the
+    pair keys its bad-event scan found clean; the near pairs themselves
+    are not kept.
     A parsed transform result keeps the graph rebuilt from its
     certificate, so validity is decided on that one object, once.
     :func:`dataclasses.replace` builds a new object that derives its own.
@@ -314,6 +315,17 @@ class Spg:
     @cached_property
     def _clean_pairs(self) -> set[tuple[int, int, int]]:
         return set()  # for every r, filled by _scan_bad_events
+
+    @cached_property
+    def _incidence(self) -> list[list[tuple[int, int]]]:
+        """For each vertex, the (index, end) of each edge at it, in edge
+        order: end 0 where the vertex is the edge's first, 1 where it is
+        its second."""
+        incidence: list[list[tuple[int, int]]] = [[] for _ in self.vertices]
+        for ei, (u, w) in enumerate(self.edges):
+            incidence[u].append((ei, 0))
+            incidence[w].append((ei, 1))
+        return incidence
 
 
 @dataclass(frozen=True)
@@ -421,8 +433,10 @@ def _require_multiplier(r: int) -> None:
 
 
 def _require_permutation(perm: Sequence[int], r: int, context: str = "") -> None:
-    # r entries covering 1..r: then they are 1..r, each once
-    if len(perm) != r or not set(perm).issuperset(range(1, r + 1)):
+    # r ints covering 1..r: then they are 1..r, each once.  bool is a
+    # subclass of int, but no row, and a float would fail only in _walk.
+    if (len(perm) != r or any(type(row) is not int for row in perm)
+            or not set(perm).issuperset(range(1, r + 1))):
         raise ValueError(f"{context}not a subdivision path: {perm} is not a "
                          f"permutation of 1..{r}")
 
@@ -533,43 +547,28 @@ def _build_subdivision(spg: Spg, r: int, perms: Sequence[Sequence[int]]
 _END_ROWS = 2
 
 
-def _end_masks(table: _LiftTable, edge: tuple[int, int], ei: int,
-               perm: Sequence[int]) -> tuple[list[int], list[int]]:
-    """The masks of the first min(2, r) rows walked out of each end of the
-    subdivision path of ``edge``, the ``ei``-th template edge, from
-    the lift of its first vertex to that of its second: (out of the
-    first, out of the second).
+def _out_masks(table: _LiftTable, edge: tuple[int, int], ei: int,
+               perm: Sequence[int], back: int) -> list[int]:
+    """The masks of the first min(2, r) rows walked out of one end of the
+    subdivision path of ``edge``, the ``ei``-th template edge, from the
+    lift of its first vertex to that of its second: out of the first
+    where ``back`` is 0, out of the second where it is 1.
 
-    The tail starts from the second lift with the rows ``perm[-2:]``
-    put back to the first and steps forward through them; reversed, it
-    walks out of the second.  By the two-row lemma (see
-    :func:`_scan_bad_events`) every bad event lies inside these lists.
-    For r <= 2 they are the whole path and its reversal.
+    Out of the second, the rows ``perm[-2:]`` are walked forward from
+    the second lift with those rows put back to the first, and the masks
+    reversed.  By the two-row lemma (see :func:`_scan_bad_events`) every
+    bad event lies inside these lists.  For r <= 2 they are the whole
+    path or its reversal.
     """
-    lift, lift2 = table.lifts[edge[0]], table.lifts[edge[1]]
-    swaps = table.swaps[ei]
+    lift, swaps = table.lifts[edge[0]], table.swaps[ei]
+    if not back:
+        return _walk(lift, swaps, perm[:_END_ROWS])
     last = perm[-_END_ROWS:]
     # undone < 2**r, so the product carries nothing from one symbol's
     # rows into the next
     undone = sum(1 << (row - 1) for row in last) * table.every
-    return (_walk(lift, swaps, perm[:_END_ROWS]),
-            _walk((lift2 & ~undone) | (lift & undone), swaps, last)[::-1])
-
-
-class _EndMasks(dict):
-    """:func:`_end_masks` of each of ``edges`` by index, walked on first
-    lookup from ``table`` and the edge's permutation in ``perms`` (read
-    then, so a caller that redraws an edge drops its entry), and kept."""
-
-    def __init__(self, table: _LiftTable, edges: Sequence[tuple[int, int]],
-                 perms: Sequence[Sequence[int]]):
-        super().__init__()
-        self.table, self.edges, self.perms = table, edges, perms
-
-    def __missing__(self, ei: int) -> tuple[list[int], list[int]]:
-        ends = self[ei] = _end_masks(self.table, self.edges[ei], ei,
-                                     self.perms[ei])
-        return ends
+    return _walk((table.lifts[edge[1]] & ~undone) | (lift & undone),
+                 swaps, last)[::-1]
 
 
 def _band_hits(out1: list[int], out2: list[int]) -> list[tuple[int, int]]:
@@ -584,45 +583,28 @@ def _band_hits(out1: list[int], out2: list[int]) -> list[tuple[int, int]]:
     return hits
 
 
-def _incidence(edges: Sequence[tuple[int, int]], vertex_count: int
-               ) -> list[list[tuple[int, int]]]:
-    """For each vertex, the (index, end) of each of ``edges`` at it, in
-    edge order: end 0 where the vertex is the edge's first, 1 where it
-    is its second."""
-    incidence: list[list[tuple[int, int]]] = [[] for _ in range(vertex_count)]
-    for ei, (u, w) in enumerate(edges):
-        incidence[u].append((ei, 0))
-        incidence[w].append((ei, 1))
-    return incidence
-
-
-def _scan_bad_events(
-    edges: Sequence[tuple[int, int]],
-    incidence: list[list[tuple[int, int]]],
-    perms: Sequence[Sequence[int]],
-    ends: Sequence[tuple[list[int], list[int]]] | _EndMasks,
-    clean: set[tuple[int, int, int]],
-    redrawn: frozenset[int] | None = None,
-) -> tuple[BadEvent, ...]:
-    """The bad events of the subdivision paths of ``edges``, drawn with
-    the row permutations ``perms``.  ``ends[ei]``, for ``edges[ei]`` =
-    (u, w), is (the masks walked out of u, the masks walked out of w):
-    the first two rows out of each end, as :func:`_end_masks` walks
-    them; it is looked up only for a pair whose key (below) is not in
-    ``clean``, so it may walk on lookup (:class:`_EndMasks`).
-    ``incidence`` is :func:`_incidence` of ``edges``.  With ``redrawn``
-    given, only the endpoints of those edges are visited, in ascending
-    order, and there only the pairs holding at least one of them, in the
-    order of :func:`itertools.combinations`: the events come in the
-    order of a full scan.
+def _scan_bad_events(spg: Spg, r: int, perms: Sequence[Sequence[int]],
+                     redrawn: frozenset[int] | None = None
+                     ) -> tuple[BadEvent, ...]:
+    """The bad events of the subdivision of the singleton template
+    ``spg`` at row multiplier ``r`` with the row permutations ``perms``,
+    one per edge.  Everything else it reads belongs to the template and
+    is kept on it: its incidence lists, its lift table for r
+    (:func:`_lift_table`) and the pair keys found clean.  A pair whose
+    key (below) is not known clean walks the one end of each of its two
+    paths that the pair reads (:func:`_out_masks`); nothing walked is
+    kept.  With ``redrawn`` given, only the endpoints of those edges are
+    visited, in ascending order, and there only the pairs holding at
+    least one of them, in the order of :func:`itertools.combinations`:
+    the events come in the order of a full scan.
 
     Each step out of a template vertex V retires one of V's lifted
     symbols and introduces one from outside, so the set k steps out lies
     at Hamming distance exactly 2k from V's lift; by the triangle
     inequality two sets within distance 2 (sharing rd - 1 of their rd
-    symbols) then lie in the band |k - l| <= 1.  Every caller walks its
-    masks with :func:`~spgraphs.core._walk` from a checked template or
-    star, so the law holds and is not checked here.
+    symbols) then lie in the band |k - l| <= 1.  The masks are walked
+    with :func:`_walk` on a template whose sets have one size, which
+    every caller checks, so the law holds and is not checked here.
 
     Two-row lemma: take paths out of V toward distinct sets L1 and L2
     of V's size, and let m1 = |V minus L1| and m2 = |V minus L2|.  In
@@ -639,7 +621,7 @@ def _scan_bad_events(
     equal path 2's state there, V or L2; not V, so L2, and m2 < m1.
     Both cannot hold, so path 1 has not started a third row: k <= 2 * m1,
     and likewise l <= 2 * m2.  The first two rows out of each end (see
-    :func:`_end_masks`) therefore hold every hit, and the witness, the
+    :func:`_out_masks`) therefore hold every hit, and the witness, the
     first hit in path order, is the one the whole paths give.
 
     Keyed verdicts: a pair (V, e1, e2) is decided by its oriented
@@ -666,16 +648,18 @@ def _scan_bad_events(
     scan certifies nothing (:func:`_certifies`), but it still names the
     edges to redraw.
 
-    ``clean`` holds the (e1, e2, key) of every pair found clean, the key
-    coded 4 * (s(b1) - 1) + s(b2) - 1; e1 and e2 name the pair, since two
-    edges of a simple template share at most one endpoint, which fixes V
-    and the end of each edge at V.  A pair whose key is in ``clean`` is
-    skipped unread.  Any other is band-scanned from ``ends``, as a scan
-    without keys would, and its key added if it is clean; a bad key is
-    not kept, since its witness needs the masks anyway.  So the events
-    and witnesses are those of that scan, and ``clean`` holds at most 7
-    keys a pair.
+    The template's ``_clean_pairs`` holds the (e1, e2, key) of every pair
+    found clean, the key coded 4 * (s(b1) - 1) + s(b2) - 1; e1 and e2
+    name the pair, since two edges of a simple template share at most
+    one endpoint, which fixes V and the end of each edge at V.  A pair
+    whose key is in it is skipped unread.  Any other is walked and
+    band-scanned, as a scan without keys would, and its key added if it
+    is clean; a bad key is not kept, since its witness needs the masks
+    anyway.  So the events and witnesses are those of that scan, and the
+    set holds at most 7 keys a pair.
     """
+    edges, incidence, clean = spg.edges, spg._incidence, spg._clean_pairs
+    table = _lift_table(spg, r)
     if redrawn is None:
         at = range(len(incidence))
     else:
@@ -694,7 +678,8 @@ def _scan_bad_events(
             key = (e1, e2, 4 * k1 + k2)
             if key in clean:
                 continue
-            out1, out2 = ends[e1][back1], ends[e2][back2]
+            out1 = _out_masks(table, edges[e1], e1, p1, back1)
+            out2 = _out_masks(table, edges[e2], e2, p2, back2)
             hits = _band_hits(out1, out2)
             if not hits:
                 clean.add(key)
@@ -712,9 +697,9 @@ def _certify(result: TransformResult,
     """Fill the kept reports of ``result.spg`` (validity and the three
     pair reports) with holding ones when :func:`_certifies` holds of r
     and the result's bad events: ``events``, the scan a caller already
-    made, or else :func:`_bad_events`, scanned only where the predicate
-    asks.  Otherwise they are left to :func:`_validate` and the
-    near-pair join, which name the witnesses.
+    made, or else the result's own :func:`_scan_bad_events`, made only
+    where the predicate asks.  Otherwise they are left to
+    :func:`_validate` and the near-pair join, which name the witnesses.
 
     The argument (r >= 4; the template is a valid singleton SPG, as the
     result's constructor checks).  Two sets of the result are near when
@@ -765,7 +750,8 @@ def _certify(result: TransformResult,
     such a trial a success without building its graph.
     """
     if _certifies(result.r, lambda: (
-            _bad_events(result) if events is None else events)):
+            _scan_bad_events(result.template, result.r, result.perms)
+            if events is None else events)):
         vars(result.spg).update(
             _validity=PropertyReport(SpgProperty.VALIDITY),
             _pair_verdicts=(PropertyReport(SpgProperty.ADJACENCY),
@@ -780,18 +766,6 @@ def _certifies(r: int, scan: Callable[[], Sequence[BadEvent]]) -> bool:
     at r >= 4, so below it nothing is scanned.  :func:`_certify` and
     :func:`~spgraphs.experiments.sweep_r` both decide by it."""
     return r >= 4 and not scan()
-
-
-def _bad_events(result: TransformResult) -> tuple[BadEvent, ...]:
-    """Every bad event of ``result``, scanned with its template's clean
-    keys, from the end masks of its paths (:func:`_end_masks`) off the
-    template's lift table, walked only for the pairs those keys leave."""
-    template, perms = result.template, result.perms
-    edges = template.edges
-    return _scan_bad_events(
-        edges, _incidence(edges, len(template.vertices)), perms,
-        _EndMasks(_lift_table(template, result.r), edges, perms),
-        template._clean_pairs)
 
 
 class SpgProperty(Enum):

@@ -50,22 +50,16 @@ from .core import (
     Spg,
     SpgProperty,
     Spindle,
+    SymbolTable,
     TransformResult,
-    _END_ROWS,
-    _EndMasks,
-    _bad_events,
     _certify,
-    _incidence,
     _lift_mask,
-    _lift_table,
     _require_count,
     _require_multiplier,
     _require_permutation,
     _require_rows,
     _require_template,
     _scan_bad_events,
-    _swaps,
-    _walk,
     validate,
     verify_all,
 )
@@ -134,13 +128,21 @@ def lll_sufficient(delta: int, r: int) -> bool:
     return (4 * delta - 5) * (4.0 / r) * math.e < 1.0
 
 
-def _require_star(center: FacetSet, leaf1: FacetSet, leaf2: FacetSet) -> None:
+def _star(center: FacetSet, leaf1: FacetSet, leaf2: FacetSet) -> Spg:
+    """The three-vertex star template of ``center`` and two leaves, the
+    centre at vertex 0, so that both its edges, (0, 1) and (0, 2), leave
+    the centre.  Leaves of another size than the centre's, equal leaves
+    or a leaf equal to the centre raise ValueError: there the two-row
+    lemma does not hold."""
     if not len(center) == len(leaf1) == len(leaf2):
         raise ValueError("star sets must have uniform size")
     if leaf1 == leaf2:
         raise ValueError("leaves must differ")
     if center in (leaf1, leaf2):
         raise ValueError("leaves must differ from the center")
+    n = (center.mask | leaf1.mask | leaf2.mask).bit_length()
+    return Spg.build(SymbolTable.alphabetic(n), len(center),
+                     [[center], [leaf1], [leaf2]], [(0, 1), (0, 2)])
 
 
 def _partners(rng: np.random.Generator, r: int, count: int) -> np.ndarray:
@@ -226,15 +228,15 @@ def find_bad_events(result: TransformResult, original: Spg) -> tuple[BadEvent, .
     recorded per edge pair.
 
     An ``original`` other than the result's template raises ValueError.
-    The scan is the construction's (:func:`_scan_bad_events`): it
-    decides each pair by its two-row key, skips a key the template
-    keeps as clean, and walks the first two rows out of each end of a
-    path from the template's lift table only for the pairs left, so it
-    builds no graph.
+    The scan is the construction's (:func:`_scan_bad_events`) of the
+    result's template, r and permutations: it decides each pair by its
+    two-row key, skips a key the template keeps as clean, and walks the
+    first two rows out of the one end each path of a pair left reads,
+    so it builds no graph.
     """
     if original != result.template:
         raise ValueError("original: not the template the result was built from")
-    return _bad_events(result)
+    return _scan_bad_events(result.template, result.r, result.perms)
 
 
 def construct_with_resampling(template: Spg | Spindle, config: TransformConfig
@@ -279,19 +281,18 @@ def _resample(spg: Spg, config: TransformConfig
     output.  Each pair is decided by its two-row key (the keyed verdicts
     of :func:`_scan_bad_events`): the keys found clean are kept on the
     template, for every r and every construction on it, and a pair
-    whose key is among them reads no masks.  Any other pair reads the
-    masks of the first two rows out of each end of its paths (the
-    two-row lemma), walked on first need and kept until the edge is
-    redrawn, so a round's cost does not grow with r beyond the draws.
-    With strategy RESAMPLE only edges participating in a bad event are
-    redrawn each round; REJECT redraws all of them.  Every walk starts
-    from the template's table for r (each template vertex's lift, each
-    edge's :func:`_swaps`), kept on the template, so redraws and the
-    build lift nothing again.
+    whose key is among them reads no masks.  Any other pair walks the
+    first two rows out of the end of each of its paths at the pair's
+    vertex (the two-row lemma), so a round's cost does not grow with r
+    beyond the draws.  With strategy RESAMPLE only edges participating
+    in a bad event are redrawn each round; REJECT redraws all of them.
+    Every walk starts from the template's table for r (each template
+    vertex's lift, each edge's swap list), kept on the template, so
+    redraws and the build lift nothing again.
 
     Under RESAMPLE, rounds after the first visit only the endpoints of
-    the redrawn edges, off incidence lists made once, and there rescan
-    only the pairs that hold a redrawn edge.  Every pair left out is
+    the redrawn edges, off the template's incidence lists, and there
+    rescan only the pairs that hold a redrawn edge.  Every pair left out is
     clean: by induction, after each scan the only pairs not known clean
     are the bad ones, and both edges of a bad pair are redrawn; a pair
     with neither edge redrawn was therefore clean, and its paths have
@@ -301,16 +302,12 @@ def _resample(spg: Spg, config: TransformConfig
     """
     _require_template(spg)
     r = config.r
-    table = _lift_table(spg, r)
     import numpy as np
     rng = np.random.default_rng(config.seed)
     perms = _fisher_yates(rng, r, len(spg.edges))
-    ends = _EndMasks(table, spg.edges, perms)
-    incidence = _incidence(spg.edges, len(spg.vertices))
     log: list[tuple[int, tuple[BadEvent, ...]]] = []
     redrawn = None  # round 0 scans every pair
-    while events := _scan_bad_events(spg.edges, incidence, perms, ends,
-                                     spg._clean_pairs, redrawn):
+    while events := _scan_bad_events(spg, r, perms, redrawn):
         log.append((len(log), events))
         if len(log) > config.max_rounds:
             raise ResamplingExhaustedError(events, log, config.max_rounds)
@@ -321,7 +318,6 @@ def _resample(spg: Spg, config: TransformConfig
             targets = range(len(spg.edges))
         for ei, perm in zip(targets, _fisher_yates(rng, r, len(targets))):
             perms[ei] = perm
-            ends.pop(ei, None)
     return tuple(perms), tuple(log)
 
 
@@ -376,34 +372,25 @@ def bad_event_occurs(
 
     This models an outward star: both edges leave the centre, and each
     path adjusts the rows of its ``perm`` in order, starting from the
-    centre.  In a template, the path of an edge walked into the centre
-    leaves it through its last two rows, undoing each row's swaps in
-    reverse order; the construction's scan (:func:`_scan_bad_events`)
-    follows that orientation, this function does not.
+    centre.  It is the construction's scan (:func:`_scan_bad_events`) of
+    a three-vertex star template with the centre at vertex 0, the lower
+    endpoint of both edges, so both paths are walked out of it.  In
+    another template the path of an edge walked into a vertex leaves it
+    through its last two rows, undoing each row's swaps in reverse
+    order; a star of that orientation is just another template to scan.
 
-    Only the first two rows out of each end are built and scanned (the
-    two-row lemma of :func:`_scan_bad_events`), so past the checks of
-    the perms the cost does not grow with r.  The lemma needs leaves of
-    the center's size, distinct from each other and from the center, and
-    permutations of 1..r: anything else raises ValueError."""
-    _require_star(center, leaf1, leaf2)
+    Only the first two rows out of the centre are walked and scanned
+    (the two-row lemma of :func:`_scan_bad_events`), and a leaf, with
+    one edge, holds no pair, so past the checks of the perms the cost
+    does not grow with r.  The lemma needs leaves of the center's size,
+    distinct from each other and from the center, and permutations of
+    1..r, each entry an int; the lift needs r >= 2.  Anything else
+    raises ValueError."""
+    _require_multiplier(r)
+    star = _star(center, leaf1, leaf2)
     _require_permutation(perm1, r)
     _require_permutation(perm2, r)
-    return _star_bad_event(_lift_mask(center, r), _swaps(center, leaf1, r),
-                           _swaps(center, leaf2, r), perm1, perm2)
-
-
-def _star_bad_event(lift: int, swaps1: list[tuple[int, int]],
-                    swaps2: list[tuple[int, int]], perm1: Sequence[int],
-                    perm2: Sequence[int]) -> bool:
-    """bad_event_occurs, given the centre's lift and the :func:`_swaps`
-    toward each leaf, without its checks of the star and the perms."""
-    # each leaf has one edge, so the scan reads only the heads
-    ends = [(_walk(lift, swaps1, perm1[:_END_ROWS]), []),
-            (_walk(lift, swaps2, perm2[:_END_ROWS]), [])]
-    star = ((0, 1), (0, 2))
-    return bool(_scan_bad_events(star, _incidence(star, 3), (perm1, perm2),
-                                 ends, set()))
+    return bool(_scan_bad_events(star, r, (perm1, perm2)))
 
 
 # Monte-Carlo trials whose leading rows one _leading_rows call draws:
@@ -449,7 +436,7 @@ def estimate_bad_event_probability(
     _require_count("trials", trials)
     _require_multiplier(r)
     _require_count("seed", seed)
-    _require_star(center, leaf1, leaf2)
+    star = _star(center, leaf1, leaf2)
 
     import numpy as np
     rng = np.random.default_rng(seed)
@@ -463,13 +450,11 @@ def estimate_bad_event_probability(
         k1 = np.where(b1 == a1, 1, np.where(b1 == a2, 2, 3))
         k2 = np.where(b2 == a1, 1, np.where(b2 == a2, 2, 3 + (k1 == 3)))
         counts += np.bincount(4 * (k1 - 1) + k2 - 1, minlength=12)
-    # the star is the same in every trial; only the perms are drawn
-    lift = _lift_mask(center, r)
-    swaps1, swaps2 = _swaps(center, leaf1, r), _swaps(center, leaf2, r)
-    # the checks above meet bad_event_occurs' terms, and each key is the
-    # first two rows of a permutation of 1..r
-    hits = sum(count * _star_bad_event(lift, swaps1, swaps2, (1, 2),
-                                       (code // 4 + 1, code % 4 + 1))
+    # the star is the same in every trial; only the perms are drawn.  The
+    # scan reads the first two rows of each perm out of the centre, and
+    # each key is those of two permutations of 1..r.
+    hits = sum(count * bool(_scan_bad_events(
+                   star, r, ((1, 2), (code // 4 + 1, code % 4 + 1))))
                for code, count in enumerate(counts.tolist()) if count)
     return BadEventEstimate(
         frequency=hits / trials,

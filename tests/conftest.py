@@ -494,6 +494,24 @@ def path_ends(a: FacetSet, a2: FacetSet, r: int, perm) -> tuple[list[int], list[
     return path[:steps + 1], path[::-1][:steps + 1]
 
 
+def oracle_ends(spg: Spg, r: int, perms) -> list[tuple[list[int], list[int]]]:
+    """:func:`path_ends` of the subdivision path of each edge of the
+    singleton template ``spg``, drawn with its permutation in ``perms``."""
+    return [path_ends(spg.vertices[u][0], spg.vertices[w][0], r, perm)
+            for (u, w), perm in zip(spg.edges, perms)]
+
+
+def incidence_lists(spg: Spg) -> list[list[tuple[int, int]]]:
+    """For each vertex of ``spg``, the (index, end) of each edge at it, in
+    edge order: end 0 where the vertex is the edge's first, 1 where it
+    is its second."""
+    incidence = [[] for _ in spg.vertices]
+    for ei, (u, w) in enumerate(spg.edges):
+        incidence[u].append((ei, 0))
+        incidence[w].append((ei, 1))
+    return incidence
+
+
 def unkeyed_scan(edges, incidence, ends, redrawn=None) -> tuple[BadEvent, ...]:
     """The bad-event scan without keyed verdicts: every pair visited
     band-scans its end masks, ``ends[ei]`` = (out of the edge's first
@@ -525,14 +543,12 @@ def full_rescan_construction(spg: Spg, config: TransformConfig):
     permutation drawn by its own scalar loop.  Returns the result, or
     the exception the construction should raise."""
     r = config.r
-    sets = [(spg.vertices[u][0], spg.vertices[w][0]) for u, w in spg.edges]
     rng = np.random.default_rng(config.seed)
     perms = [loop_fisher_yates(rng, r) for _ in spg.edges]
     log = []
     for attempt in range(config.max_rounds + 1):
-        ends = [path_ends(a, a2, r, p) for (a, a2), p in zip(sets, perms)]
-        events = unkeyed_scan(
-            spg.edges, core._incidence(spg.edges, len(spg.vertices)), ends)
+        events = unkeyed_scan(spg.edges, incidence_lists(spg),
+                              oracle_ends(spg, r, perms))
         if not events:
             result = build_subdivision(
                 spg, r, PermutationAssignment(tuple(perms)))

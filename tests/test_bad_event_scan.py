@@ -18,7 +18,9 @@ from conftest import (
     brute_force_bad_events,
     duplicating_tree,
     full_rescan_construction,
+    incidence_lists,
     loop_fisher_yates,
+    oracle_ends,
     oracle_path_masks,
     replay_construction,
     shared_symbol_templates,
@@ -324,7 +326,9 @@ def test_end_masks_are_the_first_and_last_rows(case):
     full = oracle_path_masks(a, a2, r, perm)
     edge = Spg.build(SymbolTable.alphabetic(len(a) + 3), len(a), [[a], [a2]],
                      [(0, 1)])
-    head, tail = core._end_masks(core._lift_table(edge, r), (0, 1), 0, perm)
+    table = core._lift_table(edge, r)
+    head, tail = (core._out_masks(table, (0, 1), 0, perm, back)
+                  for back in (0, 1))
     steps = min(2, r) * len(a.without(a2))
     assert head == full[:steps + 1]
     assert tail == full[::-1][:steps + 1]
@@ -366,33 +370,30 @@ def test_pinned_path_hit_in_the_second_row(sets, perms):
     template = Spg.build(SymbolTable.alphabetic(5), 2, [[s] for s in sets],
                          [(0, 1), (1, 2)])
     result = build_subdivision(template, 4, PermutationAssignment(perms))
-    table = core._lift_table(template, 4)
-    ends = [core._end_masks(table, edge, ei, p)
-            for ei, (edge, p) in enumerate(zip(template.edges, perms))]
-    incidence = core._incidence(template.edges, 3)
-    events = core._scan_bad_events(template.edges, incidence, perms, ends,
-                                   set())
+    events = core._scan_bad_events(template, 4, perms)
     assert events and events == find_bad_events(result, template)
-    assert events == unkeyed_scan(template.edges, incidence, ends)
+    assert events == unkeyed_scan(template.edges, incidence_lists(template),
+                                  oracle_ends(template, 4, perms))
 
 
 @pytest.mark.parametrize("r", [87, 1000])
 def test_bad_event_occurs_scans_at_most_three_rows(monkeypatch, r):
-    seen = []
-    real = transform._scan_bad_events
+    seen = []  # per walk: (the vertex walked out of, the masks walked)
+    real = core._out_masks
 
-    def counting_scan(edges, incidence, perms, ends, clean):
-        seen.append([(len(from_u), len(from_w)) for from_u, from_w in ends])
-        return real(edges, incidence, perms, ends, clean)
+    def counting_walk(table, edge, ei, perm, back):
+        masks = real(table, edge, ei, perm, back)
+        seen.append((edge[back], len(masks)))
+        return masks
 
-    monkeypatch.setattr(transform, "_scan_bad_events", counting_scan)
+    monkeypatch.setattr(core, "_out_masks", counting_walk)
     center, leaf1, leaf2 = fs(0, 1, 2), fs(3, 4, 5), fs(0, 6, 7)
     perm = tuple(range(r, 0, -1))
     for perm1, perm2 in [(perm, perm), (perm, perm[::-1])]:
         bad_event_occurs(center, leaf1, leaf2, r, perm1, perm2)
-    # 2 * m + 1 masks out of the centre (m = 3 toward leaf 1, 2 toward
-    # leaf 2); none out of a leaf, which has one edge
-    assert seen == [[(2 * 3 + 1, 0), (2 * 2 + 1, 0)]] * 2
+    # 2 * m + 1 masks out of the centre, vertex 0 (m = 3 toward leaf 1,
+    # 2 toward leaf 2); none out of a leaf, which has one edge
+    assert seen == [(0, 2 * 3 + 1), (0, 2 * 2 + 1)] * 2
 
 
 @pytest.mark.parametrize("r, perm", [
@@ -427,6 +428,12 @@ def test_bad_event_occurs_refuses_the_center_as_first_leaf():
 _MULTIPLIER = ("row multiplier must be at least 2 for the lift to satisfy "
                "the end-point count")
 _NOT_A_PERMUTATION = r"not a subdivision path: \(1, 1\) is not a permutation of 1\.\.2"
+# entries equal to 1 and 2 that are no int rows: a float would fail only
+# in the walk, and a bool would be kept in the result's perms
+_FLOAT_ROWS = (r"not a subdivision path: \(1\.0, 2\.0\) is not a "
+               r"permutation of 1\.\.2")
+_BOOL_ROWS = (r"not a subdivision path: \(True, 2\) is not a permutation "
+              r"of 1\.\.2")
 _ROWS = "row multiplier must be positive"
 
 
@@ -449,6 +456,15 @@ _ROWS = "row multiplier must be positive"
      _NOT_A_PERMUTATION),
     (lambda: bad_event_occurs(fs(0, 1), fs(2, 3), fs(2, 4), 2, (1, 2), (1, 1)),
      _NOT_A_PERMUTATION),
+    (lambda: TransformResult(SHARED_STAR, 2, ((1.0, 2.0), (1, 2))),
+     _FLOAT_ROWS),
+    (lambda: TransformResult(SHARED_STAR, 2, ((1, 2), (True, 2))), _BOOL_ROWS),
+    (lambda: bad_event_occurs(
+        fs(0, 1), fs(2, 3), fs(2, 4), 2, (1.0, 2.0), (1, 2)), _FLOAT_ROWS),
+    (lambda: bad_event_occurs(
+        fs(0, 1), fs(2, 3), fs(2, 4), 2, (1, 2), (True, 2)), _BOOL_ROWS),
+    (lambda: bad_event_occurs(fs(0, 1), fs(2, 3), fs(2, 4), 1, (1,), (1,)),
+     _MULTIPLIER),
     (lambda: estimate_bad_event_probability(
         fs(0, 1), fs(2, 3), fs(2, 3), 4, 10, 0), "leaves must differ"),
     (lambda: estimate_bad_event_probability(
@@ -472,7 +488,9 @@ _ROWS = "row multiplier must be positive"
     (lambda: lll_sufficient(-1, 87), "maximum degree cannot be negative"),
 ], ids=["config", "subdivision-r", "sweep", "estimator-r",
         "assignment", "assignment-count", "result-count", "result-r",
-        "subdivision-perm", "bad-event",
+        "subdivision-perm", "bad-event", "result-float-rows",
+        "result-bool-rows", "bad-event-float-rows", "bad-event-bool-rows",
+        "bad-event-r",
         "estimator-equal-leaves", "estimator-centre-leaf",
         "estimator-sizes", "reduction-seed", "reduction-budget",
         "check-budget", "lift-r", "lift-zero", "lift-negative",
@@ -599,16 +617,16 @@ def test_rounds_after_the_first_examine_only_redrawn_pairs(monkeypatch):
     clean = vars(template)["_clean_pairs"] = _Lookups((), lookups)
     scans = []  # per scan: (redrawn, the edge pairs visited)
     visits = []  # per scan: the vertices whose incidence list is read
-    incidences = set()  # the ids of the incidence lists scanned
+    reads = []  # every vertex whose incidence list is read, in turn
+    incidence = vars(template)["_incidence"] = _Visits(
+        template._incidence, reads)
     real_scan = core._scan_bad_events
 
-    def counting_scan(edges, incidence, perms, ends, memo, redrawn=None):
-        assert memo is clean
-        start = len(lookups)
-        visits.append([])
-        incidences.add(id(incidence))
-        events = real_scan(edges, _Visits(incidence, visits[-1]), perms,
-                           ends, memo, redrawn)
+    def counting_scan(spg, r, perms, redrawn=None):
+        assert spg is template and spg._clean_pairs is clean
+        start, first = len(lookups), len(reads)
+        events = real_scan(spg, r, perms, redrawn)
+        visits.append(reads[first:])
         scans.append((redrawn, [key[:2] for _, key, _ in lookups[start:]]))
         return events
 
@@ -624,8 +642,8 @@ def test_rounds_after_the_first_examine_only_redrawn_pairs(monkeypatch):
                  for pair in combinations(edge_ids, 2)]
     assert scans[0][0] is None and scans[0][1] == all_pairs
     assert visits[0] == list(range(len(template.vertices)))
-    # one construction makes its incidence lists once
-    assert len(incidences) == 1
+    # every scan reads the one set of incidence lists the template keeps
+    assert vars(template)["_incidence"] is incidence
     for (_, events), (redrawn, examined), visited in zip(
             result.resample_log, scans[1:], visits[1:]):
         assert redrawn == {ei for ev in events for ei in ev.edges}
@@ -665,8 +683,7 @@ KEY_CODES = {4 * (k1 - 1) + k2 - 1 for k1, k2 in
 
 def pairs_at_vertices(template):
     """The (e1, e2) of every pair of edges at a common vertex."""
-    incidence = core._incidence(template.edges, len(template.vertices))
-    return {(e1, e2) for at in incidence
+    return {(e1, e2) for at in incidence_lists(template)
             for (e1, _), (e2, _) in combinations(at, 2)}
 
 
@@ -684,22 +701,18 @@ def assert_bounded(clean, template):
 @settings(max_examples=200, deadline=None)
 def test_keyed_scan_matches_the_unkeyed_oracle(template, rs, data):
     edges = template.edges
-    incidence = core._incidence(edges, len(template.vertices))
-    clean = set()  # one memo for every r and draw
+    incidence = incidence_lists(template)
+    vars(template).pop("_clean_pairs", None)  # one memo for every r and draw
     for r in rs:
-        table = core._lift_table(template, r)
         for _ in range(data.draw(st.integers(1, 4))):
             perms = [tuple(data.draw(st.permutations(range(1, r + 1))))
                      for _ in edges]
             redrawn = data.draw(st.none() | st.frozensets(
                 st.sampled_from(range(len(edges))), min_size=1))
-            ends = [core._end_masks(table, edge, ei, perm)
-                    for ei, (edge, perm) in enumerate(zip(edges, perms))]
             assert core._scan_bad_events(
-                edges, incidence, perms, core._EndMasks(table, edges, perms),
-                clean, redrawn) == unkeyed_scan(edges, incidence, ends,
-                                                redrawn)
-    assert_bounded(clean, template)
+                template, r, perms, redrawn) == unkeyed_scan(
+                    edges, incidence, oracle_ends(template, r, perms), redrawn)
+    assert_bounded(template._clean_pairs, template)
 
 
 def test_an_edge_walked_into_v_is_keyed_on_its_last_rows():
@@ -708,16 +721,12 @@ def test_an_edge_walked_into_v_is_keyed_on_its_last_rows():
     # (4, 3): by its first rows (1, 2) both would be (3, 1)
     template = Spg.build(SymbolTable.alphabetic(3), 1,
                          [[fs(0)], [fs(1)], [fs(2)]], [(0, 1), (1, 2)])
-    edges, table = template.edges, core._lift_table(template, 4)
-    incidence = core._incidence(edges, 3)
-    clean = set()
+    incidence = incidence_lists(template)
     for perms in [((1, 2, 3, 4), (3, 1, 2, 4)), ((1, 2, 3, 4), (4, 1, 2, 3))]:
-        ends = [core._end_masks(table, edge, ei, perm)
-                for ei, (edge, perm) in enumerate(zip(edges, perms))]
-        expected = unkeyed_scan(edges, incidence, ends)
-        assert core._scan_bad_events(edges, incidence, perms, ends,
-                                     clean) == expected
-    assert expected and clean == {(0, 1, 4 * 1 + 2)}
+        expected = unkeyed_scan(template.edges, incidence,
+                                oracle_ends(template, 4, perms))
+        assert core._scan_bad_events(template, 4, perms) == expected
+    assert expected and template._clean_pairs == {(0, 1, 4 * 1 + 2)}
 
 
 @pytest.mark.parametrize("seed", [1, 2])
@@ -726,9 +735,9 @@ def test_a_second_construction_walks_no_pair_known_clean(monkeypatch, seed):
     first = construct_with_resampling(template, TransformConfig(r=4, seed=1))
     calls = []  # in order: ("lookup", key, known), ("walk", ei), ("hits",)
     vars(template)["_clean_pairs"] = _Lookups(template._clean_pairs, calls)
-    real_walk, real_hits = core._end_masks, core._band_hits
-    monkeypatch.setattr(core, "_end_masks", lambda table, edge, ei, perm: (
-        calls.append(("walk", ei)) or real_walk(table, edge, ei, perm)))
+    real_walk, real_hits = core._out_masks, core._band_hits
+    monkeypatch.setattr(core, "_out_masks", lambda table, edge, ei, perm, back: (
+        calls.append(("walk", ei)) or real_walk(table, edge, ei, perm, back)))
     monkeypatch.setattr(core, "_band_hits", lambda out1, out2: (
         calls.append(("hits",)) or real_hits(out1, out2)))
     second = construct_with_resampling(template, TransformConfig(r=4, seed=seed))
@@ -763,6 +772,29 @@ def test_the_kept_keys_stay_within_seven_a_pair():
     assert_bounded(template._clean_pairs, template)
 
 
+def test_the_probes_sweep_walks_only_the_ends_it_reads(monkeypatch):
+    # the benchmark's sweep: every list walked is one of the two that a
+    # band scan reads, so no end of a path is walked and left unread
+    template = build_spindle_template(4).spindle.spg
+    calls = {"walk": 0, "hits": 0}
+    real_walk, real_hits = core._walk, core._band_hits
+
+    def counting_walk(*args):
+        calls["walk"] += 1
+        return real_walk(*args)
+
+    def counting_hits(out1, out2):
+        calls["hits"] += 1
+        return real_hits(out1, out2)
+
+    monkeypatch.setattr(core, "_walk", counting_walk)
+    monkeypatch.setattr(core, "_band_hits", counting_hits)
+    # at r >= 4 every trial is certified by its last scan: no graph is
+    # built, so every walk is the scan's
+    sweep_r(template, [4, 6, 8, 12, 16], 3, seed=1)
+    assert calls == {"walk": 2 * 550, "hits": 550}
+
+
 # Each Monte-Carlo trial is decided by the pattern of its first two rows.
 
 @st.composite
@@ -791,10 +823,14 @@ def test_estimate_matches_per_trial_loop(star, r, trials, seed):
 
 @pytest.mark.parametrize("r, keys", [(2, 2), (3, 6), (4, 7), (87, 7)])
 def test_estimate_decides_each_row_pattern_once(monkeypatch, r, keys):
-    calls = []
-    real = transform._star_bad_event
-    monkeypatch.setattr(transform, "_star_bad_event",
-                        lambda *args: calls.append(args[3:]) or real(*args))
+    calls = []  # per star scan: its permutations
+    real = transform._scan_bad_events
+
+    def counting_scan(spg, r, perms, redrawn=None):
+        calls.append(tuple(perms))
+        return real(spg, r, perms, redrawn)
+
+    monkeypatch.setattr(transform, "_scan_bad_events", counting_scan)
     estimate_bad_event_probability(
         fs(0, 1), fs(2, 3), fs(2, 4), r, 20_000, seed=5)
     assert len(calls) == len(set(calls)) == keys
