@@ -253,9 +253,9 @@ class Spg:
     (the validity report, and the three reports built on the near pairs)
     are computed on first use and kept on the object (or filled in,
     holding, when :func:`_certify` certifies a transform result's
-    graph), and so are a template's lift tables, incidence lists and the
-    pair keys its bad-event scan found clean; the near pairs themselves
-    are not kept.
+    graph), and so are a template's lift base and lift tables, its
+    incidence lists and the verdict of each pair key its bad-event scan
+    decided; the near pairs themselves are not kept.
     A parsed transform result keeps the graph rebuilt from its
     certificate, so validity is decided on that one object, once.
     :func:`dataclasses.replace` builds a new object that derives its own.
@@ -309,12 +309,17 @@ class Spg:
         return _pair_reports(self)
 
     @cached_property
+    def _lift_base(self) -> "_LiftBase":
+        return _make_lift_base(self)
+
+    @cached_property
     def _lift_tables(self) -> dict[int, "_LiftTable"]:
         return {}  # by r, filled by _lift_table
 
     @cached_property
-    def _clean_pairs(self) -> set[tuple[int, int, int]]:
-        return set()  # for every r, filled by _scan_bad_events
+    def _key_verdicts(self) -> dict[tuple[int, int, int],
+                                    tuple[int, int] | None]:
+        return {}  # for every r, filled by _scan_bad_events
 
     @cached_property
     def _incidence(self) -> list[list[tuple[int, int]]]:
@@ -455,25 +460,18 @@ def _require_apices(template: Spg, r: int, apices: tuple) -> None:
         raise ValueError(f"apices: {err}") from None
 
 
-def _lift_mask(fs: FacetSet, r: int) -> int:
-    """Mask of A x [r]."""
+def _lift_mask(elements: Iterable[int], r: int) -> int:
+    """Mask of A x [r], A given by its base symbols (a :class:`FacetSet`
+    or its elements): base symbol x's copy in row j is bit x*r + j - 1."""
     rows = (1 << r) - 1
-    return sum(rows << (e * r) for e in fs.elements)
-
-
-def _swaps(a: FacetSet, a2: FacetSet, r: int) -> list[tuple[int, int]]:
-    """The steps of one row of the walk from A x [r] to A2 x [r]: the
-    row-1 bit of the lifted symbol each retires (of A minus A2) and of the
-    one it introduces (of A2 minus A), paired by ascending base-symbol
-    rank."""
-    return list(zip((e * r for e in _mask_elements(a.mask & ~a2.mask)),
-                    (e * r for e in _mask_elements(a2.mask & ~a.mask))))
+    return sum(rows << (e * r) for e in elements)
 
 
 def _walk(mask: int, swaps: list[tuple[int, int]], rows: Sequence[int]
           ) -> list[int]:
-    """``mask`` and the masks after each step of ``swaps`` (see
-    :func:`_swaps`) made in each of ``rows`` (1-based), in turn."""
+    """``mask`` and the masks after each step of ``swaps`` (an edge's
+    swap list of a :class:`_LiftTable`) made in each of ``rows``
+    (1-based), in turn."""
     seq = [mask]
     for row in rows:
         offset = row - 1
@@ -484,12 +482,35 @@ def _walk(mask: int, swaps: list[tuple[int, int]], rows: Sequence[int]
     return seq
 
 
+class _LiftBase(NamedTuple):
+    """What a singleton template's lift tables are scaled from, at every
+    r: the base symbols of each vertex's set, and each edge's swap pairs,
+    the base symbol each step of one row retires (of A minus A2, for the
+    edge from A to A2) and the one it introduces (of A2 minus A), paired
+    by ascending rank."""
+
+    elements: list[tuple[int, ...]]
+    swaps: list[list[tuple[int, int]]]
+
+
+def _make_lift_base(spg: Spg) -> _LiftBase:
+    """The :class:`_LiftBase` of the singleton template ``spg``, made
+    once per template (``Spg._lift_base``)."""
+    masks = [vertex[0].mask for vertex in spg.vertices]
+    return _LiftBase(
+        [_mask_elements(mask) for mask in masks],
+        [list(zip(_mask_elements(masks[u] & ~masks[w]),
+                  _mask_elements(masks[w] & ~masks[u])))
+         for u, w in spg.edges])
+
+
 class _LiftTable(NamedTuple):
     """What every walk of one construction starts from: each template
-    vertex's lift, each template edge's :func:`_swaps`, and ``every``,
-    the mask with row 1 of each base symbol set, so that
-    ``rows * every`` is the mask of the rows set in the bit mask
-    ``rows`` of every base symbol."""
+    vertex's lift, each template edge's swap list (its
+    :class:`_LiftBase` swap pairs as the row-1 bits of the lifted
+    symbols they name), and ``every``, the mask with row 1 of each base
+    symbol set, so that ``rows * every`` is the mask of the rows set in
+    the bit mask ``rows`` of every base symbol."""
 
     lifts: list[int]
     swaps: list[list[tuple[int, int]]]
@@ -497,15 +518,17 @@ class _LiftTable(NamedTuple):
 
 
 def _lift_table(spg: Spg, r: int) -> _LiftTable:
-    """The lift table of the singleton template ``spg`` at ``r``, made on
-    first use and kept on the graph, so that every construction, build
-    and scan of one template at one r walks from one table."""
+    """The lift table of the singleton template ``spg`` at ``r``, scaled
+    from its lift base on first use and kept on the graph, so that every
+    construction, build and scan of one template at one r walks from one
+    table.  Base symbol x's copy in row j is bit x*r + j - 1, so a swap
+    pair (x, y) steps from bit x*r to bit y*r in row 1."""
     if r not in spg._lift_tables:
-        sets = [vertex[0] for vertex in spg.vertices]
+        elements, swaps = spg._lift_base
         spg._lift_tables[r] = _LiftTable(
-            [_lift_mask(fs, r) for fs in sets],
-            [_swaps(sets[u], sets[w], r) for u, w in spg.edges],
-            sum(1 << (x * r) for x in range(spg.symbols.n)))
+            [_lift_mask(elems, r) for elems in elements],
+            [[(x * r, y * r) for x, y in pairs] for pairs in swaps],
+            sum([1 << (x * r) for x in range(spg.symbols.n)]))
     return spg._lift_tables[r]
 
 
@@ -590,13 +613,14 @@ def _scan_bad_events(spg: Spg, r: int, perms: Sequence[Sequence[int]],
     ``spg`` at row multiplier ``r`` with the row permutations ``perms``,
     one per edge.  Everything else it reads belongs to the template and
     is kept on it: its incidence lists, its lift table for r
-    (:func:`_lift_table`) and the pair keys found clean.  A pair whose
-    key (below) is not known clean walks the one end of each of its two
-    paths that the pair reads (:func:`_out_masks`); nothing walked is
-    kept.  With ``redrawn`` given, only the endpoints of those edges are
-    visited, in ascending order, and there only the pairs holding at
-    least one of them, in the order of :func:`itertools.combinations`:
-    the events come in the order of a full scan.
+    (:func:`_lift_table`) and the verdict of each pair key decided.  A
+    pair whose key (below) is neither (3, 4) nor known clean walks the
+    one end of each of its two paths that the pair reads
+    (:func:`_out_masks`); nothing walked is kept.  With ``redrawn``
+    given, only the endpoints of those edges are visited, in ascending
+    order, and there only the pairs holding at least one of them, in the
+    order of :func:`itertools.combinations`: the events come in the
+    order of a full scan.
 
     Each step out of a template vertex V retires one of V's lifted
     symbols and introduces one from outside, so the set k steps out lies
@@ -638,27 +662,39 @@ def _scan_bad_events(spg: Spg, r: int, perms: Sequence[Sequence[int]],
     order of first appearance.  The pair is then decided as the one with
     rows (1, 2) on e1 and (s(b1), s(b2)) on e2, one of 7 keys: (1, 2),
     (2, 1), (1, 3), (2, 3), (3, 1), (3, 2) and (3, 4).  Nor does the
-    verdict at a key depend on r: in both windows every row but the
-    keyed ones holds V's own row, so it adds no bit to any distance, and
-    a window holds 2m + 1 masks whatever r is.  So one verdict per key
-    serves every r, draw and round on the template.  That includes r = 2
-    and 3, where the lemma holds too: at r = 2 each window is its whole
-    path, far end included, its rows are all the rows, and the key is
-    (1, 2) or (2, 1); at r = 3 the key (3, 4) cannot occur.  There the
-    scan certifies nothing (:func:`_certifies`), but it still names the
-    edges to redraw.
+    distance at any (k, l) depend on r: in both windows every row but
+    the keyed ones holds V's own row, so it adds no bit to any distance,
+    and a window holds 2m + 1 masks whatever r is.  So the hits at a key
+    are the same (k, l) at every r, and so is the first of them in path
+    order, which the ends of e1 and e2 at V decide: one verdict per key,
+    clean or its first hit, serves every r, draw and round on the
+    template.  That includes r = 2 and 3, where the lemma holds too: at
+    r = 2 each window is its whole path, far end included, its rows are
+    all the rows, and the key is (1, 2) or (2, 1); at r = 3 the key
+    (3, 4) cannot occur.  There the scan certifies nothing
+    (:func:`_certifies`), but it still names the edges to redraw.
 
-    The template's ``_clean_pairs`` holds the (e1, e2, key) of every pair
-    found clean, the key coded 4 * (s(b1) - 1) + s(b2) - 1; e1 and e2
-    name the pair, since two edges of a simple template share at most
-    one endpoint, which fixes V and the end of each edge at V.  A pair
-    whose key is in it is skipped unread.  Any other is walked and
-    band-scanned, as a scan without keys would, and its key added if it
-    is clean; a bad key is not kept, since its witness needs the masks
-    anyway.  So the events and witnesses are those of that scan, and the
-    set holds at most 7 keys a pair.
+    Key (3, 4) is never bad.  Its four rows are distinct, so in their
+    windows, which hold every hit, path 1 differs from V's lift only in
+    its own two rows, by 2k bits, and path 2 only in its two, by 2l
+    bits: the two sets are 2k + 2l >= 4 bits apart, and no pair is
+    within 2.  Such a pair is neither walked nor kept.
+
+    The template's ``_key_verdicts`` maps the (e1, e2, key) of every
+    other pair decided, the key coded 4 * (s(b1) - 1) + s(b2) - 1, to
+    None where the pair is clean and to its first hit (k, l) where it
+    is bad; e1 and e2 name the pair, since two edges of a simple
+    template share at most one endpoint, which fixes V and the end of
+    each edge at V.  A pair whose key is known clean is skipped unread,
+    and one whose key is known bad walks its two windows only to name
+    its witness, out1[k] and out2[l].  Any other is walked and
+    band-scanned, as a scan without keys would, and its verdict kept.
+    So the events and witnesses are those of that scan, each key is
+    band-scanned once per template, and the map holds at most 6 keys a
+    pair.
     """
-    edges, incidence, clean = spg.edges, spg._incidence, spg._clean_pairs
+    edges, incidence = spg.edges, spg._incidence
+    verdicts = spg._key_verdicts
     table = _lift_table(spg, r)
     if redrawn is None:
         at = range(len(incidence))
@@ -675,18 +711,22 @@ def _scan_bad_events(spg: Spg, r: int, perms: Sequence[Sequence[int]],
             # s(b1) - 1 and s(b2) - 1
             k1 = 0 if b1 == a1 else 1 if b1 == a2 else 2
             k2 = 0 if b2 == a1 else 1 if b2 == a2 else 2 + (k1 == 2)
+            if k2 == 3:  # key (3, 4): never bad
+                continue
             key = (e1, e2, 4 * k1 + k2)
-            if key in clean:
+            hit = verdicts.get(key, ())  # (): not decided yet
+            if hit is None:  # known clean
                 continue
             out1 = _out_masks(table, edges[e1], e1, p1, back1)
             out2 = _out_masks(table, edges[e2], e2, p2, back2)
-            hits = _band_hits(out1, out2)
-            if not hits:
-                clean.add(key)
-                continue
-            # first in path order: a path ending at V is walked inward
-            k, l = min(hits, key=lambda kl: (
-                -kl[0] if back1 else kl[0], -kl[1] if back2 else kl[1]))
+            if not hit:
+                hits = _band_hits(out1, out2)
+                # first in path order: a path ending at V is walked inward
+                hit = verdicts[key] = min(hits, default=None, key=lambda kl: (
+                    -kl[0] if back1 else kl[0], -kl[1] if back2 else kl[1]))
+                if hit is None:
+                    continue
+            k, l = hit
             events.append(BadEvent(v, (e1, e2), (
                 FacetSet.from_mask(out1[k]), FacetSet.from_mask(out2[l]))))
     return tuple(events)

@@ -279,16 +279,18 @@ def _resample(spg: Spg, config: TransformConfig
     redraws consume the same stream (one call of :func:`_fisher_yates`
     per round, targets ascending), so identical inputs give bit-identical
     output.  Each pair is decided by its two-row key (the keyed verdicts
-    of :func:`_scan_bad_events`): the keys found clean are kept on the
-    template, for every r and every construction on it, and a pair
-    whose key is among them reads no masks.  Any other pair walks the
+    of :func:`_scan_bad_events`): each key's verdict is kept on the
+    template, for every r and every construction on it, a pair whose
+    key is known clean, or is (3, 4), reads no masks, and one whose key
+    is known bad is not band-scanned again.  Any other pair walks the
     first two rows out of the end of each of its paths at the pair's
     vertex (the two-row lemma), so a round's cost does not grow with r
     beyond the draws.  With strategy RESAMPLE only edges participating
     in a bad event are redrawn each round; REJECT redraws all of them.
     Every walk starts from the template's table for r (each template
-    vertex's lift, each edge's swap list), kept on the template, so
-    redraws and the build lift nothing again.
+    vertex's lift, each edge's swap list), scaled from the template's
+    one lift base and kept on the template, so redraws and the build
+    lift nothing again.
 
     Under RESAMPLE, rounds after the first visit only the endpoints of
     the redrawn edges, off the template's incidence lists, and there

@@ -501,6 +501,28 @@ def oracle_ends(spg: Spg, r: int, perms) -> list[tuple[list[int], list[int]]]:
             for (u, w), perm in zip(spg.edges, perms)]
 
 
+def oracle_swaps(a: FacetSet, a2: FacetSet, r: int) -> list[tuple[int, int]]:
+    """The steps of one row of the walk from A x [r] to A2 x [r]: the
+    row-1 bit of the lifted symbol each retires (of A minus A2) and of the
+    one it introduces (of A2 minus A), paired by ascending base-symbol
+    rank."""
+    return list(zip((e * r for e in a.elements if e not in a2),
+                    (e * r for e in a2.elements if e not in a)))
+
+
+def oracle_lift_table(spg: Spg, r: int) -> core._LiftTable:
+    """The lift table of the singleton template ``spg`` at ``r``, made
+    from its sets at r alone: each set's :func:`oracle_lift`, each
+    edge's :func:`oracle_swaps` and the mask of every label in row 1."""
+    sets = [vertex[0] for vertex in spg.vertices]
+    labels, lifted = spg.symbols.labels, spg.symbols.lifted(r)
+    return core._LiftTable(
+        [FacetSet.from_labels(lifted, oracle_lift(labels, fs, r)).mask
+         for fs in sets],
+        [oracle_swaps(sets[u], sets[w], r) for u, w in spg.edges],
+        FacetSet.from_labels(lifted, [f"{x}@1" for x in labels]).mask)
+
+
 def incidence_lists(spg: Spg) -> list[list[tuple[int, int]]]:
     """For each vertex of ``spg``, the (index, end) of each edge at it, in
     edge order: end 0 where the vertex is the edge's first, 1 where it

@@ -21,7 +21,9 @@ from conftest import (
     incidence_lists,
     loop_fisher_yates,
     oracle_ends,
+    oracle_lift_table,
     oracle_path_masks,
+    oracle_swaps,
     replay_construction,
     shared_symbol_templates,
     shared_symbol_trees,
@@ -229,7 +231,7 @@ def test_checks_of_a_built_result_build_nothing(monkeypatch):
                                       TransformConfig(r=4, seed=4))
     for result in (built, parse(serialize(built))):
         calls = []
-        for name in ("_build_subdivision", "_swaps"):
+        for name in ("_build_subdivision", "_make_lift_base"):
             real = getattr(core, name)
             monkeypatch.setattr(core, name, lambda *args, real=real, name=name:
                                 calls.append(name) or real(*args))
@@ -248,10 +250,10 @@ def test_checks_of_a_built_result_build_nothing(monkeypatch):
 def test_construction_makes_each_edges_swaps_once(monkeypatch, template, r,
                                                   seed, max_rounds, strategy):
     calls = []
-    real = core._swaps
-    monkeypatch.setattr(core, "_swaps",
-                        lambda *args: calls.append(args) or real(*args))
-    # a fresh copy: the module constant may keep a lift table from earlier
+    real = core._make_lift_base
+    monkeypatch.setattr(core, "_make_lift_base",
+                        lambda spg: calls.append(spg) or real(spg))
+    # a fresh copy: the module constant may keep a lift base from earlier
     template = replace(template)
     config = TransformConfig(r=r, seed=seed, max_rounds=max_rounds,
                              strategy=strategy)
@@ -260,8 +262,11 @@ def test_construction_makes_each_edges_swaps_once(monkeypatch, template, r,
     except ResamplingExhaustedError as err:
         rounds = len(err.resample_log)
     assert rounds > 0
-    assert calls == [(template.vertices[u][0], template.vertices[w][0], r)
-                     for u, w in template.edges]
+    # one lift base, which pairs each edge's swaps once, for every round
+    assert calls == [template]
+    assert template._lift_base.swaps == [
+        oracle_swaps(template.vertices[u][0], template.vertices[w][0], 1)
+        for u, w in template.edges]
 
 
 def test_public_entry_points_validate_the_template_once(monkeypatch):
@@ -389,11 +394,16 @@ def test_bad_event_occurs_scans_at_most_three_rows(monkeypatch, r):
     monkeypatch.setattr(core, "_out_masks", counting_walk)
     center, leaf1, leaf2 = fs(0, 1, 2), fs(3, 4, 5), fs(0, 6, 7)
     perm = tuple(range(r, 0, -1))
-    for perm1, perm2 in [(perm, perm), (perm, perm[::-1])]:
+    # keys (1, 2) and (2, 1): each star is new, so each pair is walked
+    for perm1, perm2 in [(perm, perm), (perm, (r - 1, r, *perm[2:]))]:
         bad_event_occurs(center, leaf1, leaf2, r, perm1, perm2)
     # 2 * m + 1 masks out of the centre, vertex 0 (m = 3 toward leaf 1,
     # 2 toward leaf 2); none out of a leaf, which has one edge
     assert seen == [(0, 2 * 3 + 1), (0, 2 * 2 + 1)] * 2
+    # key (3, 4), four distinct rows, is decided unwalked
+    seen.clear()
+    assert not bad_event_occurs(center, leaf1, leaf2, r, perm, perm[::-1])
+    assert seen == []
 
 
 @pytest.mark.parametrize("r, perm", [
@@ -597,24 +607,23 @@ class _Visits(list):
         return super().__getitem__(v)
 
 
-class _Lookups(set):
-    """A template's clean pair keys that record in ``log`` each lookup,
-    one per pair the scan visits, as ("lookup", key, known clean)."""
+class _Reads(list):
+    """Permutations that record in ``log`` the index of each one read:
+    the scan reads perms[e1] and perms[e2] once for each pair it
+    visits, before its key decides it."""
 
-    def __init__(self, keys, log):
-        super().__init__(keys)
+    def __init__(self, perms, log):
+        super().__init__(perms)
         self.log = log
 
-    def __contains__(self, key):
-        known = super().__contains__(key)
-        self.log.append(("lookup", key, known))
-        return known
+    def __getitem__(self, ei):
+        self.log.append(ei)
+        return super().__getitem__(ei)
 
 
 def test_rounds_after_the_first_examine_only_redrawn_pairs(monkeypatch):
     template = build_spindle_template(3).spindle.spg
-    lookups = []
-    clean = vars(template)["_clean_pairs"] = _Lookups((), lookups)
+    verdicts = template._key_verdicts
     scans = []  # per scan: (redrawn, the edge pairs visited)
     visits = []  # per scan: the vertices whose incidence list is read
     reads = []  # every vertex whose incidence list is read, in turn
@@ -623,11 +632,11 @@ def test_rounds_after_the_first_examine_only_redrawn_pairs(monkeypatch):
     real_scan = core._scan_bad_events
 
     def counting_scan(spg, r, perms, redrawn=None):
-        assert spg is template and spg._clean_pairs is clean
-        start, first = len(lookups), len(reads)
-        events = real_scan(spg, r, perms, redrawn)
+        assert spg is template and spg._key_verdicts is verdicts
+        read, first = [], len(reads)
+        events = real_scan(spg, r, _Reads(perms, read), redrawn)
         visits.append(reads[first:])
-        scans.append((redrawn, [key[:2] for _, key, _ in lookups[start:]]))
+        scans.append((redrawn, list(zip(read[::2], read[1::2]))))
         return events
 
     monkeypatch.setattr(transform, "_scan_bad_events", counting_scan)
@@ -654,9 +663,9 @@ def test_rounds_after_the_first_examine_only_redrawn_pairs(monkeypatch):
                                   for v in template.edges[ei]})
 
 
-# Each pair of the scan is decided by its oriented two-row key, and the
-# keys found clean are kept on the template for every r: the events are
-# those of the scan without keys.
+# Each pair of the scan is decided by its oriented two-row key, and each
+# key's verdict, clean or its first hit, is kept on the template for
+# every r: the events and witnesses are those of the scan without keys.
 
 @st.composite
 def shared_symbol_cycles(draw):
@@ -676,9 +685,23 @@ def shared_symbol_cycles(draw):
     return Spg.build(SymbolTable.alphabetic(n), d, [[s] for s in sets], edges)
 
 
-# the codes of the 7 keys, 4 * (s(b1) - 1) + s(b2) - 1
+def pair_key(perm1, back1, perm2, back2):
+    """The oriented two-row key (s(b1), s(b2)) of two paths at a common
+    vertex V: the rows each leaves V by (the last two, last first, for
+    a path walked into V), relabelled so that path 1's are 1, 2 and
+    path 2's others 3, 4 in order of appearance."""
+    (a1, a2), (b1, b2) = ((p[-1], p[-2]) if back else (p[0], p[1])
+                          for p, back in ((perm1, back1), (perm2, back2)))
+    s = {a1: 1, a2: 2}
+    for row in (b1, b2):
+        s.setdefault(row, len(s) + 1)
+    return s[b1], s[b2]
+
+
+# the codes of the 6 keys kept, 4 * (s(b1) - 1) + s(b2) - 1: key (3, 4)
+# is never bad, so it is never kept
 KEY_CODES = {4 * (k1 - 1) + k2 - 1 for k1, k2 in
-             [(1, 2), (2, 1), (1, 3), (2, 3), (3, 1), (3, 2), (3, 4)]}
+             [(1, 2), (2, 1), (1, 3), (2, 3), (3, 1), (3, 2)]}
 
 
 def pairs_at_vertices(template):
@@ -687,32 +710,103 @@ def pairs_at_vertices(template):
             for (e1, _), (e2, _) in combinations(at, 2)}
 
 
-def assert_bounded(clean, template):
-    """``clean`` holds keys of pairs at a vertex, and only the 7 keys a
-    pair can have."""
+def assert_bounded(verdicts, template):
+    """``verdicts`` holds keys of pairs at a vertex, only the 6 keys kept,
+    and for each key None (clean) or a first hit (k, l), k and l >= 1."""
     pairs = pairs_at_vertices(template)
-    assert {key[:2] for key in clean} <= pairs
-    assert {key[2] for key in clean} <= KEY_CODES
+    assert {key[:2] for key in verdicts} <= pairs
+    assert {key[2] for key in verdicts} <= KEY_CODES
+    for hit in verdicts.values():
+        assert hit is None or (len(hit) == 2 and min(hit) >= 1)
 
 
 @given(st.one_of(shared_symbol_trees(), shared_symbol_templates(),
                  shared_symbol_cycles()),
-       st.lists(st.integers(2, 8), min_size=1, max_size=4), st.data())
+       st.lists(st.integers(2, 8), min_size=2, max_size=4), st.data())
 @settings(max_examples=200, deadline=None)
 def test_keyed_scan_matches_the_unkeyed_oracle(template, rs, data):
     edges = template.edges
     incidence = incidence_lists(template)
-    vars(template).pop("_clean_pairs", None)  # one memo for every r and draw
+    # one verdict table for every r and draw
+    vars(template).pop("_key_verdicts", None)
     for r in rs:
         for _ in range(data.draw(st.integers(1, 4))):
             perms = [tuple(data.draw(st.permutations(range(1, r + 1))))
                      for _ in edges]
             redrawn = data.draw(st.none() | st.frozensets(
                 st.sampled_from(range(len(edges))), min_size=1))
-            assert core._scan_bad_events(
-                template, r, perms, redrawn) == unkeyed_scan(
-                    edges, incidence, oracle_ends(template, r, perms), redrawn)
-    assert_bounded(template._clean_pairs, template)
+            expected = unkeyed_scan(
+                edges, incidence, oracle_ends(template, r, perms), redrawn)
+            # the second scan reads a kept verdict for every pair it
+            # visits: clean, or bad and naming its witness by its first hit
+            for _ in range(2):
+                assert core._scan_bad_events(
+                    template, r, perms, redrawn) == expected
+    assert_bounded(template._key_verdicts, template)
+
+
+@given(st.one_of(shared_symbol_trees(), shared_symbol_cycles()),
+       st.integers(4, 12), st.data())
+@settings(max_examples=150, deadline=None)
+def test_the_oracles_find_no_key_34_pair_bad(template, r, data):
+    perms = [tuple(data.draw(st.permutations(range(1, r + 1))))
+             for _ in template.edges]
+    result = build_subdivision(template, r,
+                               PermutationAssignment(tuple(perms)))
+    edges = template.edges
+    for events in (unkeyed_scan(edges, incidence_lists(template),
+                                oracle_ends(template, r, perms)),
+                   brute_force_bad_events(result, template)):
+        for event in events:
+            e1, e2 = event.edges
+            assert pair_key(perms[e1], edges[e1][1] == event.vertex,
+                            perms[e2], edges[e2][1] == event.vertex) != (3, 4)
+
+
+def test_no_key_34_pair_is_walked_or_band_scanned(monkeypatch):
+    template = replace(build_spindle_template(4).spindle.spg)
+    edges = template.edges
+    visited = []  # every pair visited, as its two edges
+    walked = []  # per walk: (edge, perm, end, masks)
+    scanned = []  # per band scan: the two walks it reads
+    real_scan, real_walk, real_hits = (
+        core._scan_bad_events, core._out_masks, core._band_hits)
+
+    def counting_scan(spg, r, perms, redrawn=None):
+        read = []
+        events = real_scan(spg, r, _Reads(perms, read), redrawn)
+        visited.extend((e1, e2, perms[e1], perms[e2])
+                       for e1, e2 in zip(read[::2], read[1::2]))
+        return events
+
+    def counting_walk(table, edge, ei, perm, back):
+        masks = real_walk(table, edge, ei, perm, back)
+        walked.append((ei, perm, back, masks))
+        return masks
+
+    def counting_hits(out1, out2):
+        # a band scan reads the two ends just walked
+        assert out1 is walked[-2][3] and out2 is walked[-1][3]
+        scanned.append((walked[-2], walked[-1]))
+        return real_hits(out1, out2)
+
+    monkeypatch.setattr(transform, "_scan_bad_events", counting_scan)
+    monkeypatch.setattr(core, "_out_masks", counting_walk)
+    monkeypatch.setattr(core, "_band_hits", counting_hits)
+    sweep_r(template, [4, 6, 8, 12, 16], 3, seed=1)
+
+    def key(e1, e2, perm1, perm2):
+        (v,) = set(edges[e1]) & set(edges[e2])
+        return pair_key(perm1, edges[e1][1] == v, perm2, edges[e2][1] == v)
+
+    # the probes sweep visits 743 pairs of key (3, 4) ...
+    assert sum(key(*pair) == (3, 4) for pair in visited) == 743
+    # ... and walks none of them, so it band-scans none of them
+    walks = list(zip(walked[::2], walked[1::2]))
+    assert len(walks) == len(walked) // 2 == 482
+    for (e1, perm1, _, _), (e2, perm2, _, _) in walks:
+        assert key(e1, e2, perm1, perm2) != (3, 4)
+    assert len(scanned) == 332
 
 
 def test_an_edge_walked_into_v_is_keyed_on_its_last_rows():
@@ -726,15 +820,34 @@ def test_an_edge_walked_into_v_is_keyed_on_its_last_rows():
         expected = unkeyed_scan(template.edges, incidence,
                                 oracle_ends(template, 4, perms))
         assert core._scan_bad_events(template, 4, perms) == expected
-    assert expected and template._clean_pairs == {(0, 1, 4 * 1 + 2)}
+    # key (2, 3) clean; key (1, 3) bad, its first hit one step out of V
+    # along each path
+    assert expected and template._key_verdicts == {
+        (0, 1, 4 * 1 + 2): None, (0, 1, 4 * 0 + 2): (1, 1)}
+
+
+class _Verdicts(dict):
+    """A template's kept key verdicts that record in ``log`` each lookup,
+    one per pair the scan visits whose key is not (3, 4), as
+    ("lookup", key, "clean", "bad" or "new")."""
+
+    def __init__(self, verdicts, log):
+        super().__init__(verdicts)
+        self.log = log
+
+    def get(self, key, default=None):
+        state = ("new" if key not in self else
+                 "clean" if self[key] is None else "bad")
+        self.log.append(("lookup", key, state))
+        return super().get(key, default)
 
 
 @pytest.mark.parametrize("seed", [1, 2])
 def test_a_second_construction_walks_no_pair_known_clean(monkeypatch, seed):
     template = build_spindle_template(3).spindle.spg
     first = construct_with_resampling(template, TransformConfig(r=4, seed=1))
-    calls = []  # in order: ("lookup", key, known), ("walk", ei), ("hits",)
-    vars(template)["_clean_pairs"] = _Lookups(template._clean_pairs, calls)
+    calls = []  # in order: ("lookup", key, state), ("walk", ei), ("hits",)
+    vars(template)["_key_verdicts"] = _Verdicts(template._key_verdicts, calls)
     real_walk, real_hits = core._out_masks, core._band_hits
     monkeypatch.setattr(core, "_out_masks", lambda table, edge, ei, perm, back: (
         calls.append(("walk", ei)) or real_walk(table, edge, ei, perm, back)))
@@ -742,42 +855,48 @@ def test_a_second_construction_walks_no_pair_known_clean(monkeypatch, seed):
         calls.append(("hits",)) or real_hits(out1, out2)))
     second = construct_with_resampling(template, TransformConfig(r=4, seed=seed))
     lookups = [call for call in calls if call[0] == "lookup"]
-    assert any(known for _, _, known in lookups)
-    # after a known clean key the next call is the next pair's lookup
-    for call, after in zip(calls, calls[1:] + [("lookup",)]):
-        if call[0] == "lookup" and call[2]:
+    assert any(state == "clean" for _, _, state in lookups)
+    following = calls[1:] + [("lookup",)]
+    for call, after in zip(calls, following):
+        if call[0] == "lookup" and call[2] == "clean":
+            # after a known clean key the next call is the next lookup
             assert after[0] == "lookup"
-    # every other key is band-scanned once
-    assert calls.count(("hits",)) == sum(not known for _, _, known in lookups)
+    # only a key not yet decided is band-scanned, once
+    assert calls.count(("hits",)) == sum(
+        state == "new" for _, _, state in lookups)
     if seed == 1:
-        # the same draws: every clean key is known, so only the bad pairs
-        # are band-scanned, and only their edges walked
+        # the same draws: every key is known, so nothing is band-scanned,
+        # and only the edges of bad pairs are walked, to name witnesses
         assert second.resample_log == first.resample_log
         events = [ev for _, round_events in first.resample_log
                   for ev in round_events]
-        assert calls.count(("hits",)) == len(events)
+        assert calls.count(("hits",)) == 0
+        assert sum(state == "bad" for _, _, state in lookups) == len(events)
         assert {call[1] for call in calls if call[0] == "walk"} == {
             ei for ev in events for ei in ev.edges}
 
 
-def test_the_kept_keys_stay_within_seven_a_pair():
+def test_the_kept_keys_stay_within_six_a_pair():
     template = build_spindle_template(4).spindle.spg
     sweep_r(template, list(range(4, 17)), 3, seed=1)
-    kept = set(template._clean_pairs)
+    kept = dict(template._key_verdicts)
     assert_bounded(kept, template)
     assert {key[:2] for key in kept} == pairs_at_vertices(template)
-    # more trials, rounds and r values add no key beyond the bound
+    # more trials, rounds and r values add no key beyond the bound and
+    # change no verdict kept
     sweep_r(template, [2, 3, 87], 3, seed=2)
-    assert kept <= template._clean_pairs
-    assert_bounded(template._clean_pairs, template)
+    assert kept.items() <= template._key_verdicts.items()
+    assert_bounded(template._key_verdicts, template)
 
 
 def test_the_probes_sweep_walks_only_the_ends_it_reads(monkeypatch):
-    # the benchmark's sweep: every list walked is one of the two that a
-    # band scan reads, so no end of a path is walked and left unread
-    template = build_spindle_template(4).spindle.spg
-    calls = {"walk": 0, "hits": 0}
-    real_walk, real_hits = core._walk, core._band_hits
+    # the benchmark's sweep: every list walked is read, by a band scan of
+    # a key not yet decided or to name the witness of a key known bad,
+    # so no end of a path is walked and left unread
+    template = replace(build_spindle_template(4).spindle.spg)
+    calls = {"walk": 0, "hits": 0, "base": 0}
+    real_walk, real_hits, real_base = (
+        core._walk, core._band_hits, core._make_lift_base)
 
     def counting_walk(*args):
         calls["walk"] += 1
@@ -787,12 +906,27 @@ def test_the_probes_sweep_walks_only_the_ends_it_reads(monkeypatch):
         calls["hits"] += 1
         return real_hits(out1, out2)
 
+    def counting_base(spg):
+        calls["base"] += 1
+        return real_base(spg)
+
     monkeypatch.setattr(core, "_walk", counting_walk)
     monkeypatch.setattr(core, "_band_hits", counting_hits)
+    monkeypatch.setattr(core, "_make_lift_base", counting_base)
     # at r >= 4 every trial is certified by its last scan: no graph is
-    # built, so every walk is the scan's
+    # built, so every walk is the scan's.  Of its 550 pairs not known
+    # clean, 68 have key (3, 4) and 150 a key already known bad.
     sweep_r(template, [4, 6, 8, 12, 16], 3, seed=1)
-    assert calls == {"walk": 2 * 550, "hits": 550}
+    assert calls == {"walk": 2 * (332 + 150), "hits": 332, "base": 1}
+
+
+@given(st.one_of(shared_symbol_templates(), shared_symbol_trees(),
+                 shared_symbol_cycles()))
+@settings(max_examples=40, deadline=None)
+def test_each_lift_table_is_its_lift_base_scaled(template):
+    for r in range(2, 91):
+        assert core._lift_table(template, r) == oracle_lift_table(template, r)
+    assert sorted(template._lift_tables) == list(range(2, 91))
 
 
 # Each Monte-Carlo trial is decided by the pattern of its first two rows.

@@ -134,15 +134,18 @@ class TestSweep:
         assert calls == [template]
 
     def test_makes_one_lift_table_per_r(self, monkeypatch):
-        calls = []
-        swaps = core._swaps
-        monkeypatch.setattr(core, "_swaps",
-                            lambda *args: calls.append(args[2]) or swaps(*args))
+        bases, tables = [], []
+        base, table = core._make_lift_base, core._LiftTable
+        monkeypatch.setattr(core, "_make_lift_base",
+                            lambda spg: bases.append(spg) or base(spg))
+        monkeypatch.setattr(core, "_LiftTable",
+                            lambda *args: tables.append(args) or table(*args))
         # a fresh copy: the module constant may keep its tables from earlier
         template = replace(SHARED_STAR)
         sweep_r(template, [4, 5], trials=3, seed=1)
-        # a table runs _swaps once per template edge
-        assert calls == [4, 4, 5, 5]
+        # one lift base for the template, scaled to one table per r
+        assert bases == [template]
+        assert len(tables) == 2 and list(template._lift_tables) == [4, 5]
 
     def test_reject_strategy_runs(self):
         report = sweep_r(SHARED_STAR, [4], trials=3, seed=2,

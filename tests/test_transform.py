@@ -498,7 +498,7 @@ class TestRestrictionTemplates:
         with pytest.raises(ValueError, match=self.MESSAGE):
             construct_with_resampling(restricted, TransformConfig(r=2, seed=1))
         assert scans == []
-        assert "_clean_pairs" not in vars(restricted)
+        assert "_key_verdicts" not in vars(restricted)
         # the count sees the scans of a template that is not refused
         construct_with_resampling(template, TransformConfig(r=4, seed=1))
         assert scans
