@@ -231,12 +231,14 @@ def test_checks_of_a_built_result_build_nothing(monkeypatch):
                                       TransformConfig(r=4, seed=4))
     for result in (built, parse(serialize(built))):
         calls = []
-        for name in ("_build_subdivision", "_make_lift_base"):
+        for name in ("_build_subdivision", "_make_lift_base", "_LiftTable"):
             real = getattr(core, name)
             monkeypatch.setattr(core, name, lambda *args, real=real, name=name:
                                 calls.append(name) or real(*args))
         assert find_bad_events(result, result.template) == ()
         assert check_localization(result).holds
+        # no graph, no lift base and no lift table: the checks read the
+        # result's template, which keeps its table at r
         assert calls == []
         monkeypatch.undo()
 
@@ -249,10 +251,12 @@ def test_checks_of_a_built_result_build_nothing(monkeypatch):
 ], ids=["built", "exhausted", "spindle"])
 def test_construction_makes_each_edges_swaps_once(monkeypatch, template, r,
                                                   seed, max_rounds, strategy):
-    calls = []
-    real = core._make_lift_base
+    calls, tables = [], []
+    real, table = core._make_lift_base, core._LiftTable
     monkeypatch.setattr(core, "_make_lift_base",
                         lambda spg: calls.append(spg) or real(spg))
+    monkeypatch.setattr(core, "_LiftTable",
+                        lambda *args: tables.append(args) or table(*args))
     # a fresh copy: the module constant may keep a lift base from earlier
     template = replace(template)
     config = TransformConfig(r=r, seed=seed, max_rounds=max_rounds,
@@ -262,8 +266,10 @@ def test_construction_makes_each_edges_swaps_once(monkeypatch, template, r,
     except ResamplingExhaustedError as err:
         rounds = len(err.resample_log)
     assert rounds > 0
-    # one lift base, which pairs each edge's swaps once, for every round
+    # one lift base, which pairs each edge's swaps once, scaled to one
+    # table at r for every round
     assert calls == [template]
+    assert len(tables) == 1 and list(template._lift_tables) == [r]
     assert template._lift_base.swaps == [
         oracle_swaps(template.vertices[u][0], template.vertices[w][0], 1)
         for u, w in template.edges]
